@@ -35,14 +35,12 @@ from .closedform import (
 )
 from .compop import (
     ConvergenceReport,
-    NormResult,
     OpMatrix,
     comp_matrix,
     const_matrix,
     distance,
     norm_schedule,
     op_norm,
-    power_norm,
     restricted_norm,
     weighted_matrix,
 )

@@ -15,6 +15,8 @@ import sys
 import tempfile
 import time
 
+import numpy as np
+
 from . import analysis, closedform, compop, numrange, verify
 from .errors import (
     BracketError,
@@ -37,7 +39,8 @@ EXIT_SOLVER = 3
 
 _INPUT_ERRORS = (ParseError, UnitDiskPoleError, NotSelfmapError,
                  DegreeCapError, PreconditionError, ValueError, KeyError)
-_SOLVER_ERRORS = (ConvergenceError, BracketError, InconsistencyError, SolverInternalError)
+_SOLVER_ERRORS = (ConvergenceError, BracketError, InconsistencyError, SolverInternalError,
+                  np.linalg.LinAlgError)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, dims_default="16,64,256"):
         p.add_argument("-N", type=_dims, default=_dims(dims_default), metavar="a,b,c",
                        help="dimension schedule (strictly increasing)")
-        p.add_argument("--tol", type=float, default=1e-12, help="solver tolerance")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled quantities")
         p.add_argument("--json", metavar="PATH", help="write the JSON report here")
         p.add_argument("--csv", metavar="PATH", help="write a CSV mirror here")
 
@@ -171,6 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("symbol")
     p.add_argument("--grid", type=int, default=720, help="support angle count")
     p.add_argument("--samples", type=int, default=200, help="random Rayleigh samples")
+    p.add_argument("--seed", type=int, default=0, help="seed for the Rayleigh samples")
     common(p, dims_default="64")
 
     p = sub.add_parser("psolve", help="exponent p with ||phi||_p = restricted norm")
@@ -191,10 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _schedule_report(command: str, task: str, params: dict, symbols: dict,
                      args) -> tuple[dict, int]:
-    rep = compop.norm_schedule(task, params, args.N, tol=args.tol)
+    rep = compop.norm_schedule(task, params, args.N)
     body = {
         "command": command,
-        "params": {**symbols, "task": task, "tol": args.tol, "seed": args.seed},
+        "params": {**symbols, "task": task},
         "dims": list(rep.dims),
         "values": list(rep.values),
         "target": rep.target,

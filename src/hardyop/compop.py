@@ -9,8 +9,6 @@ schedule runner certifies both properties on every run.
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -21,12 +19,6 @@ from .errors import PreconditionError, SolverInternalError
 from .symbolic import Symbol, constant, require_selfmap, taylor, taylor_close
 
 FFT_COLUMN_THRESHOLD = 512     # switch column convolutions to FFT at this dimension
-DENSE_SVD_MAX = 8192           # escalate to LAPACK below this size
-POWER_TOL = 1e-12              # relative Rayleigh stopping tolerance
-POWER_ITER_CAP = 100_000
-# Budget (in matvec element-ops) granted to the matvec power iteration before
-# escalating to a dense solve; keeps large slow-gap problems off the slow path.
-POWER_FLOP_BUDGET = 6.0e8
 MONOTONE_TOL = 1e-9            # certificate slack for nondecreasing values
 TARGET_TOL = 1e-9              # certificate slack for value <= target
 
@@ -133,101 +125,39 @@ def weighted_matrix(w: Symbol, s: Symbol, N: int) -> OpMatrix:
 # largest singular value
 
 
-@dataclass(frozen=True)
-class NormResult:
-    value: float
-    method: str          # "power" or "power+svd"
-    iterations: int
-    converged: bool
-
-
 def _entries(A) -> np.ndarray:
     return A.entries if isinstance(A, OpMatrix) else np.asarray(A, dtype=complex)
 
 
-def _power_budget(n: int) -> int:
-    return max(200, min(POWER_ITER_CAP, int(POWER_FLOP_BUDGET // max(1, 2 * n * n))))
+def op_norm(A) -> float:
+    """Largest singular value of a compression, by one dense LAPACK SVD.
 
-
-RESIDUAL_FACTOR = 100.0  # certificate: ||A^H A v - lam v|| <= factor * tol * lam
-
-
-def power_norm(A, tol: float = POWER_TOL, max_iter: int | None = None) -> NormResult:
-    """Largest singular value by power iteration on A^H A.
-
-    One A and one A^H matvec per step, deterministic all-ones start.  A
-    Rayleigh stall (relative change <= tol) alone is not trusted: slow
-    spectral gaps stall far from the limit, so convergence additionally
-    requires the Hermitian residual certificate ||A^H A v - lam v|| <=
-    100 tol lam, which bounds the eigenvalue error of lam = sigma^2.
+    Compressions of slow-gap operators (automorphisms, non-inner symbols
+    touching the circle) have clustered top singular values, where power
+    iteration needs thousands of steps; the SVD costs the same at any gap.
     """
-    M = _entries(A)
-    n = M.shape[1]
-    if max_iter is None:
-        max_iter = _power_budget(n)
-    Mh = M.conj().T
-    v = np.full(n, 1.0 / math.sqrt(n), dtype=complex)
-    prev = -1.0
-    sigma = 0.0
-    for k in range(max_iter):
-        w = M @ v
-        sigma = float(np.linalg.norm(w))
-        if sigma == 0.0:
-            return NormResult(0.0, "power", k + 1, True)
-        u = Mh @ w  # u = (A^H A) v
-        if prev >= 0.0 and abs(sigma - prev) <= tol * sigma:
-            lam = sigma * sigma
-            residual = float(np.linalg.norm(u - lam * v))
-            if residual <= RESIDUAL_FACTOR * tol * lam:
-                return NormResult(sigma, "power", k + 1, True)
-        prev = sigma
-        v = u / np.linalg.norm(u)
-    return NormResult(sigma, "power", max_iter, False)
-
-
-def norm_result(A, tol: float = POWER_TOL, max_iter: int | None = None) -> NormResult:
-    """Largest singular value: matvec power iteration, escalating to a dense
-    LAPACK solve when the iteration budget runs out (slow spectral gaps)."""
-    res = power_norm(A, tol=tol, max_iter=max_iter)
-    if res.converged:
-        return res
-    M = _entries(A)
-    if M.shape[0] <= DENSE_SVD_MAX:
-        value = float(np.linalg.svd(M, compute_uv=False)[0])
-        return NormResult(value, "power+svd", res.iterations, True)
-    warnings.warn(
-        f"power iteration hit its budget at dimension {M.shape[0]}; "
-        "returning the last Rayleigh estimate",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return res
-
-
-def op_norm(A, tol: float = POWER_TOL) -> float:
-    """Largest singular value of a compression (see norm_result)."""
-    return norm_result(A, tol=tol).value
+    return float(np.linalg.svd(_entries(A), compute_uv=False)[0])
 
 
 # ---------------------------------------------------------------------------
 # distances and restrictions
 
 
-def distance(a: Symbol, b: Symbol, N: int, tol: float = POWER_TOL) -> float:
+def distance(a: Symbol, b: Symbol, N: int) -> float:
     """Compression of ||C_a - C_b||; a monotone-in-N lower bound of the norm."""
     require_selfmap(a)
     require_selfmap(b)
-    return op_norm(comp_matrix(a, N, "full") - comp_matrix(b, N, "full"), tol=tol)
+    return op_norm(comp_matrix(a, N, "full") - comp_matrix(b, N, "full"))
 
 
-def restricted_norm(s: Symbol, N: int, tol: float = POWER_TOL) -> float:
+def restricted_norm(s: Symbol, N: int) -> float:
     """Compression of the restriction of C_s to functions vanishing at 0.
 
     For s(0) = 0 this equals the compression of ||C_s - C_0||: the full-basis
     difference has a zero first row and column, and dropping them yields
     exactly the h20 matrix.
     """
-    return op_norm(comp_matrix(s, N, "h20"), tol=tol)
+    return op_norm(comp_matrix(s, N, "h20"))
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +188,15 @@ class ConvergenceReport:
 _TASKS = ("distance", "restricted", "weighted", "opnorm")
 
 
-def _task_value(task: str, params: dict, N: int, tol: float) -> float:
+def _task_value(task: str, params: dict, N: int) -> float:
     if task == "distance":
-        return distance(params["a"], params["b"], N, tol=tol)
+        return distance(params["a"], params["b"], N)
     if task == "restricted":
-        return restricted_norm(params["s"], N, tol=tol)
+        return restricted_norm(params["s"], N)
     if task == "weighted":
-        return op_norm(weighted_matrix(params["w"], params["s"], N), tol=tol)
+        return op_norm(weighted_matrix(params["w"], params["s"], N))
     if task == "opnorm":
-        return op_norm(comp_matrix(params["s"], N, "full"), tol=tol)
+        return op_norm(comp_matrix(params["s"], N, "full"))
     raise ValueError(f"unknown task {task!r}; expected one of {_TASKS}")
 
 
@@ -288,8 +218,7 @@ def _task_target(task: str, params: dict):
     return None, None
 
 
-def norm_schedule(task: str, params: dict, dims: Sequence[int],
-                  tol: float = POWER_TOL) -> ConvergenceReport:
+def norm_schedule(task: str, params: dict, dims: Sequence[int]) -> ConvergenceReport:
     """Run one extremal task over a strictly increasing dimension schedule.
 
     Attaches a closed-form target when the inputs match a known formula, and
@@ -300,7 +229,7 @@ def norm_schedule(task: str, params: dict, dims: Sequence[int],
     if any(b <= a for a, b in zip(dims, dims[1:])) or not dims:
         raise PreconditionError("dimension schedule must be nonempty and strictly increasing")
     target, label = _task_target(task, params)
-    values = tuple(_task_value(task, params, N, tol) for N in dims)
+    values = tuple(_task_value(task, params, N) for N in dims)
     for a, b in zip(values, values[1:]):
         if b < a - MONOTONE_TOL:
             raise SolverInternalError(

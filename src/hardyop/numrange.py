@@ -10,19 +10,14 @@ polyline distance is kept alongside as a cross-check.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
 
 from .closedform import EllipseDisk
-from .compop import OpMatrix
-from .errors import ConvergenceError
-
-DENSE_EIG_MAX = 512      # dense Hermitian eigensolve up to this dimension
-SHIFTED_POWER_TOL = 1e-10
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+from .compop import _entries
+from .hardy import _golden_max
 
 
 @dataclass(frozen=True)
@@ -33,10 +28,6 @@ class NRBoundary:
     support_vals: np.ndarray  # h(theta) = lambda_max(Re(e^{-i theta} A))
     boundary_pts: np.ndarray  # Rayleigh quotients of the top eigenvectors
     radius: float             # numerical radius (refined max of h)
-
-
-def _entries(A) -> np.ndarray:
-    return A.entries if isinstance(A, OpMatrix) else np.asarray(A, dtype=complex)
 
 
 def sample_w(A, count: int, seed: int) -> np.ndarray:
@@ -57,32 +48,8 @@ def _hermitian_part(M: np.ndarray, theta: float) -> np.ndarray:
     return (B + B.conj().T) / 2.0
 
 
-def _top_eigpair_shifted_power(H: np.ndarray, tol: float = SHIFTED_POWER_TOL,
-                               max_iter: int = 50_000) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue of Hermitian H by power iteration on H + sI."""
-    n = H.shape[0]
-    shift = float(np.linalg.norm(H, np.inf))  # max row sum bounds |lambda|
-    v = np.full(n, 1.0 / math.sqrt(n), dtype=complex)
-    prev = None
-    for _ in range(max_iter):
-        w = H @ v + shift * v
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return -shift, v
-        v = w / nw
-        lam = float((v.conj() @ (H @ v)).real)
-        if prev is not None and abs(lam - prev) <= tol * max(1.0, abs(lam)):
-            return lam, v
-        prev = lam
-    raise ConvergenceError("shifted power iteration did not converge for a support angle")
-
-
 def _support_value(M: np.ndarray, theta: float) -> float:
-    H = _hermitian_part(M, theta)
-    if H.shape[0] <= DENSE_EIG_MAX:
-        return float(np.linalg.eigvalsh(H)[-1])
-    lam, _ = _top_eigpair_shifted_power(H)
-    return lam
+    return float(np.linalg.eigvalsh(_hermitian_part(M, theta))[-1])
 
 
 def boundary(A, grid: int = 720, refine_radius: bool = True) -> NRBoundary:
@@ -96,31 +63,19 @@ def boundary(A, grid: int = 720, refine_radius: bool = True) -> NRBoundary:
     if grid < 16:
         raise ValueError("grid must be >= 16")
     M = _entries(A)
-    n = M.shape[0]
     thetas = 2.0 * np.pi * np.arange(grid) / grid
     h = np.empty(grid)
     pts = np.empty(grid, dtype=complex)
-    dense = n <= DENSE_EIG_MAX
     half = grid // 2 if grid % 2 == 0 else grid
     for j in range(half):
-        Hj = _hermitian_part(M, thetas[j])
-        if dense:
-            vals, vecs = np.linalg.eigh(Hj)
-            h[j] = vals[-1]
-            vt = vecs[:, -1]
-            pts[j] = vt.conj() @ (M @ vt)
-            if half != grid:
-                h[j + half] = -vals[0]
-                vb = vecs[:, 0]
-                pts[j + half] = vb.conj() @ (M @ vb)
-        else:
-            lam, v = _top_eigpair_shifted_power(Hj)
-            h[j] = lam
-            pts[j] = v.conj() @ (M @ v)
-            if half != grid:
-                lam2, v2 = _top_eigpair_shifted_power(-Hj)
-                h[j + half] = lam2
-                pts[j + half] = v2.conj() @ (M @ v2)
+        vals, vecs = np.linalg.eigh(_hermitian_part(M, thetas[j]))
+        h[j] = vals[-1]
+        vt = vecs[:, -1]
+        pts[j] = vt.conj() @ (M @ vt)
+        if half != grid:
+            h[j + half] = -vals[0]
+            vb = vecs[:, 0]
+            pts[j + half] = vb.conj() @ (M @ vb)
     radius = float(h.max())
     if refine_radius:
         j = int(np.argmax(h))
@@ -128,22 +83,6 @@ def boundary(A, grid: int = 720, refine_radius: bool = True) -> NRBoundary:
         radius = max(radius, _golden_max(lambda t: _support_value(M, t),
                                          thetas[j] - step, thetas[j] + step, 1e-10))
     return NRBoundary(thetas=thetas, support_vals=h, boundary_pts=pts, radius=radius)
-
-
-def _golden_max(f, a: float, b: float, xtol: float) -> float:
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > xtol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = f(x1)
-    return max(f1, f2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from hardyop.cli import json_dumps, main
@@ -28,6 +29,15 @@ def test_exit_code_on_invalid_selfmap(capsys):
 def test_exit_code_on_parse_error(capsys):
     assert main(["distance", "z^^", "z", "-N", "4,8"]) == 2
     capsys.readouterr()
+
+
+def test_exit_code_on_lapack_failure(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    assert main(["norm", "alpha(0.5)", "-N", "8,16"]) == 3
+    assert "solver error" in capsys.readouterr().err
 
 
 def test_exit_code_on_unknown_flag():

@@ -114,6 +114,17 @@ def test_ellipse_compare_automorphism_family():
     assert gaps[96] < gaps[32]
 
 
+def test_boundary_above_old_dense_cut():
+    # every dimension takes the dense Hermitian eigensolve, N > 512 included
+    M = comp_matrix(alpha(0.5), 513, "full").entries
+    nr = boundary(M, grid=16, refine_radius=False)
+    for theta, h in zip(nr.thetas, nr.support_vals):
+        B = np.exp(-1j * theta) * M
+        top = np.linalg.eigvalsh((B + B.conj().T) / 2.0)[-1]
+        assert h == pytest.approx(top, abs=1e-12)
+    assert ellipse_compare(nr, alpha_ellipse(0.5)).contained
+
+
 def test_min_boundary_distance_interior():
     e = alpha_ellipse(0.5)
     A = comp_matrix(alpha(0.5), 64, "full")
