@@ -58,7 +58,10 @@ def boundary(A, grid: int = 720, refine_radius: bool = True) -> NRBoundary:
     For each grid angle the top eigenpair of the Hermitian part of
     e^{-i theta} A gives the support value and a boundary point.  An even grid
     is solved at half cost: the Hermitian part at theta + pi is the negated
-    one at theta, so its top eigenpair is the bottom eigenpair at theta.
+    one at theta, so its top eigenpair is the bottom eigenpair at theta.  A
+    real A on a grid divisible by 4 solves only theta in [0, pi/2] and mirrors
+    the rest: Re(e^{i theta} A) = conj(Re(e^{-i theta} A)), so h(-theta) =
+    h(theta) and the boundary point at -theta is the conjugate of that at theta.
     """
     if grid < 16:
         raise ValueError("grid must be >= 16")
@@ -67,7 +70,8 @@ def boundary(A, grid: int = 720, refine_radius: bool = True) -> NRBoundary:
     h = np.empty(grid)
     pts = np.empty(grid, dtype=complex)
     half = grid // 2 if grid % 2 == 0 else grid
-    for j in range(half):
+    mirror = np.isrealobj(M) and grid % 4 == 0
+    for j in range(grid // 4 + 1 if mirror else half):
         vals, vecs = np.linalg.eigh(_hermitian_part(M, thetas[j]))
         h[j] = vals[-1]
         vt = vecs[:, -1]
@@ -76,6 +80,12 @@ def boundary(A, grid: int = 720, refine_radius: bool = True) -> NRBoundary:
             h[j + half] = -vals[0]
             vb = vecs[:, 0]
             pts[j + half] = vb.conj() @ (M @ vb)
+    if mirror:
+        k = np.arange(1, grid // 4)
+        h[half - k] = h[half + k]
+        pts[half - k] = pts[half + k].conj()
+        h[grid - k] = h[k]
+        pts[grid - k] = pts[k].conj()
     radius = float(h.max())
     if refine_radius:
         j = int(np.argmax(h))

@@ -31,12 +31,16 @@ def test_exit_code_on_parse_error(capsys):
     capsys.readouterr()
 
 
-def test_exit_code_on_lapack_failure(monkeypatch, capsys):
+@pytest.mark.parametrize("symbol, solver", [
+    ("alpha(0.5)", "eigvalsh"),    # real compression: Gram eigensolve
+    ("(0.3+0.4i)*z", "svd"),       # complex compression: complex SVD
+], ids=["real", "complex"])
+def test_exit_code_on_lapack_failure(monkeypatch, capsys, symbol, solver):
     def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+        raise np.linalg.LinAlgError(f"{solver} did not converge")
 
-    monkeypatch.setattr(np.linalg, "svd", fail)
-    assert main(["norm", "alpha(0.5)", "-N", "8,16"]) == 3
+    monkeypatch.setattr(np.linalg, solver, fail)
+    assert main(["norm", symbol, "-N", "8,16"]) == 3
     assert "solver error" in capsys.readouterr().err
 
 

@@ -71,19 +71,25 @@ def test_comp_matrix_columns_are_truncated_powers():
 
 
 def test_fft_and_direct_columns_agree():
-    # the FFT path kicks in at dimension 512
+    # the FFT path kicks in at dimension 512; real coefficients stay float64
     s = alpha(0.3)
     big = comp_matrix(s, 512, "full").entries
     small = comp_matrix(s, 128, "full").entries
+    assert big.dtype == np.float64 and small.dtype == np.float64
     assert np.max(np.abs(big[:128, :128] - small)) < 1e-13
-    # spot-check deep columns against plain convolution powers
-    t = taylor(s, 512)
-    col = np.zeros(512, dtype=complex)
-    col[0] = 1.0
-    for k in range(1, 401):
-        col = np.convolve(col, t)[:512]
-        if k in (7, 100, 400):
-            assert np.max(np.abs(big[:, k] - col)) < 1e-12
+    # spot-check deep columns against plain convolution powers, for a real
+    # symbol and a complex one (complex FFT path, complex128 entries)
+    cplx = alpha(0.3 + 0.4j)
+    big_c = comp_matrix(cplx, 512, "full").entries
+    assert big_c.dtype == np.complex128
+    for sym, M in ((s, big), (cplx, big_c)):
+        t = taylor(sym, 512)
+        col = np.zeros(512, dtype=complex)
+        col[0] = 1.0
+        for k in range(1, 401):
+            col = np.convolve(col, t)[:512]
+            if k in (7, 100, 400):
+                assert np.max(np.abs(M[:, k] - col)) < 1e-12
 
 
 def test_weighted_matrix_unit_weight():
@@ -141,11 +147,16 @@ def test_op_norm_diagonal_rotation_gaps():
 
 def test_op_norm_zero_matrix():
     assert op_norm(np.zeros((6, 6), dtype=complex)) == 0.0
+    # real path: the Gram eigenvalue may round below 0 and is clamped
+    assert op_norm(np.zeros((6, 6))) == 0.0
 
 
-def test_escalation_matches_dense_svd():
-    # slow spectral gap: the top singular values of C_alpha - I cluster
-    M = comp_matrix(alpha(0.5), 256, "full").entries - np.eye(256)
+@pytest.mark.parametrize("p", [0.5, 0.3 + 0.4j], ids=["real", "complex"])
+def test_escalation_matches_dense_svd(p):
+    # slow spectral gap: the top singular values of C_alpha - I cluster; a
+    # real alpha takes the Gram eigensolve, a complex one the complex SVD
+    M = comp_matrix(alpha(p), 256, "full").entries - np.eye(256)
+    assert M.dtype == (np.float64 if isinstance(p, float) else np.complex128)
     oracle = float(np.linalg.svd(M, compute_uv=False)[0])
     assert op_norm(M) == pytest.approx(oracle, abs=1e-10)
 

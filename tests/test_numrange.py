@@ -125,6 +125,19 @@ def test_boundary_above_old_dense_cut():
     assert ellipse_compare(nr, alpha_ellipse(0.5)).contained
 
 
+@pytest.mark.parametrize("grid", [720, 18])
+def test_boundary_real_mirror_matches_complex_loop(grid):
+    # a real matrix on a grid divisible by 4 solves only [0, pi/2] and mirrors
+    # the rest; the same entries cast to complex solve every angle pair
+    M = comp_matrix(alpha(0.5), 64, "full").entries
+    assert M.dtype == np.float64
+    real = boundary(M, grid=grid)
+    full = boundary(M.astype(complex), grid=grid)
+    assert np.max(np.abs(real.support_vals - full.support_vals)) <= 1e-12
+    assert np.max(np.abs(real.boundary_pts - full.boundary_pts)) <= 1e-12
+    assert real.radius == pytest.approx(full.radius, abs=1e-12)
+
+
 def test_min_boundary_distance_interior():
     e = alpha_ellipse(0.5)
     A = comp_matrix(alpha(0.5), 64, "full")
