@@ -22,7 +22,6 @@ from .closedform import (
     const_distance,
     const_ellipse,
     inner_alpha_distance,
-    inner_c0_distance,
     inner_const_distance,
     inner_symbol_norm,
     norm_bounds,
@@ -93,7 +92,6 @@ from .symbolic import (
     iterate,
     max_degree,
     parse_symbol,
-    polynomial,
     taylor,
     taylor_close,
     validate_selfmap,

@@ -8,15 +8,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .compop import comp_matrix, const_matrix, op_norm, restricted_norm
 from .errors import BracketError, ConvergenceError, InconsistencyError, PreconditionError
-from .hardy import h2_norm, inner_multiple, is_inner, p_norm
+from .hardy import h2_inner, h2_norm, inner_multiple, is_inner, p_norm, powers
 from .symbolic import (
     Symbol,
     boundary_eval,
+    circle_grid,
     fixed_point,
     iterate,
     max_degree,
@@ -152,33 +154,12 @@ class MinimalNormReport:
     dimension: int
 
 
-def _exact_h2(s: Symbol) -> float:
-    if s.is_polynomial:
-        return h2_norm(trim(s.num))
-    return h2_norm(taylor(s, 4096))
-
-
-def _power_inner_products(s: Symbol, n_max: int) -> np.ndarray:
-    """<phi, phi^n> for n = 2..n_max via exact polynomial expansion."""
-    if not s.is_polynomial:
-        base = taylor(s, 4096)
-        out = np.empty(n_max - 1, dtype=complex)
-        power = base.copy()
-        for n in range(2, n_max + 1):
-            power = np.convolve(power, base)[: base.size]
-            out[n - 2] = np.dot(base, np.conj(power))
-        return out
-    num = trim(s.num)
-    if (num.size - 1) * n_max > max_degree():
+def _require_power_cap(s: Symbol, n_max: int) -> None:
+    """Reject polynomial power expansions above the rational degree cap."""
+    if s.num_degree * n_max > max_degree():
         raise PreconditionError(
-            f"power expansion degree {(num.size - 1) * n_max} exceeds cap {max_degree()}"
+            f"power expansion degree {s.num_degree * n_max} exceeds cap {max_degree()}"
         )
-    out = np.empty(n_max - 1, dtype=complex)
-    power = num.copy()
-    for n in range(2, n_max + 1):
-        power = np.convolve(power, num)
-        out[n - 2] = np.dot(num, np.conj(power[: num.size]))
-    return out
 
 
 def minimal_norm_check(s: Symbol, N: int | None = None, n_max: int = 10) -> MinimalNormReport:
@@ -190,9 +171,13 @@ def minimal_norm_check(s: Symbol, N: int | None = None, n_max: int = 10) -> Mini
     require_selfmap(s)
     if abs(s.value_at_zero()) > 1e-12:
         raise PreconditionError("the check needs a symbol fixing the origin")
+    if s.is_polynomial:
+        _require_power_cap(s, n_max)
     if N is None:
         N = max(16, s.degree * n_max + 8)
-    h2 = _exact_h2(s)
+    # exact coefficients for polynomials, a 4096-term Taylor section otherwise
+    base = s.num if s.is_polynomial else taylor(s, 4096)
+    h2 = h2_norm(base)
     M = comp_matrix(s, N, "h20").entries
     e_z = np.zeros(N, dtype=complex)
     e_z[0] = 1.0
@@ -200,7 +185,8 @@ def minimal_norm_check(s: Symbol, N: int | None = None, n_max: int = 10) -> Mini
     gram_res = float(np.linalg.norm(w - h2**2 * e_z))
     lam = complex(w[0])  # Rayleigh quotient of e_z, since <e_z, e_z> = 1
     eigen_res = float(np.linalg.norm(w - lam * e_z))
-    overlaps = _power_inner_products(s, n_max)
+    overlaps = np.array([h2_inner(base, p) for p in
+                         islice(powers(base, n_max, base.size), 1, None)], dtype=complex)
     r = restricted_norm(s, N)
     return MinimalNormReport(
         h2_gap=abs(r - h2),
@@ -221,21 +207,12 @@ def rudin_audit(s: Symbol, n_max: int) -> np.ndarray:
     """
     if not s.is_polynomial:
         raise PreconditionError("power-orthogonality audit needs a polynomial symbol")
-    num = trim(s.num)
-    deg = num.size - 1
-    if deg * n_max > max_degree():
-        raise PreconditionError(
-            f"power expansion degree {deg * n_max} exceeds cap {max_degree()}"
-        )
-    powers = [np.ones(1, dtype=complex)]
-    for _ in range(n_max):
-        powers.append(np.convolve(powers[-1], num))
+    _require_power_cap(s, n_max)
+    pw = [np.ones(1, dtype=complex), *powers(s.num, n_max, s.num_degree * n_max + 1)]
     G = np.empty((n_max + 1, n_max + 1), dtype=complex)
     for m in range(n_max + 1):
         for n in range(m, n_max + 1):
-            a, b = powers[m], powers[n]
-            k = min(a.size, b.size)
-            G[m, n] = np.dot(a[:k], np.conj(b[:k]))
+            G[m, n] = h2_inner(pw[m], pw[n])
             G[n, m] = np.conj(G[m, n])
     return G
 
@@ -313,7 +290,7 @@ def inner_pullback_check(s: Symbol, f_coeffs, grid: int = 1024) -> PullbackCheck
     if not is_inner(s).is_inner:
         raise PreconditionError("the pull-back identity needs an inner symbol")
     f = trim(f_coeffs)
-    thetas = 2.0 * np.pi * np.arange(grid) / grid
+    thetas = circle_grid(grid)
     w = np.exp(1j * thetas)
     phi_vals = boundary_eval(s, thetas)
     f_of_phi = np.polynomial.polynomial.polyval(phi_vals, f)

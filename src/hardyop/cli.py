@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import math
 import os
 import sys
@@ -71,7 +72,7 @@ def _dump(obj, out: io.StringIO) -> None:
     elif isinstance(obj, complex):
         _dump([obj.real, obj.imag], out)
     elif isinstance(obj, str):
-        out.write('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        out.write(json.dumps(obj))
     elif isinstance(obj, dict):
         out.write("{")
         for i, (k, v) in enumerate(obj.items()):
@@ -191,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
 # commands
 
 
-def _schedule_report(command: str, task: str, params: dict, symbols: dict,
-                     args) -> tuple[dict, int]:
+def _schedule_report(command: str, task: str, params: dict, symbols: dict, args) -> int:
+    t0 = time.perf_counter()
     rep = compop.norm_schedule(task, params, args.N)
     body = {
         "command": command,
@@ -215,7 +216,9 @@ def _schedule_report(command: str, task: str, params: dict, symbols: dict,
                 "" if rep.gaps is None else f"{rep.gaps[i]:.17g}",
             ])
         _emit_csv(args.csv, rows, ["dim", "value", "target", "gap"])
-    return body, EXIT_OK
+    body["runtime_ms"] = (time.perf_counter() - t0) * 1000.0
+    _emit(body, args)
+    return EXIT_OK
 
 
 def cmd_norm(args) -> int:
@@ -226,24 +229,14 @@ def cmd_norm(args) -> int:
         task, params = "weighted", {"w": s, "s": s}
     else:
         task, params = "opnorm", {"s": s}
-    t0 = time.perf_counter()
-    body, code = _schedule_report("norm", task, params, {"symbol": args.symbol}, args)
-    body["runtime_ms"] = (time.perf_counter() - t0) * 1000.0
-    _emit(body, args)
-    return code
+    return _schedule_report("norm", task, params, {"symbol": args.symbol}, args)
 
 
 def cmd_distance(args) -> int:
     a = parse_symbol(args.symbol_a)
     b = parse_symbol(args.symbol_b)
-    t0 = time.perf_counter()
-    body, code = _schedule_report(
-        "distance", "distance", {"a": a, "b": b},
-        {"symbol_a": args.symbol_a, "symbol_b": args.symbol_b}, args,
-    )
-    body["runtime_ms"] = (time.perf_counter() - t0) * 1000.0
-    _emit(body, args)
-    return code
+    return _schedule_report("distance", "distance", {"a": a, "b": b},
+                            {"symbol_a": args.symbol_a, "symbol_b": args.symbol_b}, args)
 
 
 def _ellipse_dict(e: closedform.EllipseDisk) -> dict:
@@ -281,8 +274,8 @@ def cmd_nrange(args) -> int:
             per_dim["violation"].append(None)
             per_dim["contained"].append(None)
     interior = None
-    if ellipse is not None and dims:
-        A = compop.comp_matrix(s, dims[-1], "full")
+    if ellipse is not None:
+        # A is the compression at the largest dimension (dims is sorted, nonempty)
         pts = numrange.sample_w(A, count=args.samples, seed=args.seed)
         interior = numrange.min_boundary_distance(pts, ellipse)
     body = {

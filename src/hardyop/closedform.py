@@ -11,11 +11,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
 from .errors import PreconditionError
-from .hardy import h2_norm, inner_multiple, is_inner, kernel_distance
+from .hardy import h2_inner, h2_norm, inner_multiple, is_inner, kernel_distance, powers
 from .symbolic import Symbol, alpha, compose, taylor, taylor_close, trim
 
 UNIMODULAR_TOL = 1e-12     # |lambda| within this of 1 counts as unimodular
@@ -42,11 +43,6 @@ def inner_symbol_norm(phi0: complex) -> float:
     """Norm (and essential norm) of a composition operator with inner symbol:
     the upper bound of norm_bounds, attained exactly for inner symbols."""
     return norm_bounds(phi0)[1]
-
-
-def inner_c0_distance(phi0: complex) -> float:
-    """||C_phi - C_0|| for inner phi: same closed form as inner_symbol_norm."""
-    return inner_symbol_norm(phi0)
 
 
 def const_distance(p1: complex, p2: complex) -> float:
@@ -309,7 +305,8 @@ def recognize_distance_target(a: Symbol, b: Symbol) -> DistanceTarget | None:
                 return DistanceTarget(inner_const_distance(p), "inner_const",
                                       f"inner fixing 0 vs constant {p:.12g}")
             if abs(p) <= 1e-13:
-                return DistanceTarget(inner_c0_distance(f.value_at_zero()), "inner_c0",
+                # ||C_phi - C_0|| for inner phi has the closed form of ||C_phi||
+                return DistanceTarget(inner_symbol_norm(f.value_at_zero()), "inner_c0",
                                       "inner vs constant 0")
     return None
 
@@ -323,14 +320,9 @@ def _power_orthogonal_certificate(s: Symbol) -> bool:
     lowest = _first_nonzero(num)
     if lowest is None or lowest == 0:
         return False
-    maxdeg = num.size - 1
-    power = np.array(num)
-    for n in range(2, maxdeg // lowest + 1):
-        power = np.convolve(power, num)
-        overlap = power[: num.size]
-        if abs(np.dot(num[: overlap.size], np.conj(overlap))) > 1e-14:
-            return False
-    return True
+    # the overlap reads only the first num.size coefficients of each power
+    higher = islice(powers(num, (num.size - 1) // lowest, num.size), 1, None)
+    return not any(abs(h2_inner(num, p)) > 1e-14 for p in higher)
 
 
 def recognize_restricted_target(s: Symbol) -> float | None:

@@ -18,7 +18,10 @@ import scipy.fft
 from .errors import PreconditionError, SolverInternalError
 from .symbolic import Symbol, constant, require_selfmap, taylor, taylor_close
 
-FFT_COLUMN_THRESHOLD = 512     # switch column convolutions to FFT at this dimension
+# Column convolutions switch to FFT at this dimension.  Real alpha(0.5) on a
+# 2-core x86 VM, direct vs FFT: 1.3 vs 3.3 ms at N=128, 15 vs 14 ms at N=384
+# (the crossover), 25 vs 20 ms at N=512, 601 vs 80 ms at N=1024.
+FFT_COLUMN_THRESHOLD = 512
 MONOTONE_TOL = 1e-9            # certificate slack for nondecreasing values
 TARGET_TOL = 1e-9              # certificate slack for value <= target
 
@@ -34,7 +37,6 @@ class OpMatrix:
 
     entries: np.ndarray
     basis: str
-    provenance: str = ""
 
     def __post_init__(self):
         a = np.array(self.entries, dtype=float if np.isrealobj(self.entries) else complex)
@@ -52,14 +54,7 @@ class OpMatrix:
     def __sub__(self, other: "OpMatrix") -> "OpMatrix":
         if self.basis != other.basis or self.dim != other.dim:
             raise ValueError("matrix difference needs matching basis and dimension")
-        return OpMatrix(self.entries - other.entries, self.basis,
-                        f"({self.provenance}) - ({other.provenance})")
-
-    def __add__(self, other: "OpMatrix") -> "OpMatrix":
-        if self.basis != other.basis or self.dim != other.dim:
-            raise ValueError("matrix sum needs matching basis and dimension")
-        return OpMatrix(self.entries + other.entries, self.basis,
-                        f"({self.provenance}) + ({other.provenance})")
+        return OpMatrix(self.entries - other.entries, self.basis)
 
 
 def _real_taylor(s: Symbol, N: int) -> np.ndarray:
@@ -108,17 +103,17 @@ def comp_matrix(s: Symbol, N: int, basis: str = "full") -> OpMatrix:
         e0 = np.zeros(N)
         e0[0] = 1.0
         cols = _power_columns(e0, t, N, N)
-        return OpMatrix(cols, "full", f"comp({s}, N={N}, full)")
+        return OpMatrix(cols, "full")
     if basis == "h20":
         t = _real_taylor(s, N + 1)
         cols = _power_columns(t, t, N, N + 1)
-        return OpMatrix(cols[1:, :], "h20", f"comp({s}, N={N}, h20)")
+        return OpMatrix(cols[1:, :], "h20")
     raise ValueError(f"unknown basis {basis!r}")
 
 
-def const_matrix(p: complex, N: int, basis: str = "full") -> OpMatrix:
+def const_matrix(p: complex, N: int) -> OpMatrix:
     """Compression of the point-evaluation operator f -> f(p) * 1."""
-    return comp_matrix(constant(p), N, basis)
+    return comp_matrix(constant(p), N)
 
 
 def weighted_matrix(w: Symbol, s: Symbol, N: int) -> OpMatrix:
@@ -127,7 +122,7 @@ def weighted_matrix(w: Symbol, s: Symbol, N: int) -> OpMatrix:
     tw = _real_taylor(w, N)
     t = _real_taylor(s, N)
     cols = _power_columns(tw, t, N, N)
-    return OpMatrix(cols, "full", f"weighted({w}; {s}, N={N})")
+    return OpMatrix(cols, "full")
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +190,6 @@ class ConvergenceReport:
     @property
     def final_value(self) -> float:
         return self.values[-1]
-
-    @property
-    def final_gap(self) -> float | None:
-        return None if self.gaps is None else self.gaps[-1]
 
 
 _TASKS = ("distance", "restricted", "weighted", "opnorm")

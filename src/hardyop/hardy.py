@@ -9,17 +9,18 @@ uniform trapezoid rule on a periodic grid reduces to the grid mean.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
 from .errors import PreconditionError
-from .symbolic import CoeffVec, Symbol, boundary_eval, require_selfmap, trim
+from .symbolic import (SELFMAP_GRID, CoeffVec, Symbol, boundary_eval, circle_grid,
+                       require_selfmap, trim)
 
 BASE_GRID = 1024            # first quadrature grid; doubled until converged
 MAX_GRID = 1 << 20
-SUP_GRID = 4096             # scan grid for the sup norm
 INNER_COEFF_TOL = 1e-10     # exact Blaschke test: max coefficient residual
 INNER_NUMERIC_TOL = 1e-6    # numeric test: max boundary modulus deviation
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -53,6 +54,17 @@ def h2_inner(f: CoeffVec, g: CoeffVec) -> complex:
     g = np.asarray(g, dtype=complex)
     n = min(f.size, g.size)
     return complex(np.dot(f[:n], g[:n].conj()))
+
+
+def powers(c: CoeffVec, n_max: int, length: int) -> Iterator[CoeffVec]:
+    """Yield c, c^2, ..., c^n_max, each truncated to its first `length`
+    coefficients.  Coefficient j of c^n reads only coefficients 0..j of
+    c^(n-1), so truncating every step leaves the kept coefficients exact.
+    """
+    p = np.ones(1, dtype=complex)
+    for _ in range(n_max):
+        p = np.convolve(p, c)[:length]
+        yield p
 
 
 def kernel_coeffs(p: complex, N: int) -> CoeffVec:
@@ -94,8 +106,7 @@ def poisson(z: complex, u: complex) -> float:
 
 
 def _grid_mean_abs_pow(s: Symbol, p: float, K: int) -> float:
-    thetas = 2.0 * np.pi * np.arange(K) / K
-    return float(np.mean(np.abs(boundary_eval(s, thetas)) ** p))
+    return float(np.mean(np.abs(boundary_eval(s, circle_grid(K))) ** p))
 
 
 def _golden_max(f, a: float, b: float, xtol: float) -> float:
@@ -118,9 +129,9 @@ def _golden_max(f, a: float, b: float, xtol: float) -> float:
 def sup_norm(s: Symbol, xtol: float = 1e-10) -> PNormResult:
     """Boundary sup norm: grid scan plus golden-section refinement around the
     top three grid maxima."""
-    thetas = 2.0 * np.pi * np.arange(SUP_GRID) / SUP_GRID
+    thetas = circle_grid(SELFMAP_GRID)
     vals = np.abs(boundary_eval(s, thetas))
-    h = 2.0 * np.pi / SUP_GRID
+    h = 2.0 * np.pi / SELFMAP_GRID
     grid_max = float(vals.max())
     top = np.argsort(vals)[-3:]
 
@@ -131,7 +142,7 @@ def sup_norm(s: Symbol, xtol: float = 1e-10) -> PNormResult:
     for j in top:
         t = float(thetas[j])
         best = max(best, _golden_max(f, t - h, t + h, xtol))
-    return PNormResult(p=math.inf, value=best, grid_size=SUP_GRID,
+    return PNormResult(p=math.inf, value=best, grid_size=SELFMAP_GRID,
                        est_error=abs(best - grid_max))
 
 
@@ -199,8 +210,8 @@ def is_inner(s: Symbol, mode: str = "exact") -> InnerVerdict:
         margin = float(np.max(np.abs(pn - pd)))
         return InnerVerdict(mode="exact", is_inner=margin <= INNER_COEFF_TOL, margin=margin)
     if mode == "numeric":
-        thetas = 2.0 * np.pi * np.arange(SUP_GRID) / SUP_GRID
-        margin = float(np.max(np.abs(np.abs(boundary_eval(s, thetas)) - 1.0)))
+        vals = boundary_eval(s, circle_grid(SELFMAP_GRID))
+        margin = float(np.max(np.abs(np.abs(vals) - 1.0)))
         return InnerVerdict(mode="numeric", is_inner=margin < INNER_NUMERIC_TOL, margin=margin)
     raise ValueError(f"unknown inner-test mode {mode!r}")
 

@@ -3,8 +3,9 @@ support-function boundary via Hermitian-part eigensolves, numerical radius,
 and comparison against closed-form elliptical targets.
 
 For convex compact sets the Hausdorff distance equals the sup-norm distance
-of the support functions, which is what ellipse_compare reports; a matched
-polyline distance is kept alongside as a cross-check.
+of the support functions, which is what ellipse_compare reports;
+polyline_hausdorff measures the same gap between boundary polylines directly
+and serves as the independent reference for it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from .closedform import EllipseDisk
 from .compop import _entries
 from .hardy import _golden_max
+from .symbolic import circle_grid
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,7 @@ def boundary(A, grid: int = 720, refine_radius: bool = True) -> NRBoundary:
     if grid < 16:
         raise ValueError("grid must be >= 16")
     M = _entries(A)
-    thetas = 2.0 * np.pi * np.arange(grid) / grid
+    thetas = circle_grid(grid)
     h = np.empty(grid)
     pts = np.empty(grid, dtype=complex)
     half = grid // 2 if grid % 2 == 0 else grid
@@ -104,7 +106,6 @@ class EllipseComparison:
     contained: bool           # support never exceeds the ellipse beyond tolerance
     hausdorff: float          # sup |h_range - h_ellipse| (exact for convex sets)
     max_violation: float      # max excess of the range's support over the ellipse's
-    hausdorff_polyline: float # matched-direction polyline distance (cross-check)
 
 
 def _point_segment_dist(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray) -> np.ndarray:
@@ -136,14 +137,10 @@ def ellipse_compare(nr: NRBoundary, e: EllipseDisk,
     he = e.support(nr.thetas)
     diff = nr.support_vals - he
     max_violation = float(diff.max())
-    hausdorff = float(np.abs(diff).max())
-    contact = e.contact_points(nr.thetas)
-    hd_poly = polyline_hausdorff(nr.boundary_pts, contact)
     return EllipseComparison(
         contained=max_violation <= violation_tol,
-        hausdorff=hausdorff,
+        hausdorff=float(np.abs(diff).max()),
         max_violation=max_violation,
-        hausdorff_polyline=hd_poly,
     )
 
 

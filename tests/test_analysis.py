@@ -15,6 +15,7 @@ from hardyop import (
     p_solve,
     parse_symbol,
     rudin_audit,
+    taylor,
 )
 
 PHI23 = parse_symbol("(z^2+z^3)/2")
@@ -92,6 +93,19 @@ def test_minimal_norm_check_failing_case():
     assert phi[2] * phi2[2] == 0.125
     assert rep.power_overlaps[0] == pytest.approx(0.125, abs=1e-15)
     assert rep.h2_gap > 1e-3
+
+
+def test_minimal_norm_check_rational_overlaps():
+    # rational symbols: overlaps of the 4096-term Taylor section with its powers
+    s = parse_symbol("0.5*z*alpha(0.5)")
+    rep = minimal_norm_check(s, n_max=4)
+    t = taylor(s, 4096)
+    power, expect = t, []
+    for _ in range(3):
+        power = np.convolve(power, t)[:4096]
+        expect.append(np.sum(t * np.conj(power)))
+    assert rep.power_overlaps.shape == (3,)
+    assert np.max(np.abs(rep.power_overlaps - np.array(expect))) <= 1e-15
 
 
 def test_minimal_norm_check_requires_origin_fixing():

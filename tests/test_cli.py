@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hardyop import compop
 from hardyop.cli import json_dumps, main
 
 
@@ -105,6 +106,21 @@ def test_nrange_dimension_schedule_gap_shrinks(tmp_path):
     assert doc["hausdorff"][1] < doc["hausdorff"][0]
 
 
+def test_nrange_builds_one_compression_per_dimension(monkeypatch, tmp_path):
+    built = []
+    comp_matrix = compop.comp_matrix
+
+    def counted(s, N, *args):
+        built.append(N)
+        return comp_matrix(s, N, *args)
+
+    monkeypatch.setattr(compop, "comp_matrix", counted)
+    code, doc = run_json(["nrange", "alpha(0.5)", "-N", "16,32"], tmp_path)
+    assert code == 0
+    assert doc["interior_min_dist"] > 0
+    assert built == [16, 32]
+
+
 def test_nrange_no_target(tmp_path):
     code, doc = run_json(["nrange", "(z+z^2)/2", "-N", "24"], tmp_path)
     assert code == 0
@@ -150,6 +166,14 @@ def test_verify_iterates_suite(tmp_path):
     assert doc["pass"] is True
     assert doc["checks"][0]["name"] == "iterate_contraction"
     assert doc["checks"][0]["pass"] is True
+
+
+def test_report_escapes_control_characters(tmp_path):
+    # the DSL reads a tab as whitespace; the report must stay valid JSON
+    symbol = "z^2\t/2"
+    code, doc = run_json(["norm", symbol, "-N", "4,8"], tmp_path)
+    assert code == 0
+    assert doc["params"]["symbol"] == symbol
 
 
 def test_verify_unknown_suite():

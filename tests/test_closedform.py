@@ -15,7 +15,6 @@ from hardyop import (
     constant,
     distance,
     inner_alpha_distance,
-    inner_c0_distance,
     inner_const_distance,
     inner_symbol_norm,
     kernel_distance,
@@ -49,7 +48,6 @@ def test_norm_bounds_ordered(p):
     lo, hi = norm_bounds(p)
     assert lo <= hi + 1e-15
     assert inner_symbol_norm(p) == hi
-    assert inner_c0_distance(p) == hi
 
 
 def test_inner_const_distance_examples():
@@ -234,6 +232,9 @@ def test_recognize_restricted_targets():
         1 / math.sqrt(2), abs=1e-15)
     assert recognize_restricted_target(parse_symbol("(z+z^2)/2")) is None
     assert recognize_restricted_target(parse_symbol("z/2 + 0.25")) is None
+    # 500 powers, each truncated to the 501 coefficients the overlap reads
+    assert recognize_restricted_target(parse_symbol("0.5*z + 0.5*z^500")) == pytest.approx(
+        math.sqrt(0.5), abs=1e-15)
 
 
 def test_recognize_opnorm_targets():

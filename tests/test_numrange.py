@@ -93,7 +93,8 @@ def test_ellipse_compare_const_family():
     assert cmp_.contained
     assert cmp_.hausdorff <= 1e-6
     assert cmp_.max_violation <= 1e-8
-    assert abs(cmp_.hausdorff - cmp_.hausdorff_polyline) <= 1e-8
+    contact = const_ellipse(0.5).contact_points(nr.thetas)
+    assert abs(cmp_.hausdorff - polyline_hausdorff(nr.boundary_pts, contact)) <= 1e-8
 
 
 def test_ellipse_compare_degenerate_segment():

@@ -262,7 +262,6 @@ def test_validate_examples():
 
     d = validate_selfmap(alpha(0.9))
     assert d.is_selfmap
-    assert d.den_root_moduli[0] == pytest.approx(1.0 / 0.9, abs=1e-12)
 
     d = validate_selfmap(parse_symbol("(z^2+z^3)/2"))
     assert d.is_selfmap
