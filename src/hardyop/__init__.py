@@ -83,7 +83,7 @@ from .symbolic import (
     Symbol,
     alpha,
     blaschke,
-    boundary_eval,
+    circle_values,
     compose,
     constant,
     fixed_point,

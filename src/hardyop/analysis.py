@@ -17,14 +17,13 @@ from .errors import BracketError, ConvergenceError, InconsistencyError, Precondi
 from .hardy import h2_inner, h2_norm, inner_multiple, is_inner, p_norm, powers
 from .symbolic import (
     Symbol,
-    boundary_eval,
     circle_grid,
+    circle_values,
     fixed_point,
     iterate,
     max_degree,
     require_selfmap,
     taylor,
-    trim,
 )
 
 P_CAP = 1 << 16            # upper end of the exponent bracket
@@ -102,11 +101,6 @@ def p_solve(s: Symbol, tol: float = 1e-8, N: int = 512) -> PSolveResult:
     if g2 >= -1e-9:
         return PSolveResult("finite", 2.0, abs(g2), r, r_extrap, plateau, N, h2, sup)
     if g(float(P_CAP)) < 0.0:
-        # Numerically indistinguishable from an inner multiple near the cap.
-        verdict = is_inner(s, mode="numeric")
-        if verdict.margin < 1e-3:
-            return PSolveResult("inner_multiple", None, abs(sup - r), r, r_extrap,
-                                plateau, N, h2, sup)
         raise BracketError(
             f"||phi||_p stays below the restricted norm {r:.12g} up to p = {P_CAP}"
         )
@@ -289,14 +283,10 @@ def inner_pullback_check(s: Symbol, f_coeffs, grid: int = 1024) -> PullbackCheck
     boundary measure back to the Poisson measure at phi(0)."""
     if not is_inner(s).is_inner:
         raise PreconditionError("the pull-back identity needs an inner symbol")
-    f = trim(f_coeffs)
-    thetas = circle_grid(grid)
-    w = np.exp(1j * thetas)
-    phi_vals = boundary_eval(s, thetas)
-    f_of_phi = np.polynomial.polynomial.polyval(phi_vals, f)
-    lhs = float(np.mean(np.abs(f_of_phi) ** 2))
-    f_vals = np.polynomial.polynomial.polyval(w, f)
+    f = Symbol(f_coeffs)
+    w = np.exp(1j * circle_grid(grid))
+    lhs = float(np.mean(np.abs(f(circle_values(s, grid))) ** 2))
     p0 = s.value_at_zero()
     pois = ((w + p0) / (w - p0)).real  # Poisson kernel at phi(0), vectorized
-    rhs = float(np.mean(np.abs(f_vals) ** 2 * pois))
+    rhs = float(np.mean(np.abs(circle_values(f, grid)) ** 2 * pois))
     return PullbackCheck(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs))

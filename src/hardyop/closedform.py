@@ -84,19 +84,17 @@ def rotation_distance_bruteforce(lam: complex, mu: complex, depth: int = 1_000_0
     r = max(abs(lam), abs(mu))
     chunk = 1 << 15
     n0 = 1
-    lp, mp = lam, mu
     while n0 <= depth:
-        m = min(chunk, depth - n0 + 1)
-        ks = np.arange(m)
-        vals = np.abs(lp * lam**ks - mp * mu**ks)
+        # powers from the absolute exponent: x^n = |x|^n e^{i n arg x}
+        n = np.arange(n0, min(n0 + chunk, depth + 1))
+        vals = np.abs(abs(lam) ** n * np.exp(1j * cmath.phase(lam) * n)
+                      - abs(mu) ** n * np.exp(1j * cmath.phase(mu) * n))
         best = max(best, float(vals.max()))
         if best >= 2.0 - 1e-15:
             return best
-        n0 += m
+        n0 += n.size
         if r < 1.0 and 2.0 * r**n0 < best:
             return best
-        lp = lp * lam**m
-        mp = mp * mu**m
     return best
 
 

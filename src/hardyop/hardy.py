@@ -1,9 +1,11 @@
 """Hardy-space metrics on disk symbols: coefficient norms and inner products,
-boundary p-norms by circle quadrature, inner-function tests, reproducing
-kernels, and the Poisson kernel.
+boundary p-norms by circle quadrature, the exact inner-function test,
+reproducing kernels, and the Poisson kernel.
 
 All boundary integrals use the normalized measure dm = dtheta / 2pi, so the
-uniform trapezoid rule on a periodic grid reduces to the grid mean.
+uniform trapezoid rule on a periodic grid reduces to the grid mean.  Every
+grid is sampled by symbolic.circle_values and starts at the symbol's
+grid_size; the sup norm is the refined sup cached by validate_selfmap.
 """
 
 from __future__ import annotations
@@ -16,14 +18,11 @@ import numpy as np
 from numpy.polynomial import polynomial as npp
 
 from .errors import PreconditionError
-from .symbolic import (SELFMAP_GRID, CoeffVec, Symbol, boundary_eval, circle_grid,
-                       require_selfmap, trim)
+from .symbolic import CoeffVec, Symbol, circle_values, require_selfmap, trim
 
-BASE_GRID = 1024            # first quadrature grid; doubled until converged
-MAX_GRID = 1 << 20
+MAX_GRID = 1 << 20          # largest quadrature grid
+BLOCK = 1 << 15             # largest grid sampled at once
 INNER_COEFF_TOL = 1e-10     # exact Blaschke test: max coefficient residual
-INNER_NUMERIC_TOL = 1e-6    # numeric test: max boundary modulus deviation
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -38,9 +37,8 @@ class PNormResult:
 
 @dataclass(frozen=True)
 class InnerVerdict:
-    mode: str           # "exact" or "numeric"
     is_inner: bool
-    margin: float       # coefficient residual (exact) or boundary deviation (numeric)
+    margin: float       # max coefficient residual of the modulus identity
 
 
 def h2_norm(c: CoeffVec) -> float:
@@ -50,8 +48,7 @@ def h2_norm(c: CoeffVec) -> float:
 
 def h2_inner(f: CoeffVec, g: CoeffVec) -> complex:
     """Inner product sum f_n conj(g_n); shorter vector is zero-padded."""
-    f = np.asarray(f, dtype=complex)
-    g = np.asarray(g, dtype=complex)
+    f, g = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)
     n = min(f.size, g.size)
     return complex(np.dot(f[:n], g[:n].conj()))
 
@@ -105,68 +102,41 @@ def poisson(z: complex, u: complex) -> float:
 # p-norms
 
 
-def _grid_mean_abs_pow(s: Symbol, p: float, K: int) -> float:
-    return float(np.mean(np.abs(boundary_eval(s, circle_grid(K))) ** p))
-
-
-def _golden_max(f, a: float, b: float, xtol: float) -> float:
-    """Golden-section maximization of f on [a, b]; returns the best value."""
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > xtol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-    return max(f1, f2)
-
-
-def sup_norm(s: Symbol, xtol: float = 1e-10) -> PNormResult:
-    """Boundary sup norm: grid scan plus golden-section refinement around the
-    top three grid maxima."""
-    thetas = circle_grid(SELFMAP_GRID)
-    vals = np.abs(boundary_eval(s, thetas))
-    h = 2.0 * np.pi / SELFMAP_GRID
-    grid_max = float(vals.max())
-    top = np.argsort(vals)[-3:]
-
-    def f(theta: float) -> float:
-        return abs(complex(s(np.exp(1j * theta))))
-
-    best = grid_max
-    for j in top:
-        t = float(thetas[j])
-        best = max(best, _golden_max(f, t - h, t + h, xtol))
-    return PNormResult(p=math.inf, value=best, grid_size=SELFMAP_GRID,
-                       est_error=abs(best - grid_max))
+def _grid_mean_pow(s: Symbol, p: float, K: int, scale: float) -> float:
+    """Mean of (|phi| / scale)^p over the K-point grid, in interleaved blocks
+    of at most BLOCK points."""
+    B = min(K, BLOCK)
+    total = 0.0
+    for j in range(K // B):
+        vals = np.abs(circle_values(s, B, shift=2.0 * np.pi * j / K)) / scale
+        total += float(np.sum(vals ** p))
+    return total / K
 
 
 def p_norm(s: Symbol, p: float, tol: float = 1e-10) -> PNormResult:
     """Boundary p-norm (||phi||_p, p >= 2, p = inf allowed).
 
-    Finite p: trapezoid quadrature of |phi|^p on doubling grids until two
-    successive values agree within tol; if the 2^20 grid is reached the last
-    estimate is returned with its refinement delta in est_error.
+    p = inf reads the refined sup cached by validate_selfmap (est_error: its
+    gap to the largest grid sample).  Finite p: sup * (mean (|phi|/sup)^p)^(1/p),
+    which cannot underflow, by trapezoid quadrature on grids doubling from the
+    symbol's grid_size until two successive values agree within tol; at the
+    2^20 grid the last estimate is returned with its refinement delta.
     """
     if p != math.inf and p < 2:
         raise PreconditionError(f"p must be >= 2 (or inf), got {p}")
+    d = s.diagnostics()
+    sup, K = d.boundary_sup, d.grid_size
     if p == math.inf:
-        return sup_norm(s, xtol=min(tol, 1e-10))
-    K = BASE_GRID
-    prev = _grid_mean_abs_pow(s, p, K) ** (1.0 / p)
-    while K < MAX_GRID:
+        return PNormResult(p=math.inf, value=sup, grid_size=K,
+                           est_error=abs(sup - d.grid_sup))
+    if sup == 0.0:
+        return PNormResult(p=float(p), value=0.0, grid_size=K, est_error=0.0)
+    value, delta = sup * _grid_mean_pow(s, p, K, sup) ** (1.0 / p), math.inf
+    while K < MAX_GRID and delta > tol:
         K *= 2
-        cur = _grid_mean_abs_pow(s, p, K) ** (1.0 / p)
-        delta = abs(cur - prev)
-        if delta <= tol:
-            return PNormResult(p=float(p), value=cur, grid_size=K, est_error=delta)
-        prev = cur
-    return PNormResult(p=float(p), value=prev, grid_size=K, est_error=delta)
+        prev, value = value, sup * _grid_mean_pow(s, p, K, sup) ** (1.0 / p)
+        delta = abs(value - prev)
+    return PNormResult(p=float(p), value=value, grid_size=K, est_error=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -188,32 +158,22 @@ def _unimodular_products(s: Symbol) -> tuple[np.ndarray, np.ndarray]:
     num, den = trim(s.num), trim(s.den)
     pn = npp.polymul(num, reflect(num))
     pd = npp.polymul(den, reflect(den))
-    pn = np.concatenate([np.zeros(den.size - 1, dtype=complex), pn])
-    pd = np.concatenate([np.zeros(num.size - 1, dtype=complex), pd])
-    n = max(pn.size, pd.size)
-    pn = np.pad(pn, (0, n - pn.size))
-    pd = np.pad(pd, (0, n - pd.size))
+    n = max(pn.size + den.size, pd.size + num.size) - 1  # both shifted, then padded to n
+    pn = np.pad(pn, (den.size - 1, n - pn.size - den.size + 1))
+    pd = np.pad(pd, (num.size - 1, n - pd.size - num.size + 1))
     return pn, pd
 
 
-def is_inner(s: Symbol, mode: str = "exact") -> InnerVerdict:
+def is_inner(s: Symbol) -> InnerVerdict:
     """Whether the symbol has unimodular boundary values.
 
-    The exact mode decides via the polynomial identity above (a rational
-    selfmap is inner iff it is a finite Blaschke product) and is
-    bit-deterministic; the numeric mode reports the worst boundary deviation
-    on a 4096-point grid.
+    Decided exactly via the polynomial identity above (a rational selfmap is
+    inner iff it is a finite Blaschke product); bit-deterministic.
     """
     require_selfmap(s)
-    if mode == "exact":
-        pn, pd = _unimodular_products(s)
-        margin = float(np.max(np.abs(pn - pd)))
-        return InnerVerdict(mode="exact", is_inner=margin <= INNER_COEFF_TOL, margin=margin)
-    if mode == "numeric":
-        vals = boundary_eval(s, circle_grid(SELFMAP_GRID))
-        margin = float(np.max(np.abs(np.abs(vals) - 1.0)))
-        return InnerVerdict(mode="numeric", is_inner=margin < INNER_NUMERIC_TOL, margin=margin)
-    raise ValueError(f"unknown inner-test mode {mode!r}")
+    pn, pd = _unimodular_products(s)
+    margin = float(np.max(np.abs(pn - pd)))
+    return InnerVerdict(is_inner=margin <= INNER_COEFF_TOL, margin=margin)
 
 
 def inner_multiple(s: Symbol) -> tuple[bool, float]:

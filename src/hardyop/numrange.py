@@ -18,8 +18,7 @@ import numpy as np
 
 from .closedform import EllipseDisk
 from .compop import _entries
-from .hardy import _golden_max
-from .symbolic import circle_grid
+from .symbolic import _golden_max, circle_grid
 
 
 @dataclass(frozen=True)
@@ -92,8 +91,8 @@ def boundary(A, grid: int = 720, refine_radius: bool = True) -> NRBoundary:
     if refine_radius:
         j = int(np.argmax(h))
         step = 2.0 * np.pi / grid
-        radius = max(radius, _golden_max(lambda t: _support_value(M, t),
-                                         thetas[j] - step, thetas[j] + step, 1e-10))
+        radius = max(radius, float(_golden_max(lambda t: _support_value(M, t),
+                                               thetas[j] - step, thetas[j] + step, 1e-10)))
     return NRBoundary(thetas=thetas, support_vals=h, boundary_pts=pts, radius=radius)
 
 

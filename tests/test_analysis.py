@@ -54,6 +54,13 @@ def test_p_solve_intermediate_exponent():
     assert res.h2 - 1e-9 <= res.r <= res.sup + 1e-9
 
 
+def test_p_solve_brackets_small_sup():
+    # sup 0.6: an unscaled |phi|^65536 underflows to 0 at the top of the bracket
+    res = p_solve(parse_symbol("0.3*z + 0.3*z^2"))
+    assert res.outcome == "finite"
+    assert math.isfinite(res.p_value)
+
+
 def test_p_solve_preconditions():
     with pytest.raises(PreconditionError):
         p_solve(parse_symbol("const(0.4)"))

@@ -154,6 +154,12 @@ def test_psolve_inner_multiple(tmp_path):
     assert doc["p"] is None
 
 
+def test_psolve_unbracketed_near_inner(capsys):
+    # not an inner multiple, and ||phi||_p stays below the restricted norm up to p = 2^16
+    assert main(["psolve", "0.99999*z + 0.00001*z^2"]) == 3
+    assert "solver error" in capsys.readouterr().err
+
+
 def test_json_output_deterministic(tmp_path):
     _, doc1 = run_json(["distance", "z^2", "const(0.5)", "-N", "8,16"], tmp_path, "a.json")
     _, doc2 = run_json(["distance", "z^2", "const(0.5)", "-N", "8,16"], tmp_path, "b.json")

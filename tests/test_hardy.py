@@ -10,7 +10,7 @@ from hardyop import (
     PreconditionError,
     alpha,
     blaschke,
-    boundary_eval,
+    circle_values,
     h2_inner,
     h2_norm,
     inner_multiple,
@@ -145,6 +145,26 @@ def test_p_norm_monotone_in_p():
             assert a <= b + 1e-9
 
 
+@pytest.mark.parametrize("p", [2, 4, 8])
+def test_p_norm_high_degree_term_not_aliased(p):
+    # |phi|^p is a trigonometric polynomial of degree 2048 p, so its mean over
+    # K = 4096 p > 2048 p points is exact
+    s = parse_symbol("0.5 + 0.2*z^3 + 0.2*z^4096")
+    K = 4096 * p
+    vals = s(np.exp(2j * np.pi * np.arange(K) / K))
+    assert abs(p_norm(s, p).value - np.mean(np.abs(vals) ** p) ** (1 / p)) <= 1e-10
+
+
+@pytest.mark.parametrize("p", [2, 4, 8])
+def test_p_norm_degree_4095_symbol(p):
+    # z^4095 must not alias to z^-1; the mean over K = 4096 p > 4095 p / 2
+    # points is exact (circle_values agrees with Horner, see test_symbolic)
+    s = parse_symbol("(-0.279376-0.159147i) + (-0.244343-0.035245i)*z^2 "
+                     "+ (-0.023460-0.246881i)*z^4095")
+    vals = np.abs(circle_values(s, 4096 * p))
+    assert abs(p_norm(s, p).value - np.mean(vals ** p) ** (1 / p)) <= 1e-10
+
+
 def test_p_norm_rejects_small_p():
     with pytest.raises(PreconditionError):
         p_norm(PHI23, 1.5)
@@ -159,9 +179,7 @@ def test_is_inner_examples():
     assert v.is_inner and v.margin <= 1e-14
     v = is_inner(parse_symbol("z/2"))
     assert not v.is_inner
-    numeric = is_inner(parse_symbol("z/2"), mode="numeric")
-    assert not numeric.is_inner
-    assert numeric.margin == pytest.approx(0.5, abs=1e-12)
+    assert v.margin == pytest.approx(0.75, abs=1e-15)  # |den|^2 - |num|^2 = 1 - 1/4
     assert is_inner(parse_symbol("z*alpha(0.5)")).is_inner
 
 
@@ -172,10 +190,8 @@ def test_is_inner_exact_agrees_with_numeric_on_random_blaschke():
         pts = rng.uniform(-0.8, 0.8, deg) + 1j * rng.uniform(-0.8, 0.8, deg)
         pts = [p for p in pts if abs(p) < 0.85]
         s = blaschke(pts, lead_power=int(rng.integers(0, 2)))
-        exact = is_inner(s, mode="exact")
-        numeric = is_inner(s, mode="numeric")
-        assert exact.is_inner
-        assert numeric.margin < 1e-6
+        assert is_inner(s).is_inner
+        assert np.max(np.abs(np.abs(circle_values(s, 4096)) - 1.0)) < 1e-6
 
 
 def test_inner_multiple():
@@ -195,7 +211,7 @@ def test_inner_fixing_origin_is_isometry():
     thetas = 2 * np.pi * np.arange(K) / K
     for text in ("z^2", "z*alpha(0.5)"):
         s = parse_symbol(text)
-        vals = npp.polyval(boundary_eval(s, thetas), f)
+        vals = npp.polyval(s(np.exp(1j * thetas)), f)
         lhs = math.sqrt(float(np.mean(np.abs(vals) ** 2)))
         assert lhs == pytest.approx(h2_norm(f), abs=1e-10)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npp
 
 from hardyop import (
     ConvergenceError,
@@ -12,7 +13,7 @@ from hardyop import (
     Symbol,
     UnitDiskPoleError,
     alpha,
-    boundary_eval,
+    circle_values,
     compose,
     constant,
     fixed_point,
@@ -43,6 +44,14 @@ def test_parse_monomial():
     s = parse_symbol("z^2")
     assert np.array_equal(s.num, np.array([0, 0, 1], dtype=complex))
     assert np.array_equal(s.den, np.array([1], dtype=complex))
+    s = parse_symbol("z^4096")
+    assert np.array_equal(s.num, np.eye(1, 4097, 4096, dtype=complex)[0])
+
+
+def test_parse_power_matches_polypow():
+    base = np.array([0.3, -0.2 + 0.1j, 0.25j, 0.1])
+    s = parse_symbol("(0.3 + (-0.2+0.1i)*z + 0.25i*z^2 + 0.1*z^3)^7")
+    assert np.max(np.abs(s.num - npp.polypow(base, 7))) <= 1e-14
 
 
 def test_parse_alpha():
@@ -130,15 +139,26 @@ def test_taylor_constant():
 
 
 def test_boundary_eval_examples():
-    assert boundary_eval(identity(), [0.0])[0] == pytest.approx(1.0)
+    assert identity()(np.exp(1j * 0.0)) == pytest.approx(1.0)
     s = parse_symbol("(z^2+z^3)/2")
-    assert boundary_eval(s, [0.0])[0] == pytest.approx(1.0)
+    assert s(np.exp(1j * 0.0)) == pytest.approx(1.0)
 
 
 def test_boundary_eval_automorphism_modulus():
-    thetas = 2 * np.pi * np.arange(1024) / 1024
-    vals = np.abs(boundary_eval(alpha(0.5), thetas))
+    vals = np.abs(circle_values(alpha(0.5), 1024))
     assert np.max(np.abs(vals - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("text, K, shift", [
+    ("((0.3+0.2i)*z - 0.1*z^3)/(1 - 0.4*z + 0.1i*z^2)", 64, 0.0),  # rational
+    ("0.2 + 0.3*z^5 - 0.25i*z^70 + 0.2*z^133", 32, 0.0),           # degree > K: folding
+    ("(0.5*z + 0.2*z^40)/(1 + 0.3i*z^9)", 16, 0.7),                 # folding and shift
+])
+def test_circle_values_matches_horner(text, K, shift):
+    s = parse_symbol(text)
+    thetas = shift + 2 * np.pi * np.arange(K) / K
+    # Horner's rounding error grows with the degree: 1.3e-14 at degree 133
+    assert np.max(np.abs(circle_values(s, K, shift) - s(np.exp(1j * thetas)))) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +240,7 @@ def test_taylor_of_composition_matches_substitution(f, g):
 @given(poly_selfmaps())
 def test_selfmap_boundary_modulus(s):
     thetas = np.linspace(0.0, 2 * np.pi, 257)
-    assert np.max(np.abs(boundary_eval(s, thetas))) <= 1.0 + 1e-9
+    assert np.max(np.abs(s(np.exp(1j * thetas)))) <= 1.0 + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +289,32 @@ def test_validate_examples():
     assert d.sup_theta == pytest.approx(0.0, abs=1e-12)
 
 
+def test_validate_sees_high_degree_term():
+    # z^4096 is 1 on a 4096-point grid; the degree-sized grid has 32768 points
+    d = validate_selfmap(parse_symbol("0.6 - 0.6*z^4096"))
+    assert d.grid_size == 32768
+    assert not d.is_selfmap
+    assert d.boundary_sup == pytest.approx(1.2, abs=1e-9)
+
+
+@pytest.mark.parametrize("text", [
+    "(-0.279376-0.159147i) + (-0.244343-0.035245i)*z^2 + (-0.023460-0.246881i)*z^4095",
+    "(0.232255-0.105934i) + (-0.155422-0.067855i)*z^2 + (0.270728+0.043310i)*z^4095",
+    "(-0.271485-0.224519i) + (0.230869+0.032257i)*z^3 + (0.114532-0.313512i)*z^4096",
+])
+def test_validate_finds_highest_of_many_close_peaks(text):
+    # ~4096 local maxima of nearly equal height: refining only the top three
+    # boundary-grid samples missed the sup of these by up to 1.3e-2.  A
+    # 2^20-point grid max is a lower bound within ~4e-5 of the sup.
+    s = parse_symbol(text)
+    fine = float(np.max(np.abs(circle_values(s, 1 << 20))))
+    assert fine - 1e-12 <= validate_selfmap(s).boundary_sup <= fine + 1e-4
+
+
 def test_diagnostics_cached():
     s = alpha(0.25)
     assert s.diagnostics() is s.diagnostics()
+    assert validate_selfmap(s) is s.diagnostics()
 
 
 # ---------------------------------------------------------------------------
