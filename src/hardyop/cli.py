@@ -256,6 +256,7 @@ def cmd_nrange(args) -> int:
     ellipse = closedform.recognize_ellipse(s)
     dims = sorted(set(args.N))
     per_dim = {"dims": dims, "radius": [], "hausdorff": [], "violation": [], "contained": []}
+    dense_solves = []
     last_nr = None
     all_contained = True
     for N in dims:
@@ -263,6 +264,7 @@ def cmd_nrange(args) -> int:
         nr = numrange.boundary(A, grid=args.grid)
         last_nr = nr
         per_dim["radius"].append(nr.radius)
+        dense_solves.append(nr.dense_solves)
         if ellipse is not None:
             cmp_ = numrange.ellipse_compare(nr, ellipse)
             per_dim["hausdorff"].append(cmp_.hausdorff)
@@ -286,6 +288,7 @@ def cmd_nrange(args) -> int:
         "target_ellipse": None if ellipse is None else _ellipse_dict(ellipse),
         "interior_min_dist": interior,
         "pass": all_contained,
+        "diagnostics": {"dense_solves": dense_solves},
         "runtime_ms": (time.perf_counter() - t0) * 1000.0,
     }
     if args.csv and last_nr is not None:

@@ -1,6 +1,8 @@
 """Numerical range of finite compressions: Rayleigh-quotient sampling, the
-support-function boundary via Hermitian-part eigensolves, numerical radius,
-and comparison against closed-form elliptical targets.
+support-function boundary by a certified subspace sweep over the
+Hermitian parts (Johnson's method, SIAM J. Numer. Anal. 15, 1978, with the
+subspace projection of Kressner, Lu and Vandereycken, SIMAX 39, 2018),
+numerical radius, and comparison against closed-form elliptical targets.
 
 For convex compact sets the Hausdorff distance equals the sup-norm distance
 of the support functions, which is what ellipse_compare reports;
@@ -29,6 +31,7 @@ class NRBoundary:
     support_vals: np.ndarray  # h(theta) = lambda_max(Re(e^{-i theta} A))
     boundary_pts: np.ndarray  # Rayleigh quotients of the top eigenvectors
     radius: float             # numerical radius (refined max of h)
+    dense_solves: int         # full-size eigh calls, radius refinement included
 
 
 def sample_w(A, count: int, seed: int) -> np.ndarray:
@@ -43,57 +46,123 @@ def sample_w(A, count: int, seed: int) -> np.ndarray:
     return np.einsum("ij,ij->i", V.conj(), V @ M.T)
 
 
-def _hermitian_part(M: np.ndarray, theta: float) -> np.ndarray:
-    w = np.exp(-1j * theta)
-    B = w * M
-    return (B + B.conj().T) / 2.0
+def _certified(G: np.ndarray) -> bool:
+    """True when a Cholesky factorization shows the Hermitian G positive
+    definite.  A failed factorization is not a certificate, and neither is a
+    non-finite one: LAPACK passes a NaN pivot without reporting an error."""
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(L.diagonal()).all())
 
 
-def _support_value(M: np.ndarray, theta: float) -> float:
-    return float(np.linalg.eigvalsh(_hermitian_part(M, theta))[-1])
+class _SupportSweep:
+    """Certified extreme eigenpairs of H(theta) = cos(theta) S + sin(theta) T,
+    the Hermitian part of e^{-i theta} M, by Rayleigh-Ritz on one growing
+    basis V shared by all angles.
+
+    A Ritz pair (mu, x) is accepted when its full-space residual is at most
+    eps = 1e-12 max(1, |mu|) and a Cholesky factorization of
+    (mu + eps) I - H (top) or H - (mu - eps) I (bottom) succeeds.  A Ritz value
+    is a Rayleigh quotient, so mu <= lambda_max for the top pair, and the
+    factorization proves lambda_max < mu + eps: each accepted value is the
+    extreme eigenvalue within eps (likewise for the bottom).  A NaN fails both
+    tests.  Where a pair fails, one dense eigh at that angle supplies both
+    extreme pairs and its two vectors join the basis (re-orthonormalized by
+    QR); dense_solves counts those solves.
+    """
+
+    def __init__(self, M: np.ndarray):
+        self.M = M
+        Mh = M.conj().T
+        self.S = (M + Mh) / 2.0
+        self.T = (M - Mh) / 2.0j
+        self.V = np.zeros((M.shape[0], 0), dtype=complex)
+        self._project()
+        self.dense_solves = 0
+
+    def _project(self) -> None:
+        self.SV, self.TV = self.S @ self.V, self.T @ self.V
+        self.PS, self.PT = self.V.conj().T @ self.SV, self.V.conj().T @ self.TV
+
+    def _accept(self, H, c: float, s: float, mu: float, y: np.ndarray, sign: int):
+        """The Ritz pair's (value, boundary point) if certified, else None;
+        sign is +1 for the top pair and -1 for the bottom one."""
+        x, Sx, Tx = self.V @ y, self.SV @ y, self.TV @ y
+        eps = 1e-12 * max(1.0, abs(mu))
+        if not np.linalg.norm(c * Sx + s * Tx - mu * x) <= eps:
+            return None
+        G = -sign * H  # sign (mu I - H) + eps I
+        G[np.diag_indices_from(G)] += sign * mu + eps
+        if not _certified(G):
+            return None
+        return mu, complex((x.conj() @ Sx).real, (x.conj() @ Tx).real)
+
+    def extremes(self, theta: float, bottom: bool):
+        """(top, bottom) pairs (lambda, x^H M x) of H(theta); bottom is None
+        unless asked for."""
+        c, s = float(np.cos(theta)), float(np.sin(theta))
+        H = c * self.S + s * self.T
+        if self.V.shape[1]:
+            mus, Y = np.linalg.eigh(c * self.PS + s * self.PT)
+            top = self._accept(H, c, s, mus[-1], Y[:, -1], 1)
+            if top is not None:
+                if not bottom:
+                    return top, None
+                low = self._accept(H, c, s, mus[0], Y[:, 0], -1)
+                if low is not None:
+                    return top, low
+        vals, vecs = np.linalg.eigh(H)
+        self.dense_solves += 1
+        ends = vecs[:, [-1, 0]]
+        self.V = np.linalg.qr(np.hstack([self.V, ends]))[0]
+        self._project()
+        pts = np.einsum("ij,ij->j", ends.conj(), self.M @ ends)
+        return (vals[-1], pts[0]), (vals[0], pts[1]) if bottom else None
 
 
-def boundary(A, grid: int = 720, refine_radius: bool = True) -> NRBoundary:
+def boundary(A, grid: int = 720) -> NRBoundary:
     """Support-function boundary of the numerical range of a compression.
 
-    For each grid angle the top eigenpair of the Hermitian part of
-    e^{-i theta} A gives the support value and a boundary point.  An even grid
-    is solved at half cost: the Hermitian part at theta + pi is the negated
-    one at theta, so its top eigenpair is the bottom eigenpair at theta.  A
-    real A on a grid divisible by 4 solves only theta in [0, pi/2] and mirrors
-    the rest: Re(e^{i theta} A) = conj(Re(e^{-i theta} A)), so h(-theta) =
-    h(theta) and the boundary point at -theta is the conjugate of that at theta.
+    For each grid angle the top eigenpair of H(theta), the Hermitian part of
+    e^{-i theta} A, gives the support value and a boundary point (the Rayleigh
+    quotient of the eigenvector), each certified within 1e-12 max(1, |h|) by
+    one subspace sweep (_SupportSweep).  An even grid is solved at half cost:
+    H(theta + pi) = -H(theta), so the top pair at theta + pi is the bottom
+    pair at theta.  A real A on a grid divisible by 4 solves only theta in
+    [0, pi/2] and mirrors the rest: H(-theta) = conj(H(theta)), so
+    h(-theta) = h(theta) and the boundary point at -theta is the conjugate of
+    that at theta.  The numerical radius refines the largest support value by
+    a golden-section search on the same certified top value.
     """
     if grid < 16:
         raise ValueError("grid must be >= 16")
     M = _entries(A)
+    sweep = _SupportSweep(M)
     thetas = circle_grid(grid)
     h = np.empty(grid)
     pts = np.empty(grid, dtype=complex)
     half = grid // 2 if grid % 2 == 0 else grid
     mirror = np.isrealobj(M) and grid % 4 == 0
     for j in range(grid // 4 + 1 if mirror else half):
-        vals, vecs = np.linalg.eigh(_hermitian_part(M, thetas[j]))
-        h[j] = vals[-1]
-        vt = vecs[:, -1]
-        pts[j] = vt.conj() @ (M @ vt)
-        if half != grid:
-            h[j + half] = -vals[0]
-            vb = vecs[:, 0]
-            pts[j + half] = vb.conj() @ (M @ vb)
+        top, low = sweep.extremes(thetas[j], half != grid)
+        h[j], pts[j] = top
+        if low is not None:
+            h[j + half], pts[j + half] = -low[0], low[1]
     if mirror:
         k = np.arange(1, grid // 4)
         h[half - k] = h[half + k]
         pts[half - k] = pts[half + k].conj()
         h[grid - k] = h[k]
         pts[grid - k] = pts[k].conj()
-    radius = float(h.max())
-    if refine_radius:
-        j = int(np.argmax(h))
-        step = 2.0 * np.pi / grid
-        radius = max(radius, float(_golden_max(lambda t: _support_value(M, t),
-                                               thetas[j] - step, thetas[j] + step, 1e-10)))
-    return NRBoundary(thetas=thetas, support_vals=h, boundary_pts=pts, radius=radius)
+    j = int(np.argmax(h))
+    step = 2.0 * np.pi / grid
+    refined = _golden_max(lambda t: sweep.extremes(float(t), False)[0][0],
+                          thetas[j] - step, thetas[j] + step, 1e-10)
+    return NRBoundary(thetas=thetas, support_vals=h, boundary_pts=pts,
+                      radius=max(float(h.max()), float(refined)),
+                      dense_solves=sweep.dense_solves)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,16 @@ def test_exit_code_on_lapack_failure(monkeypatch, capsys, symbol, solver):
     assert "solver error" in capsys.readouterr().err
 
 
+def test_nrange_exit_code_on_eigh_failure(monkeypatch, capsys):
+    # a failed Cholesky only means "not certified"; a failed eigh is an error
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigh did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    assert main(["nrange", "alpha(0.5)", "-N", "16", "--grid", "16"]) == 3
+    assert "solver error" in capsys.readouterr().err
+
+
 def test_exit_code_on_unknown_flag():
     assert main(["norm", "z", "--frobnicate"]) == 2
 
@@ -119,6 +129,13 @@ def test_nrange_builds_one_compression_per_dimension(monkeypatch, tmp_path):
     assert code == 0
     assert doc["interior_min_dist"] > 0
     assert built == [16, 32]
+
+
+def test_nrange_reports_dense_solves(tmp_path):
+    code, doc = run_json(["nrange", "alpha(0.5)", "-N", "16,64", "--grid", "90"], tmp_path)
+    assert code == 0
+    solves = doc["diagnostics"]["dense_solves"]
+    assert len(solves) == 2 and all(isinstance(n, int) and n >= 1 for n in solves)
 
 
 def test_nrange_no_target(tmp_path):

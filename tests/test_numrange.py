@@ -18,6 +18,7 @@ from hardyop import (
     sample_w,
     write_boundary_csv,
 )
+from hardyop.numrange import _certified
 
 
 def test_sample_w_identity():
@@ -115,10 +116,21 @@ def test_ellipse_compare_automorphism_family():
     assert gaps[96] < gaps[32]
 
 
+def support_error(M, nr):
+    """Largest gap between the support values and dense top eigenvalues,
+    relative to max(1, |h|)."""
+    gaps = []
+    for theta, h in zip(nr.thetas, nr.support_vals):
+        B = np.exp(-1j * theta) * M
+        top = np.linalg.eigvalsh((B + B.conj().T) / 2.0)[-1]
+        gaps.append(abs(h - top) / max(1.0, abs(h)))
+    return max(gaps)
+
+
 def test_boundary_above_old_dense_cut():
-    # every dimension takes the dense Hermitian eigensolve, N > 512 included
+    # the certified sweep runs at every dimension, N > 512 included
     M = comp_matrix(alpha(0.5), 513, "full").entries
-    nr = boundary(M, grid=16, refine_radius=False)
+    nr = boundary(M, grid=16)
     for theta, h in zip(nr.thetas, nr.support_vals):
         B = np.exp(-1j * theta) * M
         top = np.linalg.eigvalsh((B + B.conj().T) / 2.0)[-1]
@@ -137,6 +149,65 @@ def test_boundary_real_mirror_matches_complex_loop(grid):
     assert np.max(np.abs(real.support_vals - full.support_vals)) <= 1e-12
     assert np.max(np.abs(real.boundary_pts - full.boundary_pts)) <= 1e-12
     assert real.radius == pytest.approx(full.radius, abs=1e-12)
+    assert support_error(M, real) <= 1e-12
+
+
+@pytest.mark.parametrize("grid", [64, 45], ids=["half", "full"])
+def test_boundary_diagonal_picks_the_top_vertex(grid):
+    # every basis vector of the sweep is an exact eigenvector of diag(d), so a
+    # small residual alone would accept a vertex that is not the top one; the
+    # Cholesky certificate rejects it
+    d = (1.0 + 0.1 * np.arange(7)) * np.exp(2j * np.pi * np.arange(7) / 7)
+    nr = boundary(np.diag(d), grid=grid)
+    exact = (np.exp(-1j * nr.thetas)[:, None] * d[None, :]).real.max(axis=1)
+    assert np.max(np.abs(nr.support_vals - exact)) <= 1e-12
+    assert nr.radius == pytest.approx(np.abs(d).max(), abs=1e-12)
+
+
+def test_boundary_complex_nonnormal_matches_dense():
+    rng = np.random.default_rng(4)
+    c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    c *= 0.9 / np.abs(c).sum()  # sup |phi| <= 0.9 on the disk
+    text = " + ".join(f"({v.real:.6f}{v.imag:+.6f}i)*z^{k}" for k, v in enumerate(c))
+    M = comp_matrix(parse_symbol(text), 96, "full").entries
+    assert M.dtype == np.complex128
+    nr = boundary(M, grid=45)
+    assert support_error(M, nr) <= 1e-12
+    assert nr.radius >= nr.support_vals.max()
+
+
+def test_boundary_points_match_dense_eigenvectors():
+    # the Rayleigh quotients of the dense top eigenvectors, angle by angle
+    M = comp_matrix(alpha(0.5), 64, "full").entries
+    nr = boundary(M, grid=36)
+    for theta, pt in zip(nr.thetas, nr.boundary_pts):
+        B = np.exp(-1j * theta) * M
+        v = np.linalg.eigh((B + B.conj().T) / 2.0)[1][:, -1]
+        assert abs(pt - v.conj() @ (M @ v)) <= 1e-10
+
+
+def test_dense_solves_counts_full_size_eigh(monkeypatch):
+    M = comp_matrix(alpha(0.5), 64, "full").entries
+    full_size = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        full_size.append(a.shape[0] == 64)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    nr = boundary(M, grid=720)
+    assert nr.dense_solves == sum(full_size)
+    # 181 solved angles and about 40 radius evaluations, few of them dense
+    assert 1 <= nr.dense_solves <= 40
+    assert boundary(M, grid=720).dense_solves == nr.dense_solves
+
+
+def test_certificate_rejects_indefinite_and_nan():
+    assert _certified(np.eye(3))
+    assert not _certified(np.diag([1.0, -1e-12, 1.0]))
+    assert not _certified(np.full((3, 3), np.nan))
+    assert not _certified(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
 def test_min_boundary_distance_interior():
