@@ -53,7 +53,8 @@ class PSolveResult:
 def _restricted_schedule(s: Symbol, N: int) -> tuple[float, float, float]:
     """Restricted norms at N/4, N/2, N: value, plateau delta, Aitken limit."""
     dims = [max(8, N // 4), max(16, N // 2), N]
-    v1, v2, v3 = (restricted_norm(s, d) for d in dims)
+    H = comp_matrix(s, max(dims), "h20").entries  # smaller ones are its leading blocks
+    v1, v2, v3 = (op_norm(H[:d, :d]) for d in dims)
     plateau = v3 - v2
     d1, d2 = v2 - v1, v3 - v2
     extrapolated = v3

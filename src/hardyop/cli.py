@@ -256,7 +256,7 @@ def cmd_nrange(args) -> int:
     ellipse = closedform.recognize_ellipse(s)
     dims = sorted(set(args.N))
     per_dim = {"dims": dims, "radius": [], "hausdorff": [], "violation": [], "contained": []}
-    dense_solves = []
+    dense_solves, radius_evals = [], []
     last_nr = None
     all_contained = True
     for N in dims:
@@ -265,6 +265,7 @@ def cmd_nrange(args) -> int:
         last_nr = nr
         per_dim["radius"].append(nr.radius)
         dense_solves.append(nr.dense_solves)
+        radius_evals.append(nr.radius_evals)
         if ellipse is not None:
             cmp_ = numrange.ellipse_compare(nr, ellipse)
             per_dim["hausdorff"].append(cmp_.hausdorff)
@@ -288,7 +289,7 @@ def cmd_nrange(args) -> int:
         "target_ellipse": None if ellipse is None else _ellipse_dict(ellipse),
         "interior_min_dist": interior,
         "pass": all_contained,
-        "diagnostics": {"dense_solves": dense_solves},
+        "diagnostics": {"dense_solves": dense_solves, "radius_evals": radius_evals},
         "runtime_ms": (time.perf_counter() - t0) * 1000.0,
     }
     if args.csv and last_nr is not None:

@@ -195,15 +195,17 @@ class ConvergenceReport:
 _TASKS = ("distance", "restricted", "weighted", "opnorm")
 
 
-def _task_value(task: str, params: dict, N: int) -> float:
+def _task_matrix(task: str, params: dict, N: int) -> np.ndarray:
+    """The task's compression at dimension N; its leading n x n block is the
+    compression at n (the bases are nested), so one build serves a schedule."""
     if task == "distance":
-        return distance(params["a"], params["b"], N)
+        return (comp_matrix(params["a"], N) - comp_matrix(params["b"], N)).entries
     if task == "restricted":
-        return restricted_norm(params["s"], N)
+        return comp_matrix(params["s"], N, "h20").entries
     if task == "weighted":
-        return op_norm(weighted_matrix(params["w"], params["s"], N))
+        return weighted_matrix(params["w"], params["s"], N).entries
     if task == "opnorm":
-        return op_norm(comp_matrix(params["s"], N, "full"))
+        return comp_matrix(params["s"], N).entries
     raise ValueError(f"unknown task {task!r}; expected one of {_TASKS}")
 
 
@@ -228,15 +230,18 @@ def _task_target(task: str, params: dict):
 def norm_schedule(task: str, params: dict, dims: Sequence[int]) -> ConvergenceReport:
     """Run one extremal task over a strictly increasing dimension schedule.
 
-    Attaches a closed-form target when the inputs match a known formula, and
-    certifies that values are nondecreasing and never exceed the target beyond
-    solver tolerance; a violation signals a solver bug, not bad input.
+    One compression is built at the largest dimension, and each value is the
+    norm of its leading N x N block.  Attaches a closed-form target when the
+    inputs match a known formula, and certifies that values are nondecreasing
+    and never exceed the target beyond solver tolerance; a violation signals a
+    solver bug, not bad input.
     """
     dims = tuple(int(d) for d in dims)
     if any(b <= a for a, b in zip(dims, dims[1:])) or not dims:
         raise PreconditionError("dimension schedule must be nonempty and strictly increasing")
     target, label = _task_target(task, params)
-    values = tuple(_task_value(task, params, N) for N in dims)
+    M = _task_matrix(task, params, dims[-1])
+    values = tuple(op_norm(M[:N, :N]) for N in dims)
     for a, b in zip(values, values[1:]):
         if b < a - MONOTONE_TOL:
             raise SolverInternalError(

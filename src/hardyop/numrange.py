@@ -20,7 +20,7 @@ import numpy as np
 
 from .closedform import EllipseDisk
 from .compop import _entries
-from .symbolic import _golden_max, circle_grid
+from .symbolic import circle_grid
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,9 @@ class NRBoundary:
     thetas: np.ndarray        # angle grid
     support_vals: np.ndarray  # h(theta) = lambda_max(Re(e^{-i theta} A))
     boundary_pts: np.ndarray  # Rayleigh quotients of the top eigenvectors
-    radius: float             # numerical radius (refined max of h)
-    dense_solves: int         # full-size eigh calls, radius refinement included
+    radius: float             # largest certified h: grid max, slope-search refined
+    dense_solves: int         # full-size eigh calls, radius search included
+    radius_evals: int         # certified evaluations made by the radius search
 
 
 def sample_w(A, count: int, seed: int) -> np.ndarray:
@@ -69,8 +70,10 @@ class _SupportSweep:
     factorization proves lambda_max < mu + eps: each accepted value is the
     extreme eigenvalue within eps (likewise for the bottom).  A NaN fails both
     tests.  Where a pair fails, one dense eigh at that angle supplies both
-    extreme pairs and its two vectors join the basis (re-orthonormalized by
-    QR); dense_solves counts those solves.
+    extreme pairs; their two vectors and, from the same decomposition, their
+    first-order derivatives in theta join the basis (re-orthonormalized by
+    QR), so that the basis also serves the nearby angles.  dense_solves
+    counts those solves.
     """
 
     def __init__(self, M: np.ndarray):
@@ -116,10 +119,77 @@ class _SupportSweep:
         vals, vecs = np.linalg.eigh(H)
         self.dense_solves += 1
         ends = vecs[:, [-1, 0]]
-        self.V = np.linalg.qr(np.hstack([self.V, ends]))[0]
+        # x_i' = sum_k (x_k^H H' x_i) / (lambda_i - lambda_k) x_k with
+        # H' = -sin(theta) S + cos(theta) T; terms with a zero or non-finite
+        # gap (k = i among them) are dropped
+        gaps = vals[[-1, 0]][None, :] - vals[:, None]
+        keep = (gaps != 0) & np.isfinite(gaps)
+        coef = vecs.conj().T @ (c * (self.T @ ends) - s * (self.S @ ends))
+        coef[keep] /= gaps[keep]
+        coef[~keep] = 0.0
+        self.V = np.linalg.qr(np.hstack([self.V, ends, vecs @ coef]))[0]
         self._project()
         pts = np.einsum("ij,ij->j", ends.conj(), self.M @ ends)
         return (vals[-1], pts[0]), (vals[0], pts[1]) if bottom else None
+
+
+def _slope(theta: float, pt: complex) -> float:
+    """h'(theta) = Im(e^{-i theta} p(theta)) for the boundary point p(theta) of
+    the top eigenvector (Hellmann-Feynman: h' = x^H H'(theta) x)."""
+    return float((np.exp(-1j * theta) * pt).imag)
+
+
+def _radius(sweep: _SupportSweep, h: np.ndarray, pts: np.ndarray,
+            mirror: bool) -> tuple[float, int]:
+    """Numerical radius as the largest certified support value, and the count
+    of certified evaluations made to find it.
+
+    The slopes at the grid maximum and its neighbours come from their boundary
+    points.  Where the slope changes sign over a neighbouring grid step, a
+    safeguarded secant (Illinois) on h' refines the peak to 1e-10 in theta.
+    A slope within the certificate's eps of zero counts as zero: with no sign
+    change (h flat, or h' = 0 at the grid maximum) the grid maximum stands.
+    With mirror set, a step in a mirrored quarter is replaced by its
+    reflection theta -> -theta (h is even), whose angles the basis has solved.
+    """
+    grid = h.size
+    step = 2.0 * np.pi / grid
+    j = int(np.argmax(h))
+    best = float(h[j])
+    eps = 1e-12 * max(1.0, abs(best))
+
+    def grid_slope(k: int) -> float:
+        return _slope(k * step, pts[k % grid])
+
+    lo = j if grid_slope(j) > 0 else j - 1  # h rising at j: search after it, else before
+    if mirror and (lo % grid) // (grid // 4) in (1, 3):
+        lo = grid - 1 - lo % grid
+    a, b = lo * step, (lo + 1) * step
+    fa, fb = grid_slope(lo), grid_slope(lo + 1)
+    if not (fa > eps and fb < -eps):
+        return best, 0
+    evals, side = 0, 0
+    while b - a > 1e-10:
+        t = b - fb * (b - a) / (fb - fa)
+        if not a < t < b:
+            t = 0.5 * (a + b)
+        (v, pt), _ = sweep.extremes(t, False)
+        evals += 1
+        best = max(best, float(v))
+        f = _slope(t, pt)
+        if abs(f) <= eps:
+            break
+        if f > 0:
+            a, fa = t, f
+            if side > 0:
+                fb /= 2.0
+            side = 1
+        else:
+            b, fb = t, f
+            if side < 0:
+                fa /= 2.0
+            side = -1
+    return best, evals
 
 
 def boundary(A, grid: int = 720) -> NRBoundary:
@@ -133,8 +203,11 @@ def boundary(A, grid: int = 720) -> NRBoundary:
     pair at theta.  A real A on a grid divisible by 4 solves only theta in
     [0, pi/2] and mirrors the rest: H(-theta) = conj(H(theta)), so
     h(-theta) = h(theta) and the boundary point at -theta is the conjugate of
-    that at theta.  The numerical radius refines the largest support value by
-    a golden-section search on the same certified top value.
+    that at theta.  The numerical radius is the largest certified value seen
+    by a slope search around the grid maximum (_radius): the slopes
+    h'(theta) = Im(e^{-i theta} p(theta)) come free with the boundary points,
+    and each search step is one more certified top value, so the radius is a
+    certified lower bound of the compression's numerical radius.
     """
     if grid < 16:
         raise ValueError("grid must be >= 16")
@@ -156,13 +229,9 @@ def boundary(A, grid: int = 720) -> NRBoundary:
         pts[half - k] = pts[half + k].conj()
         h[grid - k] = h[k]
         pts[grid - k] = pts[k].conj()
-    j = int(np.argmax(h))
-    step = 2.0 * np.pi / grid
-    refined = _golden_max(lambda t: sweep.extremes(float(t), False)[0][0],
-                          thetas[j] - step, thetas[j] + step, 1e-10)
-    return NRBoundary(thetas=thetas, support_vals=h, boundary_pts=pts,
-                      radius=max(float(h.max()), float(refined)),
-                      dense_solves=sweep.dense_solves)
+    radius, evals = _radius(sweep, h, pts, mirror)
+    return NRBoundary(thetas=thetas, support_vals=h, boundary_pts=pts, radius=radius,
+                      dense_solves=sweep.dense_solves, radius_evals=evals)
 
 
 # ---------------------------------------------------------------------------

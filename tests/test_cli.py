@@ -138,6 +138,17 @@ def test_nrange_reports_dense_solves(tmp_path):
     assert len(solves) == 2 and all(isinstance(n, int) and n >= 1 for n in solves)
 
 
+def test_nrange_reports_radius_evals(tmp_path):
+    # the numerical radius of this compression peaks between grid angles, so
+    # the slope search makes certified evaluations at both dimensions
+    code, doc = run_json(["nrange", "0.2i + 0.5*z^2", "-N", "16,64", "--grid", "90"], tmp_path)
+    assert code == 0
+    evals = doc["diagnostics"]["radius_evals"]
+    assert len(evals) == 2 and all(isinstance(n, int) and 1 <= n <= 8 for n in evals)
+    code, doc = run_json(["nrange", "alpha(0.5)", "-N", "16", "--grid", "90"], tmp_path)
+    assert doc["diagnostics"]["radius_evals"] == [0]  # peak on the grid, at theta = 0
+
+
 def test_nrange_no_target(tmp_path):
     code, doc = run_json(["nrange", "(z+z^2)/2", "-N", "24"], tmp_path)
     assert code == 0

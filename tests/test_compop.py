@@ -8,6 +8,7 @@ from hardyop import (
     PreconditionError,
     alpha,
     comp_matrix,
+    compop,
     const_matrix,
     constant,
     distance,
@@ -270,3 +271,48 @@ def test_schedule_identical_symbols_target_zero():
 def test_weighted_schedule_target():
     rep = norm_schedule("weighted", {"w": PHI23, "s": PHI23}, [16, 32])
     assert rep.target == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+
+
+CPLX = parse_symbol("(0.3+0.4i)*z + 0.2i*z^2")
+SLICED_CASES = {
+    "opnorm-real": ("opnorm", {"s": alpha(0.4)}),
+    "opnorm-complex": ("opnorm", {"s": parse_symbol("(0.2+0.1i) + 0.6*z")}),
+    "distance-real": ("distance", {"a": PHI12, "b": constant(0.3)}),
+    "distance-complex": ("distance", {"a": CPLX, "b": constant(0.2j)}),
+    "restricted-real": ("restricted", {"s": PHI12}),
+    "restricted-complex": ("restricted", {"s": CPLX}),
+    "weighted-real": ("weighted", {"w": PHI23, "s": PHI12}),
+    "weighted-complex": ("weighted", {"w": CPLX, "s": CPLX}),
+}
+
+
+def per_dimension(task, params, N):
+    if task == "opnorm":
+        return op_norm(comp_matrix(params["s"], N, "full"))
+    if task == "distance":
+        return op_norm(comp_matrix(params["a"], N, "full") - comp_matrix(params["b"], N, "full"))
+    if task == "restricted":
+        return op_norm(comp_matrix(params["s"], N, "h20"))
+    return op_norm(weighted_matrix(params["w"], params["s"], N))
+
+
+@pytest.mark.parametrize("case", list(SLICED_CASES))
+def test_schedule_slices_match_per_dimension_builds(case, monkeypatch):
+    # one build at the largest dimension (FFT columns at 520) sliced to the
+    # smaller ones (direct columns when built alone)
+    task, params = SLICED_CASES[case]
+    dims = [16, 64, 520]
+    builds = []
+    power_columns = compop._power_columns
+
+    def counted(first, step, count, length):
+        builds.append(count)
+        return power_columns(first, step, count, length)
+
+    monkeypatch.setattr(compop, "_power_columns", counted)
+    rep = norm_schedule(task, params, dims)
+    symbols = 2 if task == "distance" else 1
+    assert builds == [dims[-1]] * symbols
+    monkeypatch.undo()
+    for N, v in zip(dims, rep.values):
+        assert abs(v - per_dimension(task, params, N)) <= 1e-12

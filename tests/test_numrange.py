@@ -198,9 +198,79 @@ def test_dense_solves_counts_full_size_eigh(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     nr = boundary(M, grid=720)
     assert nr.dense_solves == sum(full_size)
-    # 181 solved angles and about 40 radius evaluations, few of them dense
-    assert 1 <= nr.dense_solves <= 40
+    # 181 solved angles and the slope search's few radius evaluations, each
+    # dense solve adding two eigenvectors and their derivatives to the basis
+    assert 1 <= nr.dense_solves <= 12
     assert boundary(M, grid=720).dense_solves == nr.dense_solves
+
+
+def dense_radius(M, nr):
+    """Reference numerical radius: golden-section search on dense eigvalsh
+    over the two grid steps around the grid maximum, to 1e-10 in theta."""
+    def h(t):
+        B = np.exp(-1j * t) * M
+        return np.linalg.eigvalsh((B + B.conj().T) / 2.0)[-1]
+
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    step = 2.0 * np.pi / nr.thetas.size
+    t0 = nr.thetas[int(np.argmax(nr.support_vals))]
+    a, b = t0 - step, t0 + step
+    x1, x2 = b - g * (b - a), a + g * (b - a)
+    f1, f2 = h(x1), h(x2)
+    while b - a > 1e-10:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + g * (b - a)
+            f2 = h(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - g * (b - a)
+            f1 = h(x1)
+    return max(float(nr.support_vals.max()), f1, f2)
+
+
+def nonnormal_complex(N):
+    rng = np.random.default_rng(4)
+    c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    c *= 0.9 / np.abs(c).sum()  # sup |phi| <= 0.9 on the disk
+    text = " + ".join(f"({v.real:.6f}{v.imag:+.6f}i)*z^{k}" for k, v in enumerate(c))
+    return comp_matrix(parse_symbol(text), N, "full").entries
+
+
+RADIUS_CASES = {
+    # real, mirrored half: the peak sits at theta = 0, where h' = 0
+    "alpha-real": (lambda: comp_matrix(alpha(0.5), 64, "full").entries, 720),
+    # complex non-normal: the peak lies between grid angles
+    "complex-nonnormal": (lambda: nonnormal_complex(96), 45),
+    "diagonal": (lambda: np.diag((1.0 + 0.1 * np.arange(7))
+                                 * np.exp(2j * np.pi * np.arange(7) / 7)), 64),
+    "segment": (lambda: comp_matrix(alpha(0.0), 16, "full").entries, 360),
+    # z -> z^3 on zH^2 shifts along chains k -> 3k: a disk, h' = 0 everywhere
+    "disk": (lambda: comp_matrix(parse_symbol("z^3"), 64, "h20").entries, 720),
+}
+
+
+@pytest.mark.parametrize("case", list(RADIUS_CASES))
+def test_radius_matches_dense_reference(case):
+    make, grid = RADIUS_CASES[case]
+    M = make()
+    nr = boundary(M, grid=grid)
+    ref = dense_radius(M, nr)
+    assert abs(nr.radius - ref) <= 1e-12
+    assert nr.radius >= nr.support_vals.max()
+    assert nr.radius_evals <= 8
+
+
+def test_radius_search_runs_only_off_grid():
+    # the slope search evaluates only where the slope changes sign between grid
+    # angles; a flat h (disk) or a peak on the grid (segment) keeps the grid max
+    for case in ("disk", "segment", "alpha-real"):
+        make, grid = RADIUS_CASES[case]
+        assert boundary(make(), grid=grid).radius_evals == 0
+    make, grid = RADIUS_CASES["complex-nonnormal"]
+    nr = boundary(make(), grid=grid)
+    assert nr.radius_evals >= 1
+    assert nr.radius > nr.support_vals.max()
 
 
 def test_certificate_rejects_indefinite_and_nan():
