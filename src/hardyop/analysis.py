@@ -12,7 +12,7 @@ from itertools import islice
 
 import numpy as np
 
-from .compop import comp_matrix, const_matrix, op_norm, restricted_norm
+from .compop import comp_matrix, const_matrix, op_norm, restricted_norm, restricted_norms
 from .errors import BracketError, ConvergenceError, InconsistencyError, PreconditionError
 from .hardy import h2_inner, h2_norm, inner_multiple, is_inner, p_norm, powers
 from .symbolic import (
@@ -52,9 +52,7 @@ class PSolveResult:
 
 def _restricted_schedule(s: Symbol, N: int) -> tuple[float, float, float]:
     """Restricted norms at N/4, N/2, N: value, plateau delta, Aitken limit."""
-    dims = [max(8, N // 4), max(16, N // 2), N]
-    H = comp_matrix(s, max(dims), "h20").entries  # smaller ones are its leading blocks
-    v1, v2, v3 = (op_norm(H[:d, :d]) for d in dims)
+    v1, v2, v3 = restricted_norms(s, [max(8, N // 4), max(16, N // 2), N])
     plateau = v3 - v2
     d1, d2 = v2 - v1, v3 - v2
     extrapolated = v3

@@ -171,6 +171,24 @@ def restricted_norm(s: Symbol, N: int) -> float:
     return op_norm(comp_matrix(s, N, "h20"))
 
 
+def _leading_block_norms(build, dims: Sequence[int]) -> tuple[float, ...]:
+    """Norms of the leading N x N blocks of one matrix build(max(dims)).
+
+    Every compression here uses nested bases, so the block at N is exactly
+    the compression built at N; one build serves a whole schedule.
+    """
+    dims = tuple(int(d) for d in dims)
+    if not dims or min(dims) < 2:
+        raise PreconditionError("compression dimension must be >= 2")
+    M = build(max(dims))
+    return tuple(op_norm(M[:N, :N]) for N in dims)
+
+
+def restricted_norms(s: Symbol, dims: Sequence[int]) -> tuple[float, ...]:
+    """restricted_norm(s, N) for each N in dims, from one h20 build."""
+    return _leading_block_norms(lambda N: comp_matrix(s, N, "h20").entries, dims)
+
+
 # ---------------------------------------------------------------------------
 # schedules
 
@@ -196,8 +214,7 @@ _TASKS = ("distance", "restricted", "weighted", "opnorm")
 
 
 def _task_matrix(task: str, params: dict, N: int) -> np.ndarray:
-    """The task's compression at dimension N; its leading n x n block is the
-    compression at n (the bases are nested), so one build serves a schedule."""
+    """The task's compression at dimension N."""
     if task == "distance":
         return (comp_matrix(params["a"], N) - comp_matrix(params["b"], N)).entries
     if task == "restricted":
@@ -240,8 +257,7 @@ def norm_schedule(task: str, params: dict, dims: Sequence[int]) -> ConvergenceRe
     if any(b <= a for a, b in zip(dims, dims[1:])) or not dims:
         raise PreconditionError("dimension schedule must be nonempty and strictly increasing")
     target, label = _task_target(task, params)
-    M = _task_matrix(task, params, dims[-1])
-    values = tuple(op_norm(M[:N, :N]) for N in dims)
+    values = _leading_block_norms(lambda N: _task_matrix(task, params, N), dims)
     for a, b in zip(values, values[1:]):
         if b < a - MONOTONE_TOL:
             raise SolverInternalError(

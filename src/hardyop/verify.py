@@ -191,8 +191,7 @@ def check_restricted_norms() -> CheckResult:
         v = compop.restricted_norm(parse_symbol(text), 128)
         c.close(f"restricted norm of {text} at N=128", v, 1.0, 1e-8)
     s = parse_symbol("(z+z^2)/2")
-    H = compop.comp_matrix(s, 512, "h20").entries  # smaller ones are its leading blocks
-    v128, v256, v512 = (compop.op_norm(H[:N, :N]) for N in (128, 256, 512))
+    v128, v256, v512 = compop.restricted_norms(s, (128, 256, 512))
     c.gt("non-inner margin 1 - value(512)", 1.0 - v512, 1e-3)
     c.le("plateau value(512) - value(256)", v512 - v256, (v256 - v128) / 2.0)
     c.gt("still rising value(512) - value(256)", v512 - v256, 0.0)

@@ -66,6 +66,9 @@ def test_p_solve_preconditions():
         p_solve(parse_symbol("const(0.4)"))
     with pytest.raises(PreconditionError):
         p_solve(parse_symbol("z/2 + 0.25"))
+    for N in (1, 0, -5):
+        with pytest.raises(PreconditionError):
+            p_solve(parse_symbol("z^2"), N=N)
 
 
 def test_p_grid_single_sign_change():

@@ -188,6 +188,12 @@ def test_psolve_unbracketed_near_inner(capsys):
     assert "solver error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dims", ["1", "-5"])
+def test_psolve_rejects_small_dimension(capsys, dims):
+    assert main(["psolve", "z^2", "-N", dims]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_json_output_deterministic(tmp_path):
     _, doc1 = run_json(["distance", "z^2", "const(0.5)", "-N", "8,16"], tmp_path, "a.json")
     _, doc2 = run_json(["distance", "z^2", "const(0.5)", "-N", "8,16"], tmp_path, "b.json")

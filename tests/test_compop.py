@@ -19,6 +19,7 @@ from hardyop import (
     p_norm,
     parse_symbol,
     restricted_norm,
+    restricted_norms,
     taylor,
     weighted_matrix,
 )
@@ -260,6 +261,20 @@ def test_schedule_rejects_bad_dims():
         norm_schedule("restricted", {"s": parse_symbol("z^2")}, [16, 16])
     with pytest.raises(PreconditionError):
         norm_schedule("restricted", {"s": parse_symbol("z^2")}, [])
+    # a schedule is sliced from one build, so each dimension is checked on its own
+    for dims in ([1, 16], [0, 16], [-8, 16]):
+        with pytest.raises(PreconditionError):
+            norm_schedule("restricted", {"s": parse_symbol("z^2")}, dims)
+
+
+def test_restricted_norms_match_single_builds():
+    dims = (8, 16, 12)
+    got = restricted_norms(PHI12, dims)
+    for N, v in zip(dims, got):
+        assert abs(v - restricted_norm(PHI12, N)) <= 1e-12
+    for dims in ([8, 16, 1], [-5, 16], []):
+        with pytest.raises(PreconditionError):
+            restricted_norms(PHI12, dims)
 
 
 def test_schedule_identical_symbols_target_zero():
