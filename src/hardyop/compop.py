@@ -13,14 +13,15 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.fft
 
 from .errors import PreconditionError, SolverInternalError
 from .symbolic import Symbol, constant, require_selfmap, taylor, taylor_close
 
-# Column convolutions switch to FFT at this dimension.  Real alpha(0.5) on a
-# 2-core x86 VM, direct vs FFT: 1.3 vs 3.3 ms at N=128, 15 vs 14 ms at N=384
-# (the crossover), 25 vs 20 ms at N=512, 601 vs 80 ms at N=1024.
+# Column convolutions switch to numpy.fft at this dimension.  comp_matrix on a
+# 2-core x86 VM, direct vs FFT: real alpha(0.5) 1.7 vs 2.7 ms at N=128, 7.0 vs
+# 7.3 ms at N=256 (the crossover), 36 vs 23 ms at N=512, 496 vs 59 ms at
+# N=1024; complex alpha(0.3+0.4i) crosses below N=256 (12 vs 10 ms).  Kept at
+# 512: a lower cut would move the N=256..511 entries by FFT rounding.
 FFT_COLUMN_THRESHOLD = 512
 MONOTONE_TOL = 1e-9            # certificate slack for nondecreasing values
 TARGET_TOL = 1e-9              # certificate slack for value <= target
@@ -63,20 +64,38 @@ def _real_taylor(s: Symbol, N: int) -> np.ndarray:
     return t if t.imag.any() else t.real.copy()
 
 
+def _fast_len(n: int, real: bool) -> int:
+    """Smallest n' >= n whose prime factors lie in (2, 3, 5) for real FFTs or
+    (2, 3, 5, 7, 11) for complex ones: the rule of scipy.fft.next_fast_len."""
+    primes = (2, 3, 5) if real else (2, 3, 5, 7, 11)
+    while True:
+        m = n
+        for p in primes:
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 def _power_columns(first: np.ndarray, step: np.ndarray, count: int, length: int) -> np.ndarray:
     """Columns first, first*step, first*step^2, ... under truncated convolution;
-    float64 (real FFTs on the FFT path) when first and step are real."""
+    float64 (real FFTs on the FFT path) when first and step are real.  A step
+    that is exactly z shifts the columns with no arithmetic."""
     real = np.isrealobj(first) and np.isrealobj(step)
     out = np.zeros((length, count), dtype=float if real else complex)
     col = np.zeros(length, dtype=out.dtype)
     m = min(first.size, length)
     col[:m] = first[:m]
     out[:, 0] = col
-    if count == 1:
-        return out
-    if length >= FFT_COLUMN_THRESHOLD:
-        fft, ifft = (scipy.fft.rfft, scipy.fft.irfft) if real else (scipy.fft.fft, scipy.fft.ifft)
-        L = scipy.fft.next_fast_len(2 * length, real=real)
+    if step.size > 1 and step[1] == 1 and np.count_nonzero(step) == 1:
+        col = np.trim_zeros(col, "b")
+        for k in range(1, count):
+            seg = col[:length - k]
+            out[k:k + seg.size, k] = seg
+    elif length >= FFT_COLUMN_THRESHOLD:
+        fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+        L = _fast_len(2 * length, real)
         step_hat = fft(step, L)
         for k in range(1, count):
             col = ifft(fft(col, L) * step_hat, L)[:length]

@@ -57,10 +57,19 @@ def powers(c: CoeffVec, n_max: int, length: int) -> Iterator[CoeffVec]:
     """Yield c, c^2, ..., c^n_max, each truncated to its first `length`
     coefficients.  Coefficient j of c^n reads only coefficients 0..j of
     c^(n-1), so truncating every step leaves the kept coefficients exact.
+    Each step adds one shifted multiple of c^(n-1) per nonzero term of c, so
+    a sparse c (0.5 z + 0.5 z^4096) costs O(length) per power, not O(length^2).
     """
+    c = np.asarray(c, dtype=complex)
+    terms = [(j, c[j]) for j in np.flatnonzero(c)]
     p = np.ones(1, dtype=complex)
     for _ in range(n_max):
-        p = np.convolve(p, c)[:length]
+        q = np.zeros(min(p.size + c.size - 1, length), dtype=complex)
+        for j, cj in terms:
+            m = min(p.size, q.size - j)
+            if m > 0:
+                q[j:j + m] += cj * p[:m]
+        p = q
         yield p
 
 

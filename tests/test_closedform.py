@@ -235,6 +235,9 @@ def test_recognize_restricted_targets():
     # 500 powers, each truncated to the 501 coefficients the overlap reads
     assert recognize_restricted_target(parse_symbol("0.5*z + 0.5*z^500")) == pytest.approx(
         math.sqrt(0.5), abs=1e-15)
+    # at the degree cap the expansion adds two shifted copies per power
+    assert recognize_restricted_target(parse_symbol("0.5*z + 0.5*z^4096")) == pytest.approx(
+        math.sqrt(0.5), abs=1e-15)
 
 
 def test_recognize_opnorm_targets():

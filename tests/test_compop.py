@@ -94,6 +94,46 @@ def test_fft_and_direct_columns_agree():
                 assert np.max(np.abs(M[:, k] - col)) < 1e-12
 
 
+@pytest.mark.parametrize("length", [512, 513, 1024, 1025])
+@pytest.mark.parametrize("p", [0.3, 0.3 + 0.4j])
+def test_power_columns_fft_matches_direct_convolution(length, p):
+    # real FFT lengths are 5-smooth and complex ones 11-smooth; odd lengths
+    # and lengths past a power of two pad differently
+    step = compop._real_taylor(alpha(p), length)
+    first = compop._real_taylor(alpha(p / 2), length)
+    M = compop._power_columns(first, step, 40, length)
+    assert M.dtype == (np.complex128 if np.iscomplexobj(p) else np.float64)
+    col = first
+    for k in range(40):
+        assert np.max(np.abs(M[:, k] - col)) <= 1e-13 * np.max(np.abs(col))
+        col = np.convolve(col, step)[:length]
+
+
+def test_fast_len_matches_scipy_next_fast_len():
+    scipy_fft = pytest.importorskip("scipy.fft")
+    for real in (True, False):
+        for n in range(1, 5000):
+            assert compop._fast_len(n, real) == scipy_fft.next_fast_len(n, real=real)
+
+
+@pytest.mark.parametrize("N", [16, 600, 2048])
+@pytest.mark.parametrize("basis", ["full", "h20"])
+def test_identity_compression_is_exact(N, basis):
+    # a step of exactly z shifts columns, on the FFT path (N >= 512) too
+    assert np.array_equal(comp_matrix(identity(), N, basis).entries, np.eye(N))
+
+
+def test_weighted_matrix_identity_symbol_is_exact_toeplitz():
+    w = alpha(0.3)
+    N = 600
+    W = weighted_matrix(w, identity(), N).entries
+    t = taylor(w, N).real
+    for k in (0, 1, 299, 599):
+        expect = np.zeros(N)
+        expect[k:] = t[:N - k]
+        assert np.array_equal(W[:, k], expect)
+
+
 def test_weighted_matrix_unit_weight():
     s = parse_symbol("(z+z^2)/2")
     W = weighted_matrix(constant(1.0), s, 12).entries

@@ -22,6 +22,7 @@ from hardyop import (
     poisson,
     taylor,
 )
+from hardyop.hardy import powers
 
 PHI23 = parse_symbol("(z^2+z^3)/2")
 
@@ -51,6 +52,20 @@ def test_h2_inner_power_overlap_oracle():
     phi3 = np.convolve(phi2, phi)
     assert phi2[6] * np.conj(phi3[6]) == 0.03125
     assert h2_inner(phi2, phi3) == 0.03125
+
+
+@pytest.mark.parametrize("c", [
+    [0.5, 0, 0, 0.25j, 0, -0.1],      # sparse, nonzero constant term
+    [0, 0.3, 0.2 - 0.1j, 0.1, 0.05],  # dense, vanishing at 0
+])
+def test_powers_match_truncated_convolutions(c):
+    c = np.array(c, dtype=complex)
+    for length in (3, 12):
+        ref = np.ones(1, dtype=complex)
+        for p in powers(c, 5, length):
+            ref = np.convolve(ref, c)[:length]
+            assert p.shape == ref.shape
+            assert np.max(np.abs(p - ref)) <= 1e-15
 
 
 @settings(max_examples=30, deadline=None)

@@ -3,17 +3,32 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def test_import_loads_no_heavy_scipy_subpackages():
-    # scipy.optimize adds about 0.2 s and 20 MB to the import; scipy.linalg
-    # and scipy.sparse bring scipy's own OpenBLAS, a second BLAS thread pool
-    # that contends with numpy's
+def _scipy_modules(code: str) -> list[str]:
     out = subprocess.run(
-        [sys.executable, "-c", "import hardyop, sys; print(sorted(sys.modules))"],
+        [sys.executable, "-c", code + "\nimport sys; print(sorted(sys.modules))"],
         capture_output=True, text=True, check=True, cwd=SRC,
     ).stdout
-    loaded = set(ast.literal_eval(out))
-    for name in ("scipy.optimize", "scipy.linalg", "scipy.sparse"):
-        assert name not in loaded
+    return [m for m in ast.literal_eval(out.splitlines()[-1]) if m.startswith("scipy")]
+
+
+@pytest.mark.parametrize("module", ["hardyop", "hardyop.cli"])
+def test_import_loads_no_scipy(module):
+    # the runtime needs numpy only: scipy.fft alone adds about 0.3 s and 26 MB
+    # to every process, and scipy.linalg brings a second BLAS thread pool
+    assert _scipy_modules(f"import {module}") == []
+
+
+def test_fft_compressions_load_no_scipy():
+    # N=512 is on the FFT path; real and complex symbols take rfft and fft
+    code = (
+        "from hardyop import alpha, comp_matrix\n"
+        "for p in (0.5, 0.3 + 0.4j):\n"
+        "    for basis in ('full', 'h20'):\n"
+        "        comp_matrix(alpha(p), 512, basis)\n"
+    )
+    assert _scipy_modules(code) == []
