@@ -63,10 +63,8 @@ from .hardy import (
     h2_norm,
     inner_multiple,
     is_inner,
-    kernel_coeffs,
     kernel_distance,
     p_norm,
-    poisson,
 )
 from .numrange import (
     EllipseComparison,
@@ -91,7 +89,6 @@ from .symbolic import (
     format_symbol,
     identity,
     iterate,
-    max_degree,
     parse_symbol,
     taylor,
     taylor_close,

@@ -12,16 +12,16 @@ from itertools import islice
 
 import numpy as np
 
-from .compop import comp_matrix, const_matrix, op_norm, restricted_norm, restricted_norms
+from .compop import comp_matrix, const_matrix, op_norm, restricted_norms
 from .errors import BracketError, ConvergenceError, InconsistencyError, PreconditionError
 from .hardy import h2_inner, h2_norm, inner_multiple, is_inner, p_norm, powers
 from .symbolic import (
+    MAX_DEGREE,
     Symbol,
     circle_grid,
     circle_values,
     fixed_point,
     iterate,
-    max_degree,
     require_selfmap,
     taylor,
 )
@@ -29,6 +29,7 @@ from .symbolic import (
 P_CAP = 1 << 16            # upper end of the exponent bracket
 PLATEAU_HARD_LIMIT = 1e-2  # restricted-norm schedule must at least settle this far
 QUAD_TOL = 1e-12           # p-norm quadrature tolerance inside the solver
+PULLBACK_GRID = 1024       # circle points of the pull-back quadrature
 
 
 @dataclass(frozen=True)
@@ -114,10 +115,9 @@ def p_solve(s: Symbol, tol: float = 1e-8, N: int = 512) -> PSolveResult:
     return PSolveResult("finite", p_star, abs(g(p_star)), r, r_extrap, plateau, N, h2, sup)
 
 
-def p_grid_sign_changes(s: Symbol, r: float, count: int = 64,
-                        p_min: float = 2.0, p_max: float = float(P_CAP)) -> int:
-    """Sign changes of p -> ||phi||_p - r on a log-spaced exponent grid."""
-    ps = np.exp(np.linspace(math.log(p_min), math.log(p_max), count))
+def p_grid_sign_changes(s: Symbol, r: float) -> int:
+    """Sign changes of p -> ||phi||_p - r on 64 log-spaced exponents in [2, P_CAP]."""
+    ps = np.exp(np.linspace(math.log(2.0), math.log(float(P_CAP)), 64))
     vals = np.array([p_norm(s, float(p), tol=1e-10).value - r for p in ps])
     signs = np.sign(vals[np.abs(vals) > 1e-14])
     return int(np.sum(signs[1:] != signs[:-1])) if signs.size else 0
@@ -149,9 +149,9 @@ class MinimalNormReport:
 
 def _require_power_cap(s: Symbol, n_max: int) -> None:
     """Reject polynomial power expansions above the rational degree cap."""
-    if s.num_degree * n_max > max_degree():
+    if s.num_degree * n_max > MAX_DEGREE:
         raise PreconditionError(
-            f"power expansion degree {s.num_degree * n_max} exceeds cap {max_degree()}"
+            f"power expansion degree {s.num_degree * n_max} exceeds cap {MAX_DEGREE}"
         )
 
 
@@ -180,7 +180,7 @@ def minimal_norm_check(s: Symbol, N: int | None = None, n_max: int = 10) -> Mini
     eigen_res = float(np.linalg.norm(w - lam * e_z))
     overlaps = np.array([h2_inner(base, p) for p in
                          islice(powers(base, n_max, base.size), 1, None)], dtype=complex)
-    r = restricted_norm(s, N)
+    r = op_norm(M)
     return MinimalNormReport(
         h2_gap=abs(r - h2),
         gram_z_residual=gram_res,
@@ -277,15 +277,16 @@ class PullbackCheck:
     residual: float
 
 
-def inner_pullback_check(s: Symbol, f_coeffs, grid: int = 1024) -> PullbackCheck:
-    """Quadrature check that composition with an inner symbol pulls the
-    boundary measure back to the Poisson measure at phi(0)."""
+def inner_pullback_check(s: Symbol, f_coeffs) -> PullbackCheck:
+    """Quadrature check, on PULLBACK_GRID points, that composition with an
+    inner symbol pulls the boundary measure back to the Poisson measure at
+    phi(0)."""
     if not is_inner(s).is_inner:
         raise PreconditionError("the pull-back identity needs an inner symbol")
     f = Symbol(f_coeffs)
-    w = np.exp(1j * circle_grid(grid))
-    lhs = float(np.mean(np.abs(f(circle_values(s, grid))) ** 2))
+    w = np.exp(1j * circle_grid(PULLBACK_GRID))
+    lhs = float(np.mean(np.abs(f(circle_values(s, PULLBACK_GRID))) ** 2))
     p0 = s.value_at_zero()
     pois = ((w + p0) / (w - p0)).real  # Poisson kernel at phi(0), vectorized
-    rhs = float(np.mean(np.abs(circle_values(f, grid)) ** 2 * pois))
+    rhs = float(np.mean(np.abs(circle_values(f, PULLBACK_GRID)) ** 2 * pois))
     return PullbackCheck(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs))

@@ -103,13 +103,13 @@ def _odd_root_value(k: int) -> float:
     return abs(1.0 - cmath.exp(1j * math.pi * (k - 1) / k))
 
 
-def rotation_distance(lam: complex, mu: complex, depth: int = 1_000_000) -> RotationDistance:
+def rotation_distance(lam: complex, mu: complex) -> RotationDistance:
     """sup_n |lambda^n - mu^n| for scalars in the closed disk.
 
     For unimodular scalars the ratio lambda/mu is tested for being a root of
     unity by continued-fraction recognition of its angle: even order or no
     root of unity gives 2, odd order k gives the k-gon chord; otherwise the
-    sup is taken numerically over n <= depth.
+    sup is taken by rotation_distance_bruteforce at its default depth.
     """
     lam, mu = complex(lam), complex(mu)
     if abs(lam) > 1 + UNIMODULAR_TOL or abs(mu) > 1 + UNIMODULAR_TOL:
@@ -118,7 +118,7 @@ def rotation_distance(lam: complex, mu: complex, depth: int = 1_000_000) -> Rota
         return RotationDistance(0.0, "equal", None)
     unimodular = abs(abs(lam) - 1.0) <= UNIMODULAR_TOL and abs(abs(mu) - 1.0) <= UNIMODULAR_TOL
     if not unimodular:
-        return RotationDistance(rotation_distance_bruteforce(lam, mu, depth), "numeric", None)
+        return RotationDistance(rotation_distance_bruteforce(lam, mu), "numeric", None)
     t = (cmath.phase(lam / mu) / (2.0 * math.pi)) % 1.0
     frac = Fraction(t).limit_denominator(DENOM_CAP)
     if abs(t - float(frac)) <= ANGLE_TOL:
@@ -238,15 +238,15 @@ class DistanceTarget:
     detail: str
 
 
-def _first_nonzero(c: np.ndarray, tol: float = 1e-13) -> int | None:
-    idx = np.nonzero(np.abs(c) > tol)[0]
+def _first_nonzero(c: np.ndarray) -> int | None:
+    idx = np.nonzero(np.abs(c) > 1e-13)[0]
     return int(idx[0]) if idx.size else None
 
 
-def _proportional(a: Symbol, b: Symbol, N: int | None = None) -> complex | None:
-    """Scalar c with a = c*b as analytic functions, or None."""
-    if N is None:
-        N = 2 * max(a.degree, b.degree) + 8
+def _proportional(a: Symbol, b: Symbol) -> complex | None:
+    """Scalar c with a = c*b as analytic functions, or None (compared on the
+    2d + 8 Taylor coefficients that certify equality, as in taylor_close)."""
+    N = 2 * max(a.degree, b.degree) + 8
     ta, tb = taylor(a, N), taylor(b, N)
     j = _first_nonzero(tb)
     if j is None:

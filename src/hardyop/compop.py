@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import closedform
 from .errors import PreconditionError, SolverInternalError
 from .symbolic import Symbol, constant, require_selfmap, taylor, taylor_close
 
@@ -40,7 +41,9 @@ class OpMatrix:
     basis: str
 
     def __post_init__(self):
-        a = np.array(self.entries, dtype=float if np.isrealobj(self.entries) else complex)
+        # a read-only view: no copy, and the caller's own array keeps its flags
+        dtype = float if np.isrealobj(self.entries) else complex
+        a = np.asarray(self.entries, dtype=dtype).view()
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("OpMatrix entries must be a square 2-D array")
         if self.basis not in ("full", "h20"):
@@ -175,8 +178,6 @@ def op_norm(A) -> float:
 
 def distance(a: Symbol, b: Symbol, N: int) -> float:
     """Compression of ||C_a - C_b||; a monotone-in-N lower bound of the norm."""
-    require_selfmap(a)
-    require_selfmap(b)
     return op_norm(comp_matrix(a, N, "full") - comp_matrix(b, N, "full"))
 
 
@@ -246,8 +247,6 @@ def _task_matrix(task: str, params: dict, N: int) -> np.ndarray:
 
 
 def _task_target(task: str, params: dict):
-    from . import closedform
-
     if task == "distance":
         hit = closedform.recognize_distance_target(params["a"], params["b"])
         if hit is not None:

@@ -26,7 +26,7 @@ class NotSelfmapError(HardyOpError):
 
 
 class DegreeCapError(HardyOpError):
-    """Rational degree exceeded the configured cap (HARDYOP_MAX_DEGREE)."""
+    """Rational degree exceeded the cap symbolic.MAX_DEGREE (4096)."""
 
 
 class ConvergenceError(HardyOpError):

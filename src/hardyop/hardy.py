@@ -1,6 +1,6 @@
 """Hardy-space metrics on disk symbols: coefficient norms and inner products,
-boundary p-norms by circle quadrature, the exact inner-function test,
-reproducing kernels, and the Poisson kernel.
+boundary p-norms by circle quadrature, the exact inner-function test, and the
+closed-form distance between reproducing kernels.
 
 All boundary integrals use the normalized measure dm = dtheta / 2pi, so the
 uniform trapezoid rule on a periodic grid reduces to the grid mean.  Every
@@ -73,16 +73,6 @@ def powers(c: CoeffVec, n_max: int, length: int) -> Iterator[CoeffVec]:
         yield p
 
 
-def kernel_coeffs(p: complex, N: int) -> CoeffVec:
-    """Taylor coefficients conj(p)^n of the reproducing kernel at p."""
-    p = complex(p)
-    if abs(p) >= 1:
-        raise PreconditionError(f"kernel point must lie in the open disk, got |p|={abs(p):.6g}")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    return np.conj(p) ** np.arange(N)
-
-
 def kernel_distance(p1: complex, p2: complex) -> float:
     """Distance between the reproducing kernels at p1 and p2 (closed form)."""
     p1, p2 = complex(p1), complex(p2)
@@ -95,16 +85,6 @@ def kernel_distance(p1: complex, p2: complex) -> float:
         - 2.0 * (1.0 / (1.0 - p1.conjugate() * p2)).real
     )
     return math.sqrt(max(val, 0.0))
-
-
-def poisson(z: complex, u: complex) -> float:
-    """Poisson kernel Re (u+z)/(u-z) for |z| < 1 and unimodular u."""
-    z, u = complex(z), complex(u)
-    if abs(z) >= 1:
-        raise PreconditionError(f"Poisson kernel needs |z| < 1, got {abs(z):.6g}")
-    if abs(abs(u) - 1.0) > 1e-9:
-        raise PreconditionError(f"Poisson kernel needs |u| = 1, got {abs(u):.6g}")
-    return ((u + z) / (u - z)).real
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ closed unit disk, so every symbol extends continuously to the unit circle.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,27 +25,14 @@ from .errors import (
 # CoeffVec: complex128 1-D array of Taylor/polynomial coefficients, index = degree.
 CoeffVec = np.ndarray
 
-DEFAULT_MAX_DEGREE = 4096
+MAX_DEGREE = 4096           # rational degree cap
 POLE_MARGIN = 1e-9          # denominator roots must satisfy |root| >= 1 + POLE_MARGIN
 SELFMAP_TOL = 1e-9          # refined sup |phi| <= 1 + SELFMAP_TOL
 MIN_GRID = 1024             # smallest boundary grid
 SUP_OVERSAMPLE = 4          # sup scan: shifted copies of the boundary grid
 SUP_PEAKS = 16              # sup scan: local maxima refined
+FIXED_POINT_TOL = 1e-12     # fixed_point: |phi(z) - z| (Newton) or orbit step
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def max_degree() -> int:
-    """Degree cap for rational arithmetic; HARDYOP_MAX_DEGREE overrides."""
-    raw = os.environ.get("HARDYOP_MAX_DEGREE")
-    if raw is None:
-        return DEFAULT_MAX_DEGREE
-    try:
-        val = int(raw)
-    except ValueError as exc:
-        raise DegreeCapError(f"HARDYOP_MAX_DEGREE is not an integer: {raw!r}") from exc
-    if val < 1:
-        raise DegreeCapError(f"HARDYOP_MAX_DEGREE must be positive, got {val}")
-    return val
 
 
 def trim(c) -> CoeffVec:
@@ -90,10 +76,9 @@ class Symbol:
         den = trim(self.den)
         if np.all(den == 0):
             raise UnitDiskPoleError("denominator is identically zero")
-        cap = max_degree()
-        if num.size - 1 > cap or den.size - 1 > cap:
+        if num.size - 1 > MAX_DEGREE or den.size - 1 > MAX_DEGREE:
             raise DegreeCapError(
-                f"rational degree {max(num.size, den.size) - 1} exceeds cap {cap}"
+                f"rational degree {max(num.size, den.size) - 1} exceeds cap {MAX_DEGREE}"
             )
         _check_poles(den)
         # den(0) != 0 is implied by the pole check; normalize den(0) = 1.
@@ -282,10 +267,8 @@ def compose(f: Symbol, g: Symbol) -> Symbol:
     """
     require_selfmap(g, "inner factor of composition")
     D = max(f.num_degree, f.den_degree)
-    if D * g.degree > max_degree():
-        raise DegreeCapError(
-            f"composition degree {D * g.degree} exceeds cap {max_degree()}"
-        )
+    if D * g.degree > MAX_DEGREE:
+        raise DegreeCapError(f"composition degree {D * g.degree} exceeds cap {MAX_DEGREE}")
     # f = P/Q.  With common power D:  f(g) = sum p_k A^k B^(D-k) / sum q_k A^k B^(D-k)
     # where g = A/B.
     a_pows = [np.ones(1, dtype=complex)]
@@ -321,19 +304,19 @@ def _derivative_at(s: Symbol, z: complex) -> complex:
     return (dn * dz - nz * dd) / dz**2
 
 
-def fixed_point(s: Symbol, tol: float = 1e-12,
-                max_newton: int = 200, max_orbit: int = 100_000) -> complex:
-    """Interior fixed point of a selfmap.
+def fixed_point(s: Symbol) -> complex:
+    """Interior fixed point of a selfmap, to a residual of FIXED_POINT_TOL.
 
-    Damped Newton from the origin (halving steps that leave the disk or fail
-    to reduce the residual), with a forward-orbit fallback; the orbit converges
-    whenever a non-automorphic selfmap has an interior fixed point.
+    Damped Newton from the origin (at most 200 steps, halving steps that leave
+    the disk or fail to reduce the residual), with a forward-orbit fallback of
+    at most 100000 steps; the orbit converges whenever a non-automorphic
+    selfmap has an interior fixed point.
     """
     require_selfmap(s)
     z = 0.0 + 0.0j
     gz = complex(s(z)) - z
-    for _ in range(max_newton):
-        if abs(gz) <= tol:
+    for _ in range(200):
+        if abs(gz) <= FIXED_POINT_TOL:
             if abs(z) < 1.0 - 1e-12:
                 return z
             break
@@ -355,9 +338,9 @@ def fixed_point(s: Symbol, tol: float = 1e-12,
             break
     # Orbit fallback (Denjoy-Wolff).
     z = 0.0 + 0.0j
-    for _ in range(max_orbit):
+    for _ in range(100_000):
         z_next = complex(s(z))
-        if abs(z_next - z) <= tol:
+        if abs(z_next - z) <= FIXED_POINT_TOL:
             if abs(z_next) < 1.0 - 1e-12:
                 return z_next
             raise ConvergenceError(
@@ -409,14 +392,13 @@ def validate_selfmap(s: Symbol) -> SelfmapDiagnostics:
     return s._diag
 
 
-def taylor_close(f: Symbol, g: Symbol, N: int | None = None, tol: float = 1e-10) -> bool:
+def taylor_close(f: Symbol, g: Symbol, tol: float = 1e-10) -> bool:
     """Whether two symbols agree as analytic functions, by Taylor comparison.
 
     Rational functions of degree <= d are determined by 2d + 1 coefficients,
-    so the default N certifies equality up to the tolerance.
+    so comparing 2d + 8 of them certifies equality up to the tolerance.
     """
-    if N is None:
-        N = 2 * max(f.degree, g.degree) + 8
+    N = 2 * max(f.degree, g.degree) + 8
     return bool(np.max(np.abs(taylor(f, N) - taylor(g, N))) <= tol)
 
 

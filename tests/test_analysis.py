@@ -217,7 +217,7 @@ def test_pullback_random_blaschke_products():
         pts = rng.uniform(-0.5, 0.5, 2) + 1j * rng.uniform(-0.5, 0.5, 2)
         s = blaschke([p for p in pts if abs(p) < 0.7])
         f = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        assert inner_pullback_check(s, f, grid=4096).residual <= 1e-8
+        assert inner_pullback_check(s, f).residual <= 1e-8
 
 
 def test_pullback_rejects_non_inner():

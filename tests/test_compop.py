@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hardyop import (
+    NotSelfmapError,
     OpMatrix,
     PreconditionError,
     alpha,
@@ -157,6 +158,15 @@ def test_weighted_equals_restricted_for_origin_fixing():
     assert got == pytest.approx(restricted_norm(PHI23, 64), abs=1e-12)
 
 
+def test_opmatrix_shares_callers_array():
+    a = np.arange(16.0).reshape(4, 4)
+    M = OpMatrix(a, "full")
+    assert np.shares_memory(M.entries, a)
+    assert not M.entries.flags.writeable
+    assert a.flags.writeable
+    a[0, 0] = 1.0
+
+
 def test_opmatrix_basis_mismatch():
     A = comp_matrix(parse_symbol("z^2"), 4, "full")
     B = comp_matrix(parse_symbol("z^2"), 4, "h20")
@@ -205,6 +215,12 @@ def test_escalation_matches_dense_svd(p):
 
 # ---------------------------------------------------------------------------
 # distances / restrictions
+
+
+@pytest.mark.parametrize("a, b", [("2*z", "z^2"), ("z^2", "2*z")])
+def test_distance_rejects_non_selfmap(a, b):
+    with pytest.raises(NotSelfmapError):
+        distance(parse_symbol(a), parse_symbol(b), 8)
 
 
 def test_distance_to_self_is_zero():

@@ -15,11 +15,9 @@ from hardyop import (
     h2_norm,
     inner_multiple,
     is_inner,
-    kernel_coeffs,
     kernel_distance,
     p_norm,
     parse_symbol,
-    poisson,
     taylor,
 )
 from hardyop.hardy import powers
@@ -74,19 +72,12 @@ def test_reproducing_property(p):
     rng = np.random.default_rng(7)
     f = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     expected = npp.polyval(p, f)
-    got = h2_inner(f, kernel_coeffs(p, 6))
+    got = h2_inner(f, np.conj(p) ** np.arange(6))  # reproducing kernel at p
     assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 # ---------------------------------------------------------------------------
 # kernels
-
-
-def test_kernel_coeffs_examples():
-    assert np.array_equal(kernel_coeffs(0.0, 4), np.array([1, 0, 0, 0], dtype=complex))
-    assert np.allclose(kernel_coeffs(0.5, 3), [1, 0.5, 0.25], atol=1e-15)
-    norm2 = h2_norm(kernel_coeffs(0.5, 200)) ** 2
-    assert norm2 == pytest.approx(1 / (1 - 0.25), abs=1e-12)
 
 
 def test_kernel_distance_examples():
@@ -96,39 +87,15 @@ def test_kernel_distance_examples():
 
 def test_kernel_distance_series_cross_check():
     p1, p2 = 0.3, 0.5j
-    diff = kernel_coeffs(p1, 200) - kernel_coeffs(p2, 200)
-    assert kernel_distance(p1, p2) == pytest.approx(h2_norm(diff), abs=1e-12)
+    k1, k2 = (np.conj(p) ** np.arange(200) for p in (p1, p2))
+    assert h2_norm(k2) ** 2 == pytest.approx(1 / (1 - 0.25), abs=1e-12)
+    assert kernel_distance(p1, p2) == pytest.approx(h2_norm(k1 - k2), abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
 @given(disk_points, disk_points)
 def test_kernel_distance_symmetry(p1, p2):
     assert kernel_distance(p1, p2) == pytest.approx(kernel_distance(p2, p1), abs=1e-13)
-
-
-# ---------------------------------------------------------------------------
-# Poisson kernel
-
-
-def test_poisson_examples():
-    for u in (1.0, 1j, np.exp(0.7j)):
-        assert poisson(0.0, u) == pytest.approx(1.0, abs=1e-15)
-    assert poisson(0.3, 1.0) == pytest.approx(13 / 7, abs=1e-12)
-
-
-def test_poisson_mean_value():
-    thetas = 2 * np.pi * np.arange(1024) / 1024
-    vals = [poisson(0.3, np.exp(1j * t)) for t in thetas]
-    assert np.mean(vals) == pytest.approx(1.0, abs=1e-10)
-
-
-@settings(max_examples=40, deadline=None)
-@given(disk_points, st.floats(0, 2 * math.pi))
-def test_poisson_positive_and_bounded(z, t):
-    u = complex(math.cos(t), math.sin(t))
-    val = poisson(z, u)
-    assert val > 0
-    assert val <= (1 + abs(z)) / (1 - abs(z)) + 1e-12
 
 
 # ---------------------------------------------------------------------------

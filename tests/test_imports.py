@@ -32,3 +32,14 @@ def test_fft_compressions_load_no_scipy():
         "        comp_matrix(alpha(p), 512, basis)\n"
     )
     assert _scipy_modules(code) == []
+
+
+def test_runtime_reads_no_environment():
+    # every tolerance, cap and grid size is a constant of the program
+    reads = []
+    for path in sorted((SRC / "hardyop").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                reads.append(f"{path.name}:{node.lineno}")
+    assert reads == []

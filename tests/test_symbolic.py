@@ -188,10 +188,11 @@ def test_iterate_examples():
     assert taylor_close(iterate(parse_symbol("z^2"), 3), parse_symbol("z^8"), tol=1e-14)
 
 
-def test_iterate_degree_cap(monkeypatch):
-    monkeypatch.setenv("HARDYOP_MAX_DEGREE", "8")
+def test_iterate_degree_cap():
+    # the cap is MAX_DEGREE = 4096: z^16 iterated 3 times reaches it exactly
+    assert iterate(parse_symbol("z^16"), 3).degree == 4096
     with pytest.raises(DegreeCapError):
-        iterate(parse_symbol("z^2"), 4)
+        iterate(parse_symbol("z^65"), 2)  # degree 4225
 
 
 @st.composite
