@@ -20,8 +20,8 @@ from .symbolic import (
     Symbol,
     circle_grid,
     circle_values,
+    compose,
     fixed_point,
-    iterate,
     require_selfmap,
     taylor,
 )
@@ -53,7 +53,7 @@ class PSolveResult:
 
 def _restricted_schedule(s: Symbol, N: int) -> tuple[float, float, float]:
     """Restricted norms at N/4, N/2, N: value, plateau delta, Aitken limit."""
-    v1, v2, v3 = restricted_norms(s, [max(8, N // 4), max(16, N // 2), N])
+    v1, v2, v3 = restricted_norms(s, [N // 4, N // 2, N])
     plateau = v3 - v2
     d1, d2 = v2 - v1, v3 - v2
     extrapolated = v3
@@ -241,7 +241,7 @@ def iterate_sweep(s: Symbol, n_max: int, N: int) -> IterateSweepReport:
     current = s
     for n in range(1, n_max + 1):
         if n > 1:
-            current = iterate(s, n)
+            current = compose(s, current)
         A = comp_matrix(current, N, "full")
         dist_p = op_norm(A - cp)
         nrm = op_norm(A)

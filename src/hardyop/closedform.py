@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .hardy import h2_inner, h2_norm, inner_multiple, is_inner, kernel_distance, powers
-from .symbolic import Symbol, alpha, compose, taylor, taylor_close, trim
+from .symbolic import Symbol, alpha, compose, cross_products, ratio, taylor_close
 
 UNIMODULAR_TOL = 1e-12     # |lambda| within this of 1 counts as unimodular
 ANGLE_TOL = 1e-12          # rational-angle recognition tolerance
@@ -238,25 +238,6 @@ class DistanceTarget:
     detail: str
 
 
-def _first_nonzero(c: np.ndarray) -> int | None:
-    idx = np.nonzero(np.abs(c) > 1e-13)[0]
-    return int(idx[0]) if idx.size else None
-
-
-def _proportional(a: Symbol, b: Symbol) -> complex | None:
-    """Scalar c with a = c*b as analytic functions, or None (compared on the
-    2d + 8 Taylor coefficients that certify equality, as in taylor_close)."""
-    N = 2 * max(a.degree, b.degree) + 8
-    ta, tb = taylor(a, N), taylor(b, N)
-    j = _first_nonzero(tb)
-    if j is None:
-        return None
-    c = ta[j] / tb[j]
-    if np.max(np.abs(ta - c * tb)) <= 1e-10 * max(1.0, abs(c)):
-        return complex(c)
-    return None
-
-
 def recognize_distance_target(a: Symbol, b: Symbol) -> DistanceTarget | None:
     """Closed-form value of ||C_a - C_b|| when the pair matches a formula.
 
@@ -271,12 +252,11 @@ def recognize_distance_target(a: Symbol, b: Symbol) -> DistanceTarget | None:
         return DistanceTarget(const_distance(p1, p2), "const_const",
                               f"constants {p1:.12g}, {p2:.12g}")
     # scalar multiples of one inner function fixing the origin
-    c = _proportional(a, b)
+    c = ratio(*cross_products(a, b))
     if c is not None and not b.is_constant and abs(b.value_at_zero()) <= 1e-13:
-        ok, mag = inner_multiple(b)
-        if ok and mag > 0:
-            mu = mag
-            lam = complex(c) * mu
+        ok, mu = inner_multiple(b)
+        if ok:
+            lam = c * mu
             if abs(lam) <= 1 + UNIMODULAR_TOL:
                 rot = rotation_distance(lam, mu)
                 return DistanceTarget(rot.value, "rotation",
@@ -314,12 +294,12 @@ def _power_orthogonal_certificate(s: Symbol) -> bool:
     vanishing at 0: only finitely many n can overlap in degree)."""
     if not s.is_polynomial or abs(s.value_at_zero()) > 1e-14:
         return False
-    num = trim(s.num)
-    lowest = _first_nonzero(num)
-    if lowest is None or lowest == 0:
+    num = s.num
+    nonzero = np.flatnonzero(np.abs(num) > 1e-13)
+    if nonzero.size == 0 or nonzero[0] == 0:
         return False
     # the overlap reads only the first num.size coefficients of each power
-    higher = islice(powers(num, (num.size - 1) // lowest, num.size), 1, None)
+    higher = islice(powers(num, (num.size - 1) // int(nonzero[0]), num.size), 1, None)
     return not any(abs(h2_inner(num, p)) > 1e-14 for p in higher)
 
 
@@ -336,7 +316,7 @@ def recognize_restricted_target(s: Symbol) -> float | None:
     if ok:
         return mag
     if _power_orthogonal_certificate(s):
-        return h2_norm(trim(s.num))
+        return h2_norm(s.num)
     return None
 
 

@@ -15,14 +15,21 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
 
 from .errors import PreconditionError
-from .symbolic import CoeffVec, Symbol, circle_values, require_selfmap, trim
+from .symbolic import (
+    COEFF_TOL,
+    CoeffVec,
+    Symbol,
+    circle_values,
+    modulus_products,
+    ratio,
+    require_selfmap,
+    validate_selfmap,
+)
 
 MAX_GRID = 1 << 20          # largest quadrature grid
 BLOCK = 1 << 15             # largest grid sampled at once
-INNER_COEFF_TOL = 1e-10     # exact Blaschke test: max coefficient residual
 
 
 @dataclass(frozen=True)
@@ -38,7 +45,7 @@ class PNormResult:
 @dataclass(frozen=True)
 class InnerVerdict:
     is_inner: bool
-    margin: float       # max coefficient residual of the modulus identity
+    margin: float       # max coefficient residual of the modulus products
 
 
 def h2_norm(c: CoeffVec) -> float:
@@ -113,7 +120,7 @@ def p_norm(s: Symbol, p: float, tol: float = 1e-10) -> PNormResult:
     """
     if p != math.inf and p < 2:
         raise PreconditionError(f"p must be >= 2 (or inf), got {p}")
-    d = s.diagnostics()
+    d = validate_selfmap(s)
     sup, K = d.boundary_sup, d.grid_size
     if p == math.inf:
         return PNormResult(p=math.inf, value=sup, grid_size=K,
@@ -132,54 +139,25 @@ def p_norm(s: Symbol, p: float, tol: float = 1e-10) -> PNormResult:
 # inner functions
 
 
-def reflect(q: CoeffVec) -> CoeffVec:
-    """Reflected polynomial z^deg(q) conj(q)(1/conj(z)): conjugate-reversed coefficients."""
-    q = trim(q)
-    return np.conj(q[::-1]).copy()
-
-
-def _unimodular_products(s: Symbol) -> tuple[np.ndarray, np.ndarray]:
-    """The two polynomials whose equality characterizes |num| = |den| on the circle.
-
-    With n = num, d = den:  n(w) conj(n(w)) = d(w) conj(d(w)) for |w| = 1
-    is equivalent to  n * reflect(n) * z^deg(d)  ==  d * reflect(d) * z^deg(n).
-    """
-    num, den = trim(s.num), trim(s.den)
-    pn = npp.polymul(num, reflect(num))
-    pd = npp.polymul(den, reflect(den))
-    n = max(pn.size + den.size, pd.size + num.size) - 1  # both shifted, then padded to n
-    pn = np.pad(pn, (den.size - 1, n - pn.size - den.size + 1))
-    pd = np.pad(pd, (num.size - 1, n - pd.size - num.size + 1))
-    return pn, pd
-
-
 def is_inner(s: Symbol) -> InnerVerdict:
     """Whether the symbol has unimodular boundary values.
 
-    Decided exactly via the polynomial identity above (a rational selfmap is
-    inner iff it is a finite Blaschke product); bit-deterministic.
+    Decided exactly: the modulus products agree (a rational selfmap is inner
+    iff it is a finite Blaschke product); bit-deterministic.
     """
     require_selfmap(s)
-    pn, pd = _unimodular_products(s)
+    pn, pd = modulus_products(s)
     margin = float(np.max(np.abs(pn - pd)))
-    return InnerVerdict(is_inner=margin <= INNER_COEFF_TOL, margin=margin)
+    return InnerVerdict(is_inner=margin <= COEFF_TOL, margin=margin)
 
 
 def inner_multiple(s: Symbol) -> tuple[bool, float]:
     """Whether s = lambda * (inner function) for a scalar lambda; returns |lambda|.
 
-    Decided exactly: s has constant boundary modulus c iff the unimodular-test
-    polynomials are proportional with ratio c^2.
+    Decided exactly: s has constant boundary modulus c > 0 iff the modulus
+    products are proportional with ratio c^2.
     """
-    if np.all(s.num == 0):
+    c2 = ratio(*modulus_products(s))
+    if c2 is None or abs(c2.imag) > COEFF_TOL or c2.real <= 0:
         return False, 0.0
-    pn, pd = _unimodular_products(s)
-    j = int(np.argmax(np.abs(pd)))
-    ratio = pn[j] / pd[j]
-    if abs(ratio.imag) > INNER_COEFF_TOL or ratio.real <= 0:
-        return False, 0.0
-    c2 = ratio.real
-    resid = float(np.max(np.abs(pn - c2 * pd)))
-    if resid <= INNER_COEFF_TOL * max(1.0, c2):
-        return True, math.sqrt(c2)
-    return False, 0.0
+    return True, math.sqrt(c2.real)

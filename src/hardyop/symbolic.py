@@ -1,5 +1,7 @@
 """Rational selfmaps of the unit disk: construction, a small DSL, Taylor
-expansion, boundary sampling, composition, iteration, and fixed points.
+expansion, boundary sampling, composition, iteration, fixed points, and the
+coefficient identities that decide equality, proportionality and constant
+boundary modulus.
 
 A symbol is a rational function num/den with complex coefficients, stored
 low-to-high degree.  The denominator is required to be zero-free on the
@@ -32,6 +34,7 @@ MIN_GRID = 1024             # smallest boundary grid
 SUP_OVERSAMPLE = 4          # sup scan: shifted copies of the boundary grid
 SUP_PEAKS = 16              # sup scan: local maxima refined
 FIXED_POINT_TOL = 1e-12     # fixed_point: |phi(z) - z| (Newton) or orbit step
+COEFF_TOL = 1e-10           # coefficient identities: max residual (ratio: times max(1, |c|))
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -124,15 +127,6 @@ class Symbol:
     def __repr__(self) -> str:
         return f"Symbol({format_symbol(self)!r})"
 
-    # -- validation --------------------------------------------------------
-
-    def diagnostics(self) -> SelfmapDiagnostics:
-        """Selfmap diagnostics, computed once and cached."""
-        return validate_selfmap(self)
-
-    def is_selfmap(self) -> bool:
-        return self.diagnostics().is_selfmap
-
 
 def _check_poles(den: CoeffVec) -> None:
     """Reject denominators with a root of modulus < 1 + POLE_MARGIN."""
@@ -154,8 +148,8 @@ def _check_poles(den: CoeffVec) -> None:
 
 
 def require_selfmap(s: Symbol, what: str = "symbol") -> None:
-    if not s.is_selfmap():
-        d = s.diagnostics()
+    d = validate_selfmap(s)
+    if not d.is_selfmap:
         raise NotSelfmapError(
             f"{what} is not a selfmap of the disk: boundary sup = {d.boundary_sup:.6g}"
         )
@@ -392,14 +386,49 @@ def validate_selfmap(s: Symbol) -> SelfmapDiagnostics:
     return s._diag
 
 
-def taylor_close(f: Symbol, g: Symbol, tol: float = 1e-10) -> bool:
-    """Whether two symbols agree as analytic functions, by Taylor comparison.
+# ---------------------------------------------------------------------------
+# coefficient identities: f = c g iff f.num g.den = c g.num f.den, and |f| = c
+# on the circle iff the modulus products are proportional with ratio c^2
 
-    Rational functions of degree <= d are determined by 2d + 1 coefficients,
-    so comparing 2d + 8 of them certifies equality up to the tolerance.
+
+def _same_length(p: CoeffVec, q: CoeffVec) -> tuple[CoeffVec, CoeffVec]:
+    n = max(p.size, q.size)
+    return np.pad(p, (0, n - p.size)), np.pad(q, (0, n - q.size))
+
+
+def cross_products(f: Symbol, g: Symbol) -> tuple[CoeffVec, CoeffVec]:
+    """f.num g.den and g.num f.den, zero-padded to one length."""
+    return _same_length(npp.polymul(f.num, g.den), npp.polymul(g.num, f.den))
+
+
+def modulus_products(s: Symbol) -> tuple[CoeffVec, CoeffVec]:
+    """z^deg(den) num refl(num) and z^deg(num) den refl(den), zero-padded to one
+    length, where refl(q) = z^deg(q) conj(q(1/conj z)) has the conjugate-reversed
+    coefficients.  On the circle they are z^(deg num + deg den) times |num|^2
+    and |den|^2.
     """
-    N = 2 * max(f.degree, g.degree) + 8
-    return bool(np.max(np.abs(taylor(f, N) - taylor(g, N))) <= tol)
+    pn = npp.polymul(s.num, np.conj(s.num[::-1]))
+    pd = npp.polymul(s.den, np.conj(s.den[::-1]))
+    return _same_length(np.pad(pn, (s.den_degree, 0)), np.pad(pd, (s.num_degree, 0)))
+
+
+def ratio(P: CoeffVec, Q: CoeffVec) -> complex | None:
+    """The scalar c with P = c Q, or None.  c is read at the largest |Q_j| and
+    accepted when max |P - c Q| <= COEFF_TOL max(1, |c|)."""
+    j = int(np.argmax(np.abs(Q)))
+    if Q[j] == 0:
+        return None
+    c = complex(P[j] / Q[j])
+    if np.max(np.abs(P - c * Q)) <= COEFF_TOL * max(1.0, abs(c)):
+        return c
+    return None
+
+
+def taylor_close(f: Symbol, g: Symbol, tol: float = COEFF_TOL) -> bool:
+    """Whether two symbols agree as analytic functions: their cross products
+    agree coefficientwise within tol."""
+    P, Q = cross_products(f, g)
+    return bool(np.max(np.abs(P - Q)) <= tol)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hardyop import (
+    ConvergenceError,
     PreconditionError,
     alpha,
     blaschke,
@@ -66,9 +67,15 @@ def test_p_solve_preconditions():
         p_solve(parse_symbol("const(0.4)"))
     with pytest.raises(PreconditionError):
         p_solve(parse_symbol("z/2 + 0.25"))
-    for N in (1, 0, -5):
+    for N in (4, 1, 0, -5):  # the schedule N/4, N/2, N needs N/4 >= 2
         with pytest.raises(PreconditionError):
             p_solve(parse_symbol("z^2"), N=N)
+
+
+def test_p_solve_unsettled_schedule():
+    # N/4, N/2, N = 4, 8, 16: the (z+z^2)/2 compressions still move by 0.011
+    with pytest.raises(ConvergenceError):
+        p_solve(PHI12, N=16)
 
 
 def test_p_grid_single_sign_change():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hardyop import (
     EllipseDisk,
+    Symbol,
     alpha,
     alpha_ellipse,
     const_distance,
@@ -202,6 +203,12 @@ def test_recognize_distance_patterns():
 
     hit = recognize_distance_target(parse_symbol("i*z"), parse_symbol("z"))
     assert hit.label == "rotation" and hit.value == 2.0
+
+    # lambda = e^{2 pi i/3} has odd order 3: sup_n |lambda^n - 1| = sqrt(3)
+    b = parse_symbol("z^3000*alpha(0.5)")
+    hit = recognize_distance_target(Symbol(cmath.exp(2j * math.pi / 3) * b.num, b.den), b)
+    assert hit.label == "rotation"
+    assert hit.value == pytest.approx(math.sqrt(3), abs=1e-15)
 
     hit = recognize_distance_target(constant(0.0), constant(0.5))
     assert hit.label == "const_const"

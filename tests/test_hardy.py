@@ -181,6 +181,8 @@ def test_inner_multiple():
     assert ok and mag == pytest.approx(0.7, abs=1e-15)
     ok, mag = inner_multiple(parse_symbol("0.3*z*alpha(0.4)"))
     assert ok and mag == pytest.approx(0.3, abs=1e-13)
+    # a complex scalar: the modulus products' ratio |lambda|^2 is still real
+    assert inner_multiple(parse_symbol("0.6i*z*alpha(0.5)")) == (True, 0.6)
     assert not inner_multiple(parse_symbol("(z+z^2)/2"))[0]
     assert not inner_multiple(parse_symbol("const(0)"))[0]
 

@@ -43,3 +43,12 @@ def test_runtime_reads_no_environment():
                     and isinstance(node.value, ast.Name) and node.value.id == "os"):
                 reads.append(f"{path.name}:{node.lineno}")
     assert reads == []
+
+
+@pytest.mark.parametrize("module", ["closedform.py", "hardy.py"])
+def test_recognizers_import_no_taylor(module):
+    # identities are decided on polynomial coefficients, never on Taylor series
+    tree = ast.parse((SRC / "hardyop" / module).read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "taylor" not in imported

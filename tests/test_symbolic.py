@@ -82,7 +82,7 @@ def test_parse_blaschke_is_product_of_alphas():
     assert taylor_close(b, prod, tol=1e-14)
     assert taylor_close(byhand, alpha(0.3), tol=1e-14)
     lead = parse_symbol("z^2*blaschke(0.5)")
-    assert lead.is_selfmap()
+    assert validate_selfmap(lead).is_selfmap
 
 
 def test_parse_composition_and_iteration():
@@ -179,6 +179,14 @@ def test_compose_alpha_with_square():
     expect = Symbol(np.array([0.3, 0, -1], dtype=complex),
                     np.array([1, 0, -0.3], dtype=complex))
     assert taylor_close(got, expect, tol=1e-13)
+
+
+def test_taylor_close_on_unreduced_representation():
+    # num and den share the factor 1 - z/2; the cross products still agree
+    s = parse_symbol("z*(1-0.5*z)/(1-0.5*z)")
+    assert s.den_degree == 1
+    assert taylor_close(s, identity(), tol=0)
+    assert not taylor_close(s, parse_symbol("z*(1-0.5*z)"))
 
 
 def test_iterate_examples():
@@ -314,8 +322,7 @@ def test_validate_finds_highest_of_many_close_peaks(text):
 
 def test_diagnostics_cached():
     s = alpha(0.25)
-    assert s.diagnostics() is s.diagnostics()
-    assert validate_selfmap(s) is s.diagnostics()
+    assert validate_selfmap(s) is validate_selfmap(s)
 
 
 # ---------------------------------------------------------------------------
