@@ -72,6 +72,8 @@ def p_solve(s: Symbol, tol: float = 1e-8, N: int = 512) -> PSolveResult:
     scalar multiples of inner functions short-circuit to "inner_multiple",
     everything else is solved by bisection using monotonicity of p -> ||phi||_p.
     """
+    if not 0.0 < tol < math.inf:
+        raise PreconditionError(f"exponent tolerance must be positive and finite, got {tol!r}")
     require_selfmap(s)
     if s.is_constant:
         raise PreconditionError("exponent solve needs a nonconstant symbol")
@@ -107,6 +109,8 @@ def p_solve(s: Symbol, tol: float = 1e-8, N: int = 512) -> PSolveResult:
     lo, hi = 2.0, float(P_CAP)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent floats: the interval cannot shrink
+            break
         if g(mid) < 0.0:
             lo = mid
         else:

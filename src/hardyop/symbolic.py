@@ -11,6 +11,8 @@ closed unit disk, so every symbol extends continuously to the unit circle.
 from __future__ import annotations
 
 import math
+import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +23,7 @@ from .errors import (
     DegreeCapError,
     NotSelfmapError,
     ParseError,
+    PreconditionError,
     UnitDiskPoleError,
 )
 
@@ -83,11 +86,14 @@ class Symbol:
             raise DegreeCapError(
                 f"rational degree {max(num.size, den.size) - 1} exceeds cap {MAX_DEGREE}"
             )
+        _require_finite(num, den)
         _check_poles(den)
         # den(0) != 0 is implied by the pole check; normalize den(0) = 1.
         if den[0] != 1.0:
-            num = num / den[0]
-            den = den / den[0]
+            with np.errstate(over="ignore", invalid="ignore"):
+                num = num / den[0]
+                den = den / den[0]
+            _require_finite(num, den)
         object.__setattr__(self, "num", _writeprotect(num))
         object.__setattr__(self, "den", _writeprotect(den))
         object.__setattr__(self, "_diag", None)
@@ -126,6 +132,11 @@ class Symbol:
 
     def __repr__(self) -> str:
         return f"Symbol({format_symbol(self)!r})"
+
+
+def _require_finite(num: CoeffVec, den: CoeffVec) -> None:
+    if not (np.isfinite(num).all() and np.isfinite(den).all()):
+        raise PreconditionError("symbol coefficients must be finite")
 
 
 def _check_poles(den: CoeffVec) -> None:
@@ -463,6 +474,9 @@ def _poly_pow(c: CoeffVec, k: int) -> CoeffVec:
 
 
 def sym_pow(f: Symbol, k: int) -> Symbol:
+    degree = abs(k) * max(1, f.degree)  # checked before any expansion
+    if degree > MAX_DEGREE:
+        raise DegreeCapError(f"rational degree {degree} exceeds cap {MAX_DEGREE}")
     if k == 0:
         return constant(1.0)
     base_num, base_den = (f.num, f.den) if k > 0 else (f.den, f.num)
@@ -481,172 +495,123 @@ def sym_neg(f: Symbol) -> Symbol:
 #   comp     := additive ('@' additive)*          composition, left assoc
 #   additive := term (('+'|'-') term)*
 #   term     := factor (('*'|'/') factor)*
-#   factor   := ('+'|'-')* power
-#   power    := atom ('^' signed-integer)?
+#   factor   := ('+'|'-')* atom ('^' signed-integer)?
 #   atom     := NUMBER | 'i' | 'z' | call | '(' expr ')'
 #   call     := 'alpha' '(' expr ')' | 'const' '(' expr ')'
 #             | 'blaschke' '(' expr (',' expr)* ')' | 'iter' '(' expr ',' integer ')'
-# NUMBER is a float literal with an optional trailing 'i' (imaginary unit);
-# arguments of alpha/const/blaschke must evaluate to constants.
+# NUMBER is a finite float literal with an optional trailing 'i' (imaginary
+# unit); arguments of alpha/const/blaschke must evaluate to constants.  comp,
+# additive and term are the levels of _LEVELS, parsed by one loop.
 
 _KEYWORDS = {"z", "i", "alpha", "blaschke", "const", "iter"}
-
-
-class _Token:
-    __slots__ = ("kind", "value", "pos")
-
-    def __init__(self, kind, value, pos):
-        self.kind = kind
-        self.value = value
-        self.pos = pos
+_TOKEN = re.compile(r"""\s*(?:   # one token per match, leading whitespace included
+    (?P<number>(?P<lit>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)(?P<imag>i(?!\w))?)
+  | (?P<name>[^\W\d]\w*)
+  | (?P<op>[-+*/^@(),])
+  | (?P<bad>\S))""", re.VERBOSE)
+_LEVELS = ("@", "+-", "*/")   # binary operators, loosest first; all left assoc
+_BINARY = {"@": compose, "+": sym_add, "-": sym_sub, "*": sym_mul, "/": sym_div}
+_CALLS = {"alpha": alpha, "const": constant, "blaschke": lambda *pts: blaschke(pts)}
+_Token = namedtuple("_Token", "kind value pos")
 
 
 def _tokenize(text: str) -> list[_Token]:
     toks = []
-    n = len(text)
-    j = 0
-    while j < n:
-        ch = text[j]
-        if ch.isspace():
-            j += 1
-            continue
-        if ch in "+-*/^@(),":
-            toks.append(_Token(ch, ch, j))
-            j += 1
-            continue
-        if ch.isdigit() or (ch == "." and j + 1 < n and text[j + 1].isdigit()):
-            start = j
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            imag = j < n and text[j] == "i" and not (
-                j + 1 < n and (text[j + 1].isalnum() or text[j + 1] == "_")
-            )
-            lit = text[start:j]
-            try:
-                val = float(lit)
-            except ValueError:
-                raise ParseError(f"bad numeric literal {lit!r}", start, text)
-            if imag:
-                j += 1
-                toks.append(_Token("number", complex(0.0, val), start))
-            else:
-                toks.append(_Token("number", complex(val, 0.0), start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = j
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[start:j]
-            if word not in _KEYWORDS:
-                raise ParseError(f"unknown identifier {word!r}", start, text)
-            toks.append(_Token(word, word, start))
-            continue
-        raise ParseError(f"unexpected character {ch!r}", j, text)
-    toks.append(_Token("end", None, n))
-    return toks
+    for m in _TOKEN.finditer(text):  # matches abut; only trailing whitespace is skipped
+        kind = m.lastgroup
+        word, pos = m[kind], m.start(kind)
+        if kind == "number":
+            val = float(m["lit"])
+            if not math.isfinite(val):
+                raise ParseError(f"numeric literal {m['lit']!r} is not finite", pos, text)
+            toks.append(_Token(kind, complex(0.0, val) if m["imag"] else complex(val), pos))
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {word!r}", pos, text)
+        elif kind == "name" and word not in _KEYWORDS:
+            raise ParseError(f"unknown identifier {word!r}", pos, text)
+        else:
+            toks.append(_Token(word, None, pos))
+    return toks + [_Token("end", None, len(text))]
 
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.toks = _tokenize(text)
-        self.k = 0
+        self.toks = _tokenize(text)[::-1]  # reversed, so next() pops
 
     def peek(self) -> _Token:
-        return self.toks[self.k]
+        return self.toks[-1]
 
     def next(self) -> _Token:
-        t = self.toks[self.k]
-        self.k += 1
-        return t
+        return self.toks.pop()
 
     def expect(self, kind: str) -> _Token:
         t = self.next()
         if t.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {t.kind!r}", t.pos, self.text)
+            self.fail(f"expected {kind!r}, found {t.kind!r}", t)
         return t
 
     def fail(self, msg: str, tok: _Token):
         raise ParseError(msg, tok.pos, self.text)
 
     def parse(self) -> Symbol:
-        s = self.comp()
+        s = self.expr()
         t = self.peek()
         if t.kind != "end":
             self.fail(f"unexpected {t.kind!r}", t)
         return s
 
-    def comp(self) -> Symbol:
-        s = self.additive()
-        while self.peek().kind == "@":
+    def expr(self, level: int = 0) -> Symbol:
+        if level == len(_LEVELS):
+            return self.factor()
+        s = self.expr(level + 1)
+        while self.peek().kind in _LEVELS[level]:
             tok = self.next()
-            rhs = self.additive()
+            rhs = self.expr(level + 1)
             try:
-                s = compose(s, rhs)
-            except NotSelfmapError as exc:
+                s = _BINARY[tok.kind](s, rhs)
+            except NotSelfmapError as exc:  # only compose requires a selfmap
                 raise ParseError(str(exc), tok.pos, self.text) from exc
         return s
 
-    def additive(self) -> Symbol:
-        s = self.term()
-        while self.peek().kind in "+-":
-            op = self.next().kind
-            rhs = self.term()
-            s = sym_add(s, rhs) if op == "+" else sym_sub(s, rhs)
-        return s
-
-    def term(self) -> Symbol:
-        s = self.factor()
-        while self.peek().kind in "*/":
-            op = self.next().kind
-            rhs = self.factor()
-            s = sym_mul(s, rhs) if op == "*" else sym_div(s, rhs)
-        return s
-
-    def factor(self) -> Symbol:
+    def sign(self) -> int:
         sign = 1
         while self.peek().kind in "+-":
             if self.next().kind == "-":
                 sign = -sign
-        s = self.power()
-        return sym_neg(s) if sign < 0 else s
+        return sign
 
-    def power(self) -> Symbol:
+    def factor(self) -> Symbol:
+        sign = self.sign()
         s = self.atom()
         if self.peek().kind == "^":
             self.next()
             s = sym_pow(s, self.signed_int())
-        return s
+        return sym_neg(s) if sign < 0 else s
 
     def signed_int(self) -> int:
-        sign = 1
-        while self.peek().kind in "+-":
-            if self.next().kind == "-":
-                sign = -sign
+        sign = self.sign()
         t = self.expect("number")
-        val = t.value
-        if val.imag != 0 or val.real != int(val.real):
+        if t.value != int(t.value.real):
             self.fail("exponent must be an integer", t)
-        return sign * int(val.real)
+        return sign * int(t.value.real)
 
     def const_arg(self) -> complex:
         t = self.peek()
-        s = self.comp()
+        s = self.expr()
         if not s.is_constant:
             self.fail("argument must be a constant", t)
         return complex(s.num[0])
+
+    def const_args(self, many: bool) -> list[complex]:
+        """'(' constant (',' constant)* ')'; one constant unless many."""
+        self.expect("(")
+        args = [self.const_arg()]
+        while many and self.peek().kind == ",":
+            self.next()
+            args.append(self.const_arg())
+        self.expect(")")
+        return args
 
     def atom(self) -> Symbol:
         t = self.next()
@@ -657,36 +622,18 @@ class _Parser:
         if t.kind == "z":
             return identity()
         if t.kind == "(":
-            s = self.comp()
+            s = self.expr()
             self.expect(")")
             return s
-        if t.kind == "alpha":
-            self.expect("(")
-            p = self.const_arg()
-            self.expect(")")
+        if t.kind in _CALLS:
+            args = self.const_args(many=t.kind == "blaschke")
             try:
-                return alpha(p)
-            except UnitDiskPoleError as exc:
-                raise ParseError(str(exc), t.pos, self.text) from exc
-        if t.kind == "const":
-            self.expect("(")
-            p = self.const_arg()
-            self.expect(")")
-            return constant(p)
-        if t.kind == "blaschke":
-            self.expect("(")
-            pts = [self.const_arg()]
-            while self.peek().kind == ",":
-                self.next()
-                pts.append(self.const_arg())
-            self.expect(")")
-            try:
-                return blaschke(pts)
+                return _CALLS[t.kind](*args)
             except UnitDiskPoleError as exc:
                 raise ParseError(str(exc), t.pos, self.text) from exc
         if t.kind == "iter":
             self.expect("(")
-            s = self.comp()
+            s = self.expr()
             self.expect(",")
             n = self.signed_int()
             self.expect(")")
@@ -698,7 +645,10 @@ class _Parser:
 
 def parse_symbol(text: str) -> Symbol:
     """Parse a symbol from the DSL; see the grammar in the module source."""
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", 0, text) from None
 
 
 # ---------------------------------------------------------------------------

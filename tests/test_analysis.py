@@ -72,6 +72,19 @@ def test_p_solve_preconditions():
             p_solve(parse_symbol("z^2"), N=N)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_p_solve_rejects_bad_tolerance(tol):
+    # nan and inf would skip the bisection, 0 and -1 would never end it
+    with pytest.raises(PreconditionError):
+        p_solve(PHI12, tol=tol, N=64)
+
+
+def test_p_solve_tolerance_below_float_spacing_returns():
+    # the bisection ends once lo and hi are adjacent floats
+    res = p_solve(PHI12, tol=1e-300, N=64)
+    assert res.p_value == pytest.approx(p_solve(PHI12, N=64).p_value, abs=1e-8)
+
+
 def test_p_solve_unsettled_schedule():
     # N/4, N/2, N = 4, 8, 16: the (z+z^2)/2 compressions still move by 0.011
     with pytest.raises(ConvergenceError):

@@ -32,6 +32,26 @@ def test_exit_code_on_parse_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("symbol", [
+    "(" * 1000 + "z" + ")" * 1000,   # deeper than the recursion limit
+    "1e400*z", "z^1e400",            # literals that overflow to inf
+    "z^1e300", "z^200000",           # exponents far above the degree cap
+    "1e200*1e200*z", "9e99^9",       # products that overflow to inf
+    "1/(2-z)^4000",                  # inf coefficients reaching the pole check
+], ids=lambda s: s if len(s) < 24 else "deep-nesting")
+def test_malformed_symbol_is_input_error(capsys, symbol):
+    assert main(["norm", symbol, "-N", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("ptol", ["nan", "inf", "0", "-1"])
+def test_psolve_rejects_bad_tolerance(capsys, ptol):
+    assert main(["psolve", "(z+z^2)/2", "-N", "64", "--ptol", ptol]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
 @pytest.mark.parametrize("symbol, solver", [
     ("alpha(0.5)", "eigvalsh"),    # real compression: Gram eigensolve
     ("(0.3+0.4i)*z", "svd"),       # complex compression: complex SVD

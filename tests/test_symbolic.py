@@ -9,7 +9,9 @@ from numpy.polynomial import polynomial as npp
 from hardyop import (
     ConvergenceError,
     DegreeCapError,
+    HardyOpError,
     ParseError,
+    PreconditionError,
     Symbol,
     UnitDiskPoleError,
     alpha,
@@ -104,6 +106,56 @@ def test_parse_error_positions():
         parse_symbol("frob(z)")
     with pytest.raises(ParseError):
         parse_symbol("z +")
+
+
+@pytest.mark.parametrize("text, message, pos", [
+    ("z^^2", "expected 'number', found '^'", 2),
+    ("z +", "unexpected 'end'", 3),
+    ("2in", "unknown identifier 'in'", 1),
+    ("1e", "unknown identifier 'e'", 1),
+    ("iter(z/2 2)", "expected ',', found 'number'", 9),
+    ("blaschke(0.5,)", "unexpected ')'", 13),
+    ("alpha(0.5, 0.3)", "expected ')', found ','", 9),
+    ("z^2.5", "exponent must be an integer", 2),
+    ("alpha(z)", "argument must be a constant", 6),
+    ("z $", "unexpected character '$'", 2),
+    ("\u00b2", "unknown identifier '\u00b2'", 0),
+    ("1e400*z", "numeric literal '1e400' is not finite", 0),
+    ("z^1e400", "numeric literal '1e400' is not finite", 2),
+    ("2*1e999i", "numeric literal '1e999' is not finite", 2),
+    pytest.param("(" * 1000 + "z" + ")" * 1000, "expression nested too deeply", 0, id="deep-nesting"),
+])
+def test_parse_error_table(text, message, pos):
+    with pytest.raises(ParseError) as err:
+        parse_symbol(text)
+    assert err.value.pos == pos
+    assert str(err.value) == f"{message} at position {pos} in {text!r}"
+
+
+@pytest.mark.parametrize("text", ["z^200000", "z^1e300", "(z+z^2)^2049", "0.5^5000"])
+def test_power_degree_checked_before_expansion(text):
+    with pytest.raises(DegreeCapError):
+        parse_symbol(text)
+
+
+@pytest.mark.parametrize("text", ["1e200*1e200*z", "1/(2-z)^4000", "9e99^9", "1e300/1e-10"])
+def test_nonfinite_coefficients_rejected(text):
+    with pytest.raises(PreconditionError):
+        parse_symbol(text)
+
+
+DSL_TOKENS = ["z", "i", "0.5", "2", "3", "0.3i", "1e200", "9e99", "4096", "+", "-", "*",
+              "/", "^", "(", ")", ",", "alpha", "const", "blaschke", " "]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(DSL_TOKENS), max_size=24))
+def test_parse_accepts_only_finite_symbols(tokens):
+    try:
+        s = parse_symbol("".join(tokens))
+    except HardyOpError:
+        return
+    assert np.isfinite(s.num).all() and np.isfinite(s.den).all()
 
 
 def test_parse_pole_rejected():
