@@ -10,13 +10,14 @@ schedule runner certifies both properties on every run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import closedform
 from .errors import PreconditionError, SolverInternalError
-from .symbolic import Symbol, constant, require_selfmap, taylor, taylor_close
+from .symbolic import (Symbol, _unit_powers, constant, require_selfmap, rotation_real, taylor,
+                       taylor_close)
 
 # Column convolutions switch to numpy.fft at this dimension.  comp_matrix on a
 # 2-core x86 VM, direct vs FFT: real alpha(0.5) 1.7 vs 2.7 ms at N=128, 7.0 vs
@@ -28,17 +29,29 @@ MONOTONE_TOL = 1e-9            # certificate slack for nondecreasing values
 TARGET_TOL = 1e-9              # certificate slack for value <= target
 
 
+class RealCore(NamedTuple):
+    """A real matrix with unit phases: entries = row[:, None] * real * col.
+    The diagonal unitaries keep the singular values, and when col = conj(row)
+    the entries are unitarily similar to the real matrix."""
+
+    real: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+
+
 @dataclass(frozen=True)
 class OpMatrix:
     """Dense compression of an operator against monomials: float64 when the
     entries are real (real-coefficient symbols), complex128 otherwise.
 
     basis "full" uses {1, z, ..., z^(N-1)}; basis "h20" uses {z, ..., z^N}
-    (the subspace of functions vanishing at the origin).
+    (the subspace of functions vanishing at the origin).  core, when set,
+    factors complex entries through a real matrix (a rotated real symbol).
     """
 
     entries: np.ndarray
     basis: str
+    core: RealCore | None = None
 
     def __post_init__(self):
         # a read-only view: no copy, and the caller's own array keeps its flags
@@ -55,10 +68,17 @@ class OpMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
+    def leading(self, N: int) -> "OpMatrix":
+        """The leading N x N block, core included: with nested bases, exactly
+        the compression at dimension N."""
+        core = None if self.core is None else RealCore(
+            self.core.real[:N, :N], self.core.row[:N], self.core.col[:N])
+        return OpMatrix(self.entries[:N, :N], self.basis, core)
+
     def __sub__(self, other: "OpMatrix") -> "OpMatrix":
         if self.basis != other.basis or self.dim != other.dim:
             raise ValueError("matrix difference needs matching basis and dimension")
-        return OpMatrix(self.entries - other.entries, self.basis)
+        return OpMatrix(self.entries - other.entries, self.basis)  # no core
 
 
 def _real_taylor(s: Symbol, N: int) -> np.ndarray:
@@ -110,27 +130,43 @@ def _power_columns(first: np.ndarray, step: np.ndarray, count: int, length: int)
     return out
 
 
+def _phased(cols: np.ndarray, basis: str, row: np.ndarray, col: np.ndarray) -> OpMatrix:
+    """OpMatrix of entries row[:, None] * cols * col, carrying the real cols."""
+    entries = cols * col
+    entries *= row[:, None]
+    for a in (cols, row, col):
+        a.flags.writeable = False
+    return OpMatrix(entries, basis, RealCore(cols, row, col))
+
+
 def comp_matrix(s: Symbol, N: int, basis: str = "full") -> OpMatrix:
     """Compression of the composition operator f -> f o s.
 
     full: column k holds the first N Taylor coefficients of s^k (column 0 is
     e_0, the constant function).  h20: column k (k = 1..N) holds coefficients
-    1..N of s^k.
+    1..N of s^k.  For s(z) = lam psi(mu z) with psi real (rotation_real), the
+    columns of psi are built in real arithmetic and carried as the core:
+    C_s = D_mu C_psi D_lam with D_c = diag(c^k) over the basis degrees k.
     """
     if N < 2:
         raise PreconditionError("compression dimension must be >= 2")
     require_selfmap(s)
-    if basis == "full":
-        t = _real_taylor(s, N)
+    if basis not in ("full", "h20"):
+        raise ValueError(f"unknown basis {basis!r}")
+    shift = int(basis == "h20")  # h20 degrees start at 1
+    rot = rotation_real(s)  # psi is a selfmap too: |psi(w)| = |s(conj(mu) w)|
+    t = _real_taylor(s if rot is None else rot[2], N + shift)
+    if shift:
+        cols = _power_columns(t, t, N, N + 1)[1:, :]
+    else:
         e0 = np.zeros(N)
         e0[0] = 1.0
         cols = _power_columns(e0, t, N, N)
-        return OpMatrix(cols, "full")
-    if basis == "h20":
-        t = _real_taylor(s, N + 1)
-        cols = _power_columns(t, t, N, N + 1)
-        return OpMatrix(cols[1:, :], "h20")
-    raise ValueError(f"unknown basis {basis!r}")
+    if rot is None:
+        return OpMatrix(cols, basis)
+    lam, mu, _ = rot
+    return _phased(cols, basis, _unit_powers(mu, N + shift)[shift:],
+                   _unit_powers(lam, N + shift)[shift:])
 
 
 def const_matrix(p: complex, N: int) -> OpMatrix:
@@ -139,20 +175,32 @@ def const_matrix(p: complex, N: int) -> OpMatrix:
 
 
 def weighted_matrix(w: Symbol, s: Symbol, N: int) -> OpMatrix:
-    """Compression of f -> w * (f o s): column k = taylor(w * s^k, N)."""
+    """Compression of f -> w * (f o s): column k = taylor(w * s^k, N).  Real
+    core (see comp_matrix) when s(z) = lam psi(mu z) and w(z) = lam_w
+    psi_w(mu z) with the same mu."""
     require_selfmap(s)
-    tw = _real_taylor(w, N)
-    t = _real_taylor(s, N)
-    cols = _power_columns(tw, t, N, N)
-    return OpMatrix(cols, "full")
+    rot = rotation_real(s)
+    rot_w = None if rot is None else rotation_real(w, rot[1])
+    if rot_w is None:
+        return OpMatrix(_power_columns(_real_taylor(w, N), _real_taylor(s, N), N, N), "full")
+    (lam, mu, psi), (lam_w, _, psi_w) = rot, rot_w
+    cols = _power_columns(_real_taylor(psi_w, N), _real_taylor(psi, N), N, N)
+    return _phased(cols, "full", _unit_powers(mu, N), lam_w * _unit_powers(lam, N))
 
 
 # ---------------------------------------------------------------------------
 # largest singular value
 
 
-def _entries(A) -> np.ndarray:
+def _entries(A, core: str | None = None) -> np.ndarray:
+    """A's entries, or the real matrix of its core when core is "svd" (any
+    phases keep the singular values) or "similar" (col = conj(row): a unitary
+    similarity, which keeps the numerical range)."""
     if isinstance(A, OpMatrix):
+        c = A.core
+        if c is not None and (core == "svd" or core == "similar"
+                              and np.array_equal(c.col, c.row.conj())):
+            return c.real
         return A.entries
     return np.asarray(A, dtype=float if np.isrealobj(A) else complex)
 
@@ -160,13 +208,14 @@ def _entries(A) -> np.ndarray:
 def op_norm(A) -> float:
     """Largest singular value of a compression, by one dense LAPACK solve:
     the top eigenvalue of the Gram matrix M^T M for real M (0.7 s against 3.5 s
-    for a complex SVD at N=2048 on 2 cores), a complex SVD otherwise.
+    for a complex SVD at N=2048 on 2 cores), a complex SVD otherwise.  An
+    OpMatrix with a real core is solved on the core.
 
     Compressions of slow-gap operators (automorphisms, non-inner symbols
     touching the circle) have clustered top singular values, where power
     iteration needs thousands of steps; a dense solve costs the same at any gap.
     """
-    M = _entries(A)
+    M = _entries(A, "svd")
     if np.isrealobj(M):
         return float(np.sqrt(max(np.linalg.eigvalsh(M.T @ M)[-1], 0.0)))
     return float(np.linalg.svd(M, compute_uv=False)[0])
@@ -201,12 +250,12 @@ def _leading_block_norms(build, dims: Sequence[int]) -> tuple[float, ...]:
     if not dims or min(dims) < 2:
         raise PreconditionError("compression dimension must be >= 2")
     M = build(max(dims))
-    return tuple(op_norm(M[:N, :N]) for N in dims)
+    return tuple(op_norm(M.leading(N)) for N in dims)
 
 
 def restricted_norms(s: Symbol, dims: Sequence[int]) -> tuple[float, ...]:
     """restricted_norm(s, N) for each N in dims, from one h20 build."""
-    return _leading_block_norms(lambda N: comp_matrix(s, N, "h20").entries, dims)
+    return _leading_block_norms(lambda N: comp_matrix(s, N, "h20"), dims)
 
 
 # ---------------------------------------------------------------------------
@@ -233,16 +282,16 @@ class ConvergenceReport:
 _TASKS = ("distance", "restricted", "weighted", "opnorm")
 
 
-def _task_matrix(task: str, params: dict, N: int) -> np.ndarray:
+def _task_matrix(task: str, params: dict, N: int) -> OpMatrix:
     """The task's compression at dimension N."""
     if task == "distance":
-        return (comp_matrix(params["a"], N) - comp_matrix(params["b"], N)).entries
+        return comp_matrix(params["a"], N) - comp_matrix(params["b"], N)
     if task == "restricted":
-        return comp_matrix(params["s"], N, "h20").entries
+        return comp_matrix(params["s"], N, "h20")
     if task == "weighted":
-        return weighted_matrix(params["w"], params["s"], N).entries
+        return weighted_matrix(params["w"], params["s"], N)
     if task == "opnorm":
-        return comp_matrix(params["s"], N).entries
+        return comp_matrix(params["s"], N)
     raise ValueError(f"unknown task {task!r}; expected one of {_TASKS}")
 
 

@@ -203,7 +203,10 @@ def boundary(A, grid: int = 720) -> NRBoundary:
     pair at theta.  A real A on a grid divisible by 4 solves only theta in
     [0, pi/2] and mirrors the rest: H(-theta) = conj(H(theta)), so
     h(-theta) = h(theta) and the boundary point at -theta is the conjugate of
-    that at theta.  The numerical radius is the largest certified value seen
+    that at theta.  An OpMatrix whose real core is unitarily similar to its
+    entries (col = conj(row), as for s(z) = conj(mu) psi(mu z) with psi real)
+    has the core's numerical range, so the core is swept, mirrored the same
+    way.  The numerical radius is the largest certified value seen
     by a slope search around the grid maximum (_radius): the slopes
     h'(theta) = Im(e^{-i theta} p(theta)) come free with the boundary points,
     and each search step is one more certified top value, so the radius is a
@@ -211,7 +214,7 @@ def boundary(A, grid: int = 720) -> NRBoundary:
     """
     if grid < 16:
         raise ValueError("grid must be >= 16")
-    M = _entries(A)
+    M = _entries(A, "similar")
     sweep = _SupportSweep(M)
     thetas = circle_grid(grid)
     h = np.empty(grid)

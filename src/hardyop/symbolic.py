@@ -293,14 +293,20 @@ def compose(f: Symbol, g: Symbol) -> Symbol:
 
 
 def iterate(s: Symbol, n: int) -> Symbol:
-    """n-fold self composition s o s o ... o s."""
+    """n-fold self composition s o s o ... o s, by repeated squaring: the
+    binary digits of n select among s, s o s, (s o s) o (s o s), ..., so n
+    costs O(log n) compositions (iterate(s, 2) is compose(s, s))."""
     if n < 1:
         raise ValueError("iteration count must be >= 1")
     require_selfmap(s, "iterated symbol")
-    result = s
-    for _ in range(n - 1):
-        result = compose(s, result)
-    return result
+    result, power = None, s  # power = s iterated 2^j times
+    while True:
+        if n & 1:
+            result = power if result is None else compose(power, result)
+        n >>= 1
+        if not n:
+            return result
+        power = compose(power, power)
 
 
 def _derivative_at(s: Symbol, z: complex) -> complex:
@@ -435,6 +441,54 @@ def ratio(P: CoeffVec, Q: CoeffVec) -> complex | None:
     return None
 
 
+def _unit_powers(c: complex, n: int) -> CoeffVec:
+    """c^k for k = 0..n-1 by a running product; the powers of conj(c) are
+    exactly the conjugates of those of c."""
+    p = np.full(n, complex(c))
+    p[:1] = 1.0
+    return np.cumprod(p)
+
+
+def rotation_real(s: Symbol, mu: complex | None = None):
+    """(lam, mu, psi) with s(z) = lam psi(mu z), |lam| = |mu| = 1 and psi
+    real, or None; decided on the coefficients, since with den(0) = 1 this is
+    num_k = lam mu^k num_psi_k and den_k = mu^k den_psi_k.
+
+    mu, unless given, is fitted from den's first nonzero coefficient of
+    degree >= 1, else from the ratio of num's first two nonzero coefficients
+    (1 for a monomial); lam from num's first nonzero coefficient, taken as
+    conj(mu) when that also fits, so that lam mu = 1 whenever the form allows
+    it.  Accepted when every imaginary part left after the rotation is at most
+    1e-14 (degree + 1) max |coefficient| over num and den.  None for real symbols, whose
+    compressions are real already, and for symbols of no such form.
+    """
+    num, den = s.num, s.den
+    if not (num.imag.any() or den.imag.any()):
+        return None
+    nz = np.flatnonzero(num)
+    if nz.size == 0:
+        return None
+    if mu is None:
+        dz = np.flatnonzero(den[1:]) + 1
+        if dz.size:
+            k, u = dz[0], den[dz[0]]
+        elif nz.size > 1:
+            k, u = nz[1] - nz[0], num[nz[1]] * np.conj(num[nz[0]])
+        else:
+            k, u = 1, 1.0
+        mu = complex(np.exp(1j * np.angle(u) / k))
+    back = _unit_powers(np.conj(mu), max(num.size, den.size))
+    tol = 1e-14 * (s.degree + 1) * max(np.abs(num).max(), np.abs(den).max())
+    pd = den * back[:den.size]
+    if np.abs(pd.imag).max() > tol:
+        return None
+    for lam in (np.conj(mu), np.exp(1j * np.angle(num[nz[0]] * back[nz[0]]))):
+        pn = num * back[:num.size] * np.conj(lam)
+        if np.abs(pn.imag).max() <= tol:
+            return complex(lam), mu, Symbol(pn.real, pd.real)
+    return None
+
+
 def taylor_close(f: Symbol, g: Symbol, tol: float = COEFF_TOL) -> bool:
     """Whether two symbols agree as analytic functions: their cross products
     agree coefficientwise within tol."""
@@ -465,9 +519,14 @@ def sym_div(f: Symbol, g: Symbol) -> Symbol:
 
 
 def _poly_pow(c: CoeffVec, k: int) -> CoeffVec:
-    """c^k for k >= 1 by repeated squaring."""
+    """c^k for k >= 1 by repeated squaring; z^j to the k is written directly."""
     if k == 1:
         return c
+    nz = np.flatnonzero(c)
+    if nz.size == 1 and c[nz[0]] == 1:
+        out = np.zeros(nz[0] * k + 1, dtype=complex)
+        out[-1] = 1.0
+        return out
     half = _poly_pow(c, k // 2)
     sq = npp.polymul(half, half)
     return npp.polymul(sq, c) if k & 1 else sq

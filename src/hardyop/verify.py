@@ -157,10 +157,10 @@ def check_automorphism_range_ellipse() -> CheckResult:
     c.close("ellipse minor axis", e.minor_len, 1.0 / math.sqrt(0.75), 1e-12)
     # one build at N=256; the bases are nested, so its leading 64 x 64 block
     # is exactly the N=64 compression
-    full = compop.comp_matrix(symbolic.alpha(0.5), 256, "full").entries
+    full = compop.comp_matrix(symbolic.alpha(0.5), 256, "full")
     gaps = {}
     for N in (64, 256):
-        A = compop.OpMatrix(full[:N, :N], "full")
+        A = full.leading(N)
         nr = numrange.boundary(A, grid=720)
         cmp_ = numrange.ellipse_compare(nr, e)
         gaps[N] = cmp_.hausdorff

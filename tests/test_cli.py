@@ -54,8 +54,9 @@ def test_psolve_rejects_bad_tolerance(capsys, ptol):
 
 @pytest.mark.parametrize("symbol, solver", [
     ("alpha(0.5)", "eigvalsh"),    # real compression: Gram eigensolve
-    ("(0.3+0.4i)*z", "svd"),       # complex compression: complex SVD
-], ids=["real", "complex"])
+    ("(0.2+0.1i) + 0.3*z + 0.2i*z^2", "svd"),  # complex compression: complex SVD
+    ("(0.3+0.4i)*z", "eigvalsh"),  # a rotated real symbol: Gram eigensolve of its real core
+], ids=["real", "complex", "rotated"])
 def test_exit_code_on_lapack_failure(monkeypatch, capsys, symbol, solver):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError(f"{solver} did not converge")

@@ -344,16 +344,23 @@ def test_weighted_schedule_target():
     assert rep.target == pytest.approx(1 / math.sqrt(2), abs=1e-15)
 
 
-CPLX = parse_symbol("(0.3+0.4i)*z + 0.2i*z^2")
+# three terms with unrelated phases: no rotated real form, so the complex SVD
+CPLX = parse_symbol("(0.2+0.1i) + 0.3*z + 0.2i*z^2")
+# lam psi(mu z) with psi real: solved on the real core
+ROT = parse_symbol("(0.3+0.4i)*z + 0.2i*z^2")
 SLICED_CASES = {
     "opnorm-real": ("opnorm", {"s": alpha(0.4)}),
-    "opnorm-complex": ("opnorm", {"s": parse_symbol("(0.2+0.1i) + 0.6*z")}),
+    "opnorm-complex": ("opnorm", {"s": CPLX}),
+    "opnorm-rotated": ("opnorm", {"s": parse_symbol("(0.2+0.1i) + 0.6*z")}),
     "distance-real": ("distance", {"a": PHI12, "b": constant(0.3)}),
     "distance-complex": ("distance", {"a": CPLX, "b": constant(0.2j)}),
+    "distance-rotated": ("distance", {"a": ROT, "b": constant(0.2j)}),
     "restricted-real": ("restricted", {"s": PHI12}),
     "restricted-complex": ("restricted", {"s": CPLX}),
+    "restricted-rotated": ("restricted", {"s": ROT}),
     "weighted-real": ("weighted", {"w": PHI23, "s": PHI12}),
     "weighted-complex": ("weighted", {"w": CPLX, "s": CPLX}),
+    "weighted-rotated": ("weighted", {"w": ROT, "s": ROT}),
 }
 
 
@@ -387,3 +394,50 @@ def test_schedule_slices_match_per_dimension_builds(case, monkeypatch):
     monkeypatch.undo()
     for N, v in zip(dims, rep.values):
         assert abs(v - per_dimension(task, params, N)) <= 1e-12
+    # a difference of compressions drops the core
+    core = compop._task_matrix(task, params, 16).core
+    assert (core is not None) == (case.endswith("-rotated") and task != "distance")
+
+
+ROTATED = {
+    "alpha": alpha(0.3 + 0.4j),
+    "z-alpha": parse_symbol("z*alpha((0.3+0.4i))"),
+    "two-term": ROT,
+}
+
+
+@pytest.mark.parametrize("name", list(ROTATED))
+@pytest.mark.parametrize("basis", ["full", "h20"])
+def test_op_norm_of_real_core_matches_complex_entries(name, basis):
+    # N=520 builds the core's columns by FFT; D_mu C_psi D_lam has the
+    # singular values of the real C_psi
+    A = comp_matrix(ROTATED[name], 520, basis)
+    assert A.core is not None and A.core.real.dtype == np.float64
+    assert A.entries.dtype == np.complex128
+    rebuilt = A.core.row[:, None] * A.core.real * A.core.col
+    assert np.max(np.abs(rebuilt - A.entries)) <= 1e-15
+    assert op_norm(A) == pytest.approx(op_norm(A.entries), rel=1e-12)
+
+
+def test_real_symbols_build_no_core():
+    for s in (alpha(0.5), PHI12, constant(0.3)):
+        for basis in ("full", "h20"):
+            assert comp_matrix(s, 16, basis).core is None
+    assert weighted_matrix(PHI23, PHI12, 16).core is None
+    assert weighted_matrix(CPLX, CPLX, 16).core is None
+
+
+def test_weighted_core_needs_a_shared_rotation():
+    # w = s shares s's rotation; a weight rotated by another mu has no core
+    W = weighted_matrix(ROT, ROT, 64)
+    assert W.core is not None
+    assert op_norm(W) == pytest.approx(op_norm(W.entries), rel=1e-12)
+    assert weighted_matrix(alpha(0.3 + 0.4j), ROT, 64).core is None
+
+
+def test_leading_block_keeps_the_core():
+    A = comp_matrix(ROT, 64, "h20")
+    B = A.leading(16)
+    assert np.array_equal(B.entries, A.entries[:16, :16])
+    assert np.array_equal(B.core.real, A.core.real[:16, :16])
+    assert (A - A).core is None

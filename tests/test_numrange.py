@@ -311,3 +311,31 @@ def test_boundary_csv_export():
 def test_boundary_rejects_tiny_grid():
     with pytest.raises(ValueError):
         boundary(np.eye(4, dtype=complex), grid=8)
+
+
+def test_boundary_of_rotated_automorphism_sweeps_the_real_core():
+    # alpha(p) is lam psi(mu z) with psi real and lam mu = 1: the entries are
+    # D_mu C_psi D_mu*, unitarily similar to the real core, and W(C_alpha(p))
+    # depends only on |p|
+    A = comp_matrix(alpha(0.3 + 0.4j), 128, "full")
+    assert A.core is not None and np.array_equal(A.core.col, A.core.row.conj())
+    nr = boundary(A, grid=64)
+    on_core = boundary(A.core.real, grid=64)
+    assert np.array_equal(nr.support_vals, on_core.support_vals)
+    assert nr.dense_solves == on_core.dense_solves
+    for ref in (boundary(A.entries, grid=64), boundary(comp_matrix(alpha(0.5), 128), grid=64)):
+        assert np.max(np.abs(nr.support_vals - ref.support_vals)) <= 1e-12
+        assert np.max(np.abs(nr.boundary_pts - ref.boundary_pts)) <= 1e-12
+        assert nr.radius == pytest.approx(ref.radius, abs=1e-12)
+
+
+def test_boundary_without_similarity_sweeps_the_entries():
+    # z alpha(p) has lam mu != 1: the core keeps the singular values but not
+    # the numerical range, so the complex entries are swept
+    A = comp_matrix(parse_symbol("z*alpha((0.3+0.4i))"), 64, "full")
+    assert A.core is not None and not np.array_equal(A.core.col, A.core.row.conj())
+    nr = boundary(A, grid=64)
+    ref = boundary(A.entries, grid=64)
+    assert np.array_equal(nr.support_vals, ref.support_vals)
+    assert np.array_equal(nr.boundary_pts, ref.boundary_pts)
+    assert support_error(A.entries, nr) <= 1e-12

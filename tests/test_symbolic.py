@@ -1,8 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npp
 
@@ -27,6 +28,7 @@ from hardyop import (
     taylor_close,
     validate_selfmap,
 )
+from hardyop.symbolic import rotation_real
 
 
 def geometric_division_oracle(p: float, N: int) -> np.ndarray:
@@ -54,6 +56,17 @@ def test_parse_power_matches_polypow():
     base = np.array([0.3, -0.2 + 0.1j, 0.25j, 0.1])
     s = parse_symbol("(0.3 + (-0.2+0.1i)*z + 0.25i*z^2 + 0.1*z^3)^7")
     assert np.max(np.abs(s.num - npp.polypow(base, 7))) <= 1e-14
+
+
+def test_parse_monomial_powers_exactly():
+    # z^j raised to k is written directly: the same coefficients as repeated
+    # squaring, at every degree up to the cap
+    for j, k in ((1, 2), (1, 4096), (3, 7), (2, 2048)):
+        s = parse_symbol(f"(z^{j})^{k}")
+        expect = np.zeros(j * k + 1, dtype=complex)
+        expect[-1] = 1.0
+        assert s.num.tobytes() == expect.tobytes()
+        assert np.array_equal(s.num, npp.polypow(np.eye(j + 1)[j], k))
 
 
 def test_parse_alpha():
@@ -248,6 +261,26 @@ def test_iterate_examples():
     assert taylor_close(iterate(parse_symbol("z^2"), 3), parse_symbol("z^8"), tol=1e-14)
 
 
+def test_iterate_by_squaring_matches_repeated_composition():
+    s = parse_symbol("0.5*z + 0.25*z^2")
+    chain = s
+    for n in range(2, 8):
+        chain = compose(s, chain)
+        assert taylor_close(iterate(s, n), chain, tol=1e-14)
+    assert np.array_equal(iterate(s, 2).num, compose(s, s).num)
+
+
+def test_iteration_count_costs_log_compositions():
+    # 10^9 compositions of z/2 would take weeks; by squaring the coefficient
+    # underflows to the constant 0 after about 30 compositions
+    t0 = time.perf_counter()
+    s = parse_symbol("iter(z/2, 1000000000)")
+    assert time.perf_counter() - t0 < 1.0
+    assert np.max(np.abs(s.num)) <= 1e-12 and s.is_polynomial
+    fixed = parse_symbol("iter(z/2 + 0.25, 400)")
+    assert np.max(np.abs(fixed.num - [0.5, 0.0])) <= 1e-12
+
+
 def test_iterate_degree_cap():
     # the cap is MAX_DEGREE = 4096: z^16 iterated 3 times reaches it exactly
     assert iterate(parse_symbol("z^16"), 3).degree == 4096
@@ -411,3 +444,83 @@ def test_symbols_immutable():
     s = alpha(0.5)
     with pytest.raises(ValueError):
         s.num[0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# rotation normal form
+
+
+unit_angles = st.floats(0.0, 2.0 * math.pi, allow_nan=False)
+nonzero_reals = st.tuples(st.floats(0.05, 1.0), st.sampled_from([-1.0, 1.0])).map(
+    lambda t: t[0] * t[1])
+
+
+@st.composite
+def real_symbols(draw):
+    """A real polynomial with no zero coefficient, or a scaled Blaschke factor
+    c z^m alpha(r)."""
+    if draw(st.booleans()):
+        return Symbol(np.array(draw(st.lists(nonzero_reals, min_size=2, max_size=6))))
+    c, r, m = draw(nonzero_reals), draw(st.floats(-0.95, 0.95)), draw(st.integers(0, 2))
+    assume(abs(r) > 1e-3)
+    return Symbol(np.pad([c * r, -c], (m, 0)), np.array([1.0, -r]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(real_symbols(), unit_angles, unit_angles)
+def test_rotation_real_rebuilds_rotated_real_symbols(psi, a, b):
+    lam, mu = complex(np.exp(1j * a)), complex(np.exp(1j * b))
+    s = Symbol(lam * psi.num * mu ** np.arange(psi.num.size),
+               psi.den * mu ** np.arange(psi.den.size))
+    got = rotation_real(s)
+    if not (s.num.imag.any() or s.den.imag.any()):
+        assert got is None
+        return
+    assert got is not None
+    lam2, mu2, psi2 = got
+    assert abs(abs(lam2) - 1.0) <= 1e-15 and abs(abs(mu2) - 1.0) <= 1e-15
+    assert not (psi2.num.imag.any() or psi2.den.imag.any())
+    # the bound rotation_real states
+    tol = 1e-14 * (s.degree + 1) * max(np.abs(s.num).max(), np.abs(s.den).max())
+    num = lam2 * psi2.num * mu2 ** np.arange(psi2.num.size)
+    den = psi2.den * mu2 ** np.arange(psi2.den.size)
+    assert num.size == s.num.size and den.size == s.den.size
+    assert np.max(np.abs(num - s.num)) <= tol
+    assert np.max(np.abs(den - s.den)) <= tol
+    if abs(lam * mu - 1.0) <= 1e-15 or abs(lam * mu + 1.0) <= 1e-15:
+        assert lam2 * mu2 == 1.0  # the sign is chosen for lam mu = 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3),
+       st.lists(unit_angles, min_size=3, max_size=3))
+def test_rotation_real_rejects_generic_three_terms(mods, angles):
+    # c0 + c1 z + c2 z^2 is lam psi(mu z) iff c0 c2 conj(c1)^2 is real
+    assume(abs(math.sin(angles[0] + angles[2] - 2.0 * angles[1])) > 1e-6)
+    s = Symbol(np.array(mods) * np.exp(1j * np.array(angles)))
+    assert rotation_real(s) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(real_symbols())
+def test_rotation_real_leaves_real_symbols(psi):
+    assert rotation_real(psi) is None
+
+
+def test_rotation_real_examples():
+    lam, mu, psi = rotation_real(alpha(0.3 + 0.4j))
+    assert lam * mu == 1.0
+    assert taylor_close(psi, alpha(0.5)) or taylor_close(psi, alpha(-0.5))
+    lam, mu, psi = rotation_real(parse_symbol("z*alpha((0.3+0.4i))"))
+    assert abs(lam * mu - (0.6 + 0.8j)) <= 1e-15
+    assert rotation_real(parse_symbol("(0.2+0.1i) + 0.3*z + 0.2i*z^2")) is None
+    # a given mu fits lam only: w = s shares the rotation, another weight does not
+    s = parse_symbol("(0.3+0.4i)*z + 0.2i*z^2")
+    _, mu, _ = rotation_real(s)
+    assert rotation_real(s, mu) is not None
+    assert rotation_real(alpha(0.3 + 0.4j), mu) is None
+    # phases are fitted without dividing, so subnormal coefficients raise no
+    # overflow warning (an error under the pytest settings)
+    for text in ("(1e-320i)*z + 0.5*z^2", "4e-324i + 0.5*z"):
+        lam, mu, psi = rotation_real(parse_symbol(text))
+        assert abs(lam) == pytest.approx(1.0) and abs(mu) == pytest.approx(1.0)
