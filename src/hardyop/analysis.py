@@ -22,6 +22,7 @@ from .symbolic import (
     circle_values,
     compose,
     fixed_point,
+    require_origin_fixed,
     require_selfmap,
     taylor,
 )
@@ -77,8 +78,7 @@ def p_solve(s: Symbol, tol: float = 1e-8, N: int = 512) -> PSolveResult:
     require_selfmap(s)
     if s.is_constant:
         raise PreconditionError("exponent solve needs a nonconstant symbol")
-    if abs(s.value_at_zero()) > 1e-12:
-        raise PreconditionError("exponent solve needs a symbol fixing the origin")
+    require_origin_fixed(s, "exponent solve")
     r, plateau, r_extrap = _restricted_schedule(s, N)
     if plateau > PLATEAU_HARD_LIMIT:
         raise ConvergenceError(
@@ -166,8 +166,7 @@ def minimal_norm_check(s: Symbol, N: int | None = None, n_max: int = 10) -> Mini
     Polynomial symbols with N > deg * n_max make the Gram entries exact.
     """
     require_selfmap(s)
-    if abs(s.value_at_zero()) > 1e-12:
-        raise PreconditionError("the check needs a symbol fixing the origin")
+    require_origin_fixed(s, "the check")
     if s.is_polynomial:
         _require_power_cap(s, n_max)
     if N is None:

@@ -10,14 +10,14 @@ schedule runner certifies both properties on every run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import closedform
 from .errors import PreconditionError, SolverInternalError
-from .symbolic import (Symbol, _unit_powers, constant, require_selfmap, rotation_real, taylor,
-                       taylor_close)
+from .symbolic import (Symbol, constant, require_origin_fixed, require_selfmap, rotation_real,
+                       taylor, taylor_close, unit_powers)
 
 # Column convolutions switch to numpy.fft at this dimension.  comp_matrix on a
 # 2-core x86 VM, direct vs FFT: real alpha(0.5) 1.7 vs 2.7 ms at N=128, 7.0 vs
@@ -29,56 +29,65 @@ MONOTONE_TOL = 1e-9            # certificate slack for nondecreasing values
 TARGET_TOL = 1e-9              # certificate slack for value <= target
 
 
-class RealCore(NamedTuple):
-    """A real matrix with unit phases: entries = row[:, None] * real * col.
-    The diagonal unitaries keep the singular values, and when col = conj(row)
-    the entries are unitarily similar to the real matrix."""
-
-    real: np.ndarray
-    row: np.ndarray
-    col: np.ndarray
-
-
 @dataclass(frozen=True)
 class OpMatrix:
-    """Dense compression of an operator against monomials: float64 when the
-    entries are real (real-coefficient symbols), complex128 otherwise.
+    """Dense compression of an operator against monomials, stored as one
+    matrix with optional unit phases: entries = matrix * col * row[:, None],
+    that is D_row matrix D_col.  The matrix is float64 for real and rotated
+    real symbols (comp_matrix), complex128 otherwise; row and col are None
+    when there are no phases.
 
     basis "full" uses {1, z, ..., z^(N-1)}; basis "h20" uses {z, ..., z^N}
-    (the subspace of functions vanishing at the origin).  core, when set,
-    factors complex entries through a real matrix (a rotated real symbol).
+    (the subspace of functions vanishing at the origin).
     """
 
-    entries: np.ndarray
+    matrix: np.ndarray
     basis: str
-    core: RealCore | None = None
+    row: np.ndarray | None = None
+    col: np.ndarray | None = None
 
     def __post_init__(self):
-        # a read-only view: no copy, and the caller's own array keeps its flags
-        dtype = float if np.isrealobj(self.entries) else complex
-        a = np.asarray(self.entries, dtype=dtype).view()
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("OpMatrix entries must be a square 2-D array")
+        m = np.asarray(self.matrix, dtype=float if np.isrealobj(self.matrix) else complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError("OpMatrix matrix must be a square 2-D array")
         if self.basis not in ("full", "h20"):
             raise ValueError(f"unknown basis {self.basis!r}")
-        a.flags.writeable = False
-        object.__setattr__(self, "entries", a)
+        # read-only views: no copy, and the caller's own arrays keep their flags
+        for name, a in (("matrix", m), ("row", self.row), ("col", self.col)):
+            if a is not None:
+                a = np.asarray(a).view()
+                a.flags.writeable = False
+                object.__setattr__(self, name, a)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The stored matrix without phases, else formed on every read."""
+        if self.row is None:
+            return self.matrix
+        e = self.matrix * self.col
+        e *= self.row[:, None]
+        e.flags.writeable = False
+        return e
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.matrix.shape[0]
 
     def leading(self, N: int) -> "OpMatrix":
-        """The leading N x N block, core included: with nested bases, exactly
+        """The leading N x N block, phases included: with nested bases, exactly
         the compression at dimension N."""
-        core = None if self.core is None else RealCore(
-            self.core.real[:N, :N], self.core.row[:N], self.core.col[:N])
-        return OpMatrix(self.entries[:N, :N], self.basis, core)
+        phases = () if self.row is None else (self.row[:N], self.col[:N])
+        return OpMatrix(self.matrix[:N, :N], self.basis, *phases)
 
     def __sub__(self, other: "OpMatrix") -> "OpMatrix":
         if self.basis != other.basis or self.dim != other.dim:
             raise ValueError("matrix difference needs matching basis and dimension")
-        return OpMatrix(self.entries - other.entries, self.basis)  # no core
+        return OpMatrix(self.entries - other.entries, self.basis)
+
+
+def as_opmatrix(A) -> OpMatrix:
+    """A itself, or a square array as a full-basis OpMatrix with no phases."""
+    return A if isinstance(A, OpMatrix) else OpMatrix(A, "full")
 
 
 def _real_taylor(s: Symbol, N: int) -> np.ndarray:
@@ -130,29 +139,19 @@ def _power_columns(first: np.ndarray, step: np.ndarray, count: int, length: int)
     return out
 
 
-def _phased(cols: np.ndarray, basis: str, row: np.ndarray, col: np.ndarray) -> OpMatrix:
-    """OpMatrix of entries row[:, None] * cols * col, carrying the real cols."""
-    entries = cols * col
-    entries *= row[:, None]
-    for a in (cols, row, col):
-        a.flags.writeable = False
-    return OpMatrix(entries, basis, RealCore(cols, row, col))
-
-
 def comp_matrix(s: Symbol, N: int, basis: str = "full") -> OpMatrix:
     """Compression of the composition operator f -> f o s.
 
     full: column k holds the first N Taylor coefficients of s^k (column 0 is
     e_0, the constant function).  h20: column k (k = 1..N) holds coefficients
     1..N of s^k.  For s(z) = lam psi(mu z) with psi real (rotation_real), the
-    columns of psi are built in real arithmetic and carried as the core:
-    C_s = D_mu C_psi D_lam with D_c = diag(c^k) over the basis degrees k.
+    columns of psi are built in real arithmetic and stored with the phases
+    row = mu^k and col = lam^k over the basis degrees k:
+    C_s = D_mu C_psi D_lam with D_c = diag(c^k).
     """
     if N < 2:
         raise PreconditionError("compression dimension must be >= 2")
     require_selfmap(s)
-    if basis not in ("full", "h20"):
-        raise ValueError(f"unknown basis {basis!r}")
     shift = int(basis == "h20")  # h20 degrees start at 1
     rot = rotation_real(s)  # psi is a selfmap too: |psi(w)| = |s(conj(mu) w)|
     t = _real_taylor(s if rot is None else rot[2], N + shift)
@@ -165,8 +164,8 @@ def comp_matrix(s: Symbol, N: int, basis: str = "full") -> OpMatrix:
     if rot is None:
         return OpMatrix(cols, basis)
     lam, mu, _ = rot
-    return _phased(cols, basis, _unit_powers(mu, N + shift)[shift:],
-                   _unit_powers(lam, N + shift)[shift:])
+    return OpMatrix(cols, basis, unit_powers(mu, N + shift)[shift:],
+                    unit_powers(lam, N + shift)[shift:])
 
 
 def const_matrix(p: complex, N: int) -> OpMatrix:
@@ -175,9 +174,9 @@ def const_matrix(p: complex, N: int) -> OpMatrix:
 
 
 def weighted_matrix(w: Symbol, s: Symbol, N: int) -> OpMatrix:
-    """Compression of f -> w * (f o s): column k = taylor(w * s^k, N).  Real
-    core (see comp_matrix) when s(z) = lam psi(mu z) and w(z) = lam_w
-    psi_w(mu z) with the same mu."""
+    """Compression of f -> w * (f o s): column k = taylor(w * s^k, N).  A
+    real matrix with phases (see comp_matrix) when s(z) = lam psi(mu z) and
+    w(z) = lam_w psi_w(mu z) with the same mu."""
     require_selfmap(s)
     rot = rotation_real(s)
     rot_w = None if rot is None else rotation_real(w, rot[1])
@@ -185,37 +184,25 @@ def weighted_matrix(w: Symbol, s: Symbol, N: int) -> OpMatrix:
         return OpMatrix(_power_columns(_real_taylor(w, N), _real_taylor(s, N), N, N), "full")
     (lam, mu, psi), (lam_w, _, psi_w) = rot, rot_w
     cols = _power_columns(_real_taylor(psi_w, N), _real_taylor(psi, N), N, N)
-    return _phased(cols, "full", _unit_powers(mu, N), lam_w * _unit_powers(lam, N))
+    return OpMatrix(cols, "full", unit_powers(mu, N), lam_w * unit_powers(lam, N))
 
 
 # ---------------------------------------------------------------------------
 # largest singular value
 
 
-def _entries(A, core: str | None = None) -> np.ndarray:
-    """A's entries, or the real matrix of its core when core is "svd" (any
-    phases keep the singular values) or "similar" (col = conj(row): a unitary
-    similarity, which keeps the numerical range)."""
-    if isinstance(A, OpMatrix):
-        c = A.core
-        if c is not None and (core == "svd" or core == "similar"
-                              and np.array_equal(c.col, c.row.conj())):
-            return c.real
-        return A.entries
-    return np.asarray(A, dtype=float if np.isrealobj(A) else complex)
-
-
 def op_norm(A) -> float:
     """Largest singular value of a compression, by one dense LAPACK solve:
     the top eigenvalue of the Gram matrix M^T M for real M (0.7 s against 3.5 s
     for a complex SVD at N=2048 on 2 cores), a complex SVD otherwise.  An
-    OpMatrix with a real core is solved on the core.
+    OpMatrix is solved on its stored matrix, since its phases keep the
+    singular values.
 
     Compressions of slow-gap operators (automorphisms, non-inner symbols
     touching the circle) have clustered top singular values, where power
     iteration needs thousands of steps; a dense solve costs the same at any gap.
     """
-    M = _entries(A, "svd")
+    M = as_opmatrix(A).matrix
     if np.isrealobj(M):
         return float(np.sqrt(max(np.linalg.eigvalsh(M.T @ M)[-1], 0.0)))
     return float(np.linalg.svd(M, compute_uv=False)[0])
@@ -230,14 +217,18 @@ def distance(a: Symbol, b: Symbol, N: int) -> float:
     return op_norm(comp_matrix(a, N, "full") - comp_matrix(b, N, "full"))
 
 
-def restricted_norm(s: Symbol, N: int) -> float:
-    """Compression of the restriction of C_s to functions vanishing at 0.
+def _restriction(s: Symbol, N: int) -> OpMatrix:
+    """The h20 compression, which is that of C_s restricted to zH^2 only for
+    s fixing 0: otherwise it loses row 0, which holds s(0)^k."""
+    require_selfmap(s)
+    require_origin_fixed(s, "the restriction to zH^2")
+    return comp_matrix(s, N, "h20")
 
-    For s(0) = 0 this equals the compression of ||C_s - C_0||: the full-basis
-    difference has a zero first row and column, and dropping them yields
-    exactly the h20 matrix.
-    """
-    return op_norm(comp_matrix(s, N, "h20"))
+
+def restricted_norm(s: Symbol, N: int) -> float:
+    """Compression of the norm of C_s restricted to zH^2, for s fixing 0; also
+    that of ||C_s - C_0||, whose full-basis matrix adds a zero row and column."""
+    return op_norm(_restriction(s, N))
 
 
 def _leading_block_norms(build, dims: Sequence[int]) -> tuple[float, ...]:
@@ -255,7 +246,7 @@ def _leading_block_norms(build, dims: Sequence[int]) -> tuple[float, ...]:
 
 def restricted_norms(s: Symbol, dims: Sequence[int]) -> tuple[float, ...]:
     """restricted_norm(s, N) for each N in dims, from one h20 build."""
-    return _leading_block_norms(lambda N: comp_matrix(s, N, "h20"), dims)
+    return _leading_block_norms(lambda N: _restriction(s, N), dims)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +278,7 @@ def _task_matrix(task: str, params: dict, N: int) -> OpMatrix:
     if task == "distance":
         return comp_matrix(params["a"], N) - comp_matrix(params["b"], N)
     if task == "restricted":
-        return comp_matrix(params["s"], N, "h20")
+        return _restriction(params["s"], N)
     if task == "weighted":
         return weighted_matrix(params["w"], params["s"], N)
     if task == "opnorm":
@@ -323,8 +314,9 @@ def norm_schedule(task: str, params: dict, dims: Sequence[int]) -> ConvergenceRe
     dims = tuple(int(d) for d in dims)
     if any(b <= a for a, b in zip(dims, dims[1:])) or not dims:
         raise PreconditionError("dimension schedule must be nonempty and strictly increasing")
-    target, label = _task_target(task, params)
+    # the builds validate the inputs, before any closed form reads them
     values = _leading_block_norms(lambda N: _task_matrix(task, params, N), dims)
+    target, label = _task_target(task, params)
     for a, b in zip(values, values[1:]):
         if b < a - MONOTONE_TOL:
             raise SolverInternalError(

@@ -24,7 +24,6 @@ from .symbolic import (
     circle_values,
     modulus_products,
     ratio,
-    require_selfmap,
     validate_selfmap,
 )
 
@@ -142,10 +141,10 @@ def p_norm(s: Symbol, p: float, tol: float = 1e-10) -> PNormResult:
 def is_inner(s: Symbol) -> InnerVerdict:
     """Whether the symbol has unimodular boundary values.
 
-    Decided exactly: the modulus products agree (a rational selfmap is inner
-    iff it is a finite Blaschke product); bit-deterministic.
+    Decided exactly: the modulus products agree (a symbol is analytic on the
+    closed disk, so it is inner iff it is a finite Blaschke product or a
+    unimodular constant, which is not a selfmap); bit-deterministic.
     """
-    require_selfmap(s)
     pn, pd = modulus_products(s)
     margin = float(np.max(np.abs(pn - pd)))
     return InnerVerdict(is_inner=margin <= COEFF_TOL, margin=margin)

@@ -19,7 +19,7 @@ from typing import IO
 import numpy as np
 
 from .closedform import EllipseDisk
-from .compop import _entries
+from .compop import as_opmatrix
 from .symbolic import circle_grid
 
 
@@ -39,7 +39,7 @@ def sample_w(A, count: int, seed: int) -> np.ndarray:
     """Rayleigh quotients <Av, v> for seeded random complex unit vectors."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    M = _entries(A)
+    M = as_opmatrix(A).entries
     n = M.shape[0]
     rng = np.random.default_rng(seed)
     V = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
@@ -203,18 +203,20 @@ def boundary(A, grid: int = 720) -> NRBoundary:
     pair at theta.  A real A on a grid divisible by 4 solves only theta in
     [0, pi/2] and mirrors the rest: H(-theta) = conj(H(theta)), so
     h(-theta) = h(theta) and the boundary point at -theta is the conjugate of
-    that at theta.  An OpMatrix whose real core is unitarily similar to its
-    entries (col = conj(row), as for s(z) = conj(mu) psi(mu z) with psi real)
-    has the core's numerical range, so the core is swept, mirrored the same
-    way.  The numerical radius is the largest certified value seen
-    by a slope search around the grid maximum (_radius): the slopes
+    that at theta.  An OpMatrix without phases, or with col = conj(row) (as
+    for s(z) = conj(mu) psi(mu z) with psi real), is unitarily similar to its
+    stored matrix, so that matrix is swept, mirrored the same way when real;
+    other phases are multiplied into the entries first.  The numerical radius
+    is the largest certified value seen by a slope search around the grid
+    maximum (_radius): the slopes
     h'(theta) = Im(e^{-i theta} p(theta)) come free with the boundary points,
     and each search step is one more certified top value, so the radius is a
     certified lower bound of the compression's numerical radius.
     """
     if grid < 16:
         raise ValueError("grid must be >= 16")
-    M = _entries(A, "similar")
+    A = as_opmatrix(A)
+    M = A.matrix if A.row is None or np.array_equal(A.col, A.row.conj()) else A.entries
     sweep = _SupportSweep(M)
     thetas = circle_grid(grid)
     h = np.empty(grid)

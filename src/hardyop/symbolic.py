@@ -166,6 +166,11 @@ def require_selfmap(s: Symbol, what: str = "symbol") -> None:
         )
 
 
+def require_origin_fixed(s: Symbol, what: str) -> None:
+    if abs(s.value_at_zero()) > 1e-12:
+        raise PreconditionError(f"{what} needs a symbol fixing the origin")
+
+
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -373,7 +378,8 @@ def validate_selfmap(s: Symbol) -> SelfmapDiagnostics:
     search refines the SUP_PEAKS local maxima with the highest parabolic
     estimates, since the raw samples misrank the ~4096 near-equal maxima of a
     degree-4096 symbol.  Poles on or near the closed disk are rejected at
-    construction, so a refined sup within 1 + 1e-9 is a selfmap.
+    construction, so a refined sup within 1 + 1e-9 is a selfmap; a constant
+    c, whose sup |c| cannot tell |c| = 1 apart, is one when |c| < 1.
     """
     if s._diag is not None:
         return s._diag
@@ -398,8 +404,8 @@ def validate_selfmap(s: Symbol) -> SelfmapDiagnostics:
     sup = max(float(v.max()), float(best.max()))
     j = int(np.argmax(v[:, 0]))
     object.__setattr__(s, "_diag", SelfmapDiagnostics(
-        boundary_sup=sup, sup_theta=2.0 * np.pi * j / K, is_selfmap=sup <= 1.0 + SELFMAP_TOL,
-        grid_size=K, grid_sup=float(v[j, 0])))
+        boundary_sup=sup, sup_theta=2.0 * np.pi * j / K, grid_size=K, grid_sup=float(v[j, 0]),
+        is_selfmap=abs(s.num[0]) < 1.0 if s.is_constant else sup <= 1.0 + SELFMAP_TOL))
     return s._diag
 
 
@@ -441,7 +447,7 @@ def ratio(P: CoeffVec, Q: CoeffVec) -> complex | None:
     return None
 
 
-def _unit_powers(c: complex, n: int) -> CoeffVec:
+def unit_powers(c: complex, n: int) -> CoeffVec:
     """c^k for k = 0..n-1 by a running product; the powers of conj(c) are
     exactly the conjugates of those of c."""
     p = np.full(n, complex(c))
@@ -477,7 +483,7 @@ def rotation_real(s: Symbol, mu: complex | None = None):
         else:
             k, u = 1, 1.0
         mu = complex(np.exp(1j * np.angle(u) / k))
-    back = _unit_powers(np.conj(mu), max(num.size, den.size))
+    back = unit_powers(np.conj(mu), max(num.size, den.size))
     tol = 1e-14 * (s.degree + 1) * max(np.abs(num).max(), np.abs(den).max())
     pd = den * back[:den.size]
     if np.abs(pd.imag).max() > tol:

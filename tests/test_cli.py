@@ -27,6 +27,24 @@ def test_exit_code_on_invalid_selfmap(capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["norm", "const(1)"], ["norm", "const(1)", "--weighted"], ["norm", "const(1)", "--restricted"],
+    ["norm", "const(1i)"], ["distance", "const(1)", "z"], ["distance", "z", "const(-1)"],
+    ["nrange", "const(1)"], ["psolve", "const(1)"],
+], ids=" ".join)
+def test_unimodular_constant_is_not_a_selfmap(capsys, args):
+    # a constant maps the disk into itself only when |c| < 1
+    assert main(args + ["-N", "4,16"]) == 2
+    assert "is not a selfmap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("symbol", ["0.5 + 0.3*z", "const(0.5)"])
+def test_restricted_needs_a_symbol_fixing_the_origin(capsys, symbol):
+    # the h20 compression of C_phi is the restriction's only for phi(0) = 0
+    assert main(["norm", symbol, "--restricted", "-N", "16,64"]) == 2
+    assert "fixing the origin" in capsys.readouterr().err
+
+
 def test_exit_code_on_parse_error(capsys):
     assert main(["distance", "z^^", "z", "-N", "4,8"]) == 2
     capsys.readouterr()
@@ -55,7 +73,7 @@ def test_psolve_rejects_bad_tolerance(capsys, ptol):
 @pytest.mark.parametrize("symbol, solver", [
     ("alpha(0.5)", "eigvalsh"),    # real compression: Gram eigensolve
     ("(0.2+0.1i) + 0.3*z + 0.2i*z^2", "svd"),  # complex compression: complex SVD
-    ("(0.3+0.4i)*z", "eigvalsh"),  # a rotated real symbol: Gram eigensolve of its real core
+    ("(0.3+0.4i)*z", "eigvalsh"),  # a rotated real symbol: Gram eigensolve of its real matrix
 ], ids=["real", "complex", "rotated"])
 def test_exit_code_on_lapack_failure(monkeypatch, capsys, symbol, solver):
     def fail(*args, **kwargs):

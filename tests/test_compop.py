@@ -8,6 +8,7 @@ from hardyop import (
     OpMatrix,
     PreconditionError,
     alpha,
+    boundary,
     comp_matrix,
     compop,
     const_matrix,
@@ -346,7 +347,9 @@ def test_weighted_schedule_target():
 
 # three terms with unrelated phases: no rotated real form, so the complex SVD
 CPLX = parse_symbol("(0.2+0.1i) + 0.3*z + 0.2i*z^2")
-# lam psi(mu z) with psi real: solved on the real core
+# the same for a symbol fixing 0, which the restriction needs
+CPLX0 = parse_symbol("0.3*z + (0.2+0.1i)*z^2 + 0.2i*z^3")
+# lam psi(mu z) with psi real: a float64 matrix with unit phases
 ROT = parse_symbol("(0.3+0.4i)*z + 0.2i*z^2")
 SLICED_CASES = {
     "opnorm-real": ("opnorm", {"s": alpha(0.4)}),
@@ -356,7 +359,7 @@ SLICED_CASES = {
     "distance-complex": ("distance", {"a": CPLX, "b": constant(0.2j)}),
     "distance-rotated": ("distance", {"a": ROT, "b": constant(0.2j)}),
     "restricted-real": ("restricted", {"s": PHI12}),
-    "restricted-complex": ("restricted", {"s": CPLX}),
+    "restricted-complex": ("restricted", {"s": CPLX0}),
     "restricted-rotated": ("restricted", {"s": ROT}),
     "weighted-real": ("weighted", {"w": PHI23, "s": PHI12}),
     "weighted-complex": ("weighted", {"w": CPLX, "s": CPLX}),
@@ -394,9 +397,10 @@ def test_schedule_slices_match_per_dimension_builds(case, monkeypatch):
     monkeypatch.undo()
     for N, v in zip(dims, rep.values):
         assert abs(v - per_dimension(task, params, N)) <= 1e-12
-    # a difference of compressions drops the core
-    core = compop._task_matrix(task, params, 16).core
-    assert (core is not None) == (case.endswith("-rotated") and task != "distance")
+    # a difference of compressions drops the phases
+    A = compop._task_matrix(task, params, 16)
+    assert (A.row is not None) == (case.endswith("-rotated") and task != "distance")
+    assert (A.col is None) == (A.row is None)
 
 
 ROTATED = {
@@ -409,35 +413,72 @@ ROTATED = {
 @pytest.mark.parametrize("name", list(ROTATED))
 @pytest.mark.parametrize("basis", ["full", "h20"])
 def test_op_norm_of_real_core_matches_complex_entries(name, basis):
-    # N=520 builds the core's columns by FFT; D_mu C_psi D_lam has the
+    # N=520 builds the real columns by FFT; D_mu C_psi D_lam has the
     # singular values of the real C_psi
     A = comp_matrix(ROTATED[name], 520, basis)
-    assert A.core is not None and A.core.real.dtype == np.float64
+    assert A.row is not None and A.matrix.dtype == np.float64
     assert A.entries.dtype == np.complex128
-    rebuilt = A.core.row[:, None] * A.core.real * A.core.col
+    rebuilt = A.row[:, None] * A.matrix * A.col
     assert np.max(np.abs(rebuilt - A.entries)) <= 1e-15
     assert op_norm(A) == pytest.approx(op_norm(A.entries), rel=1e-12)
 
 
 def test_real_symbols_build_no_core():
+    # no phases: real symbols are float64 already, CPLX has no rotated real form
     for s in (alpha(0.5), PHI12, constant(0.3)):
         for basis in ("full", "h20"):
-            assert comp_matrix(s, 16, basis).core is None
-    assert weighted_matrix(PHI23, PHI12, 16).core is None
-    assert weighted_matrix(CPLX, CPLX, 16).core is None
+            assert comp_matrix(s, 16, basis).row is None
+    assert weighted_matrix(PHI23, PHI12, 16).row is None
+    W = weighted_matrix(CPLX, CPLX, 16)
+    assert W.row is None and W.col is None and W.matrix.dtype == np.complex128
 
 
 def test_weighted_core_needs_a_shared_rotation():
-    # w = s shares s's rotation; a weight rotated by another mu has no core
+    # w = s shares s's rotation; a weight rotated by another mu has no phases
     W = weighted_matrix(ROT, ROT, 64)
-    assert W.core is not None
+    assert W.row is not None and W.matrix.dtype == np.float64
     assert op_norm(W) == pytest.approx(op_norm(W.entries), rel=1e-12)
-    assert weighted_matrix(alpha(0.3 + 0.4j), ROT, 64).core is None
+    assert weighted_matrix(alpha(0.3 + 0.4j), ROT, 64).row is None
 
 
 def test_leading_block_keeps_the_core():
     A = comp_matrix(ROT, 64, "h20")
     B = A.leading(16)
     assert np.array_equal(B.entries, A.entries[:16, :16])
-    assert np.array_equal(B.core.real, A.core.real[:16, :16])
-    assert (A - A).core is None
+    assert np.array_equal(B.matrix, A.matrix[:16, :16])
+    assert np.array_equal(B.row, A.row[:16]) and np.array_equal(B.col, A.col[:16])
+    assert (A - A).row is None
+
+
+def test_rotated_compression_stores_one_real_matrix():
+    # alpha(p) = conj(mu) psi(mu z) with psi real: no complex N x N array is
+    # kept, and the entries are formed from the stored arrays on every read
+    A = comp_matrix(alpha(0.3 + 0.4j), 64, "full")
+    assert A.matrix.dtype == np.float64
+    assert A.row.ndim == 1 and A.col.ndim == 1
+    assert np.array_equal(A.col, A.row.conj())
+    E = A.entries
+    assert not E.flags.writeable and E is not A.entries
+    # bitwise in this order: numpy's complex products need not commute bitwise
+    assert np.array_equal(E, A.matrix * A.col * A.row[:, None])
+    assert np.max(np.abs(E - A.row[:, None] * A.matrix * A.col)) <= 1e-15
+    with pytest.raises(ValueError):
+        E[0, 0] = 0.0
+    assert op_norm(A) == op_norm(A.matrix)
+    nr, ref = boundary(A, grid=64), boundary(A.matrix, grid=64)
+    assert np.array_equal(nr.support_vals, ref.support_vals)
+    assert np.array_equal(nr.boundary_pts, ref.boundary_pts)
+    assert nr.radius == ref.radius
+
+
+@pytest.mark.parametrize("text", ["0.5 + 0.3*z", "const(0.5)", "alpha(0.3)"])
+def test_restriction_needs_a_symbol_fixing_the_origin(text):
+    # the h20 matrix drops row 0, which holds s(0)^k: for s(0) != 0 it is not
+    # the restriction, whose norm weighted_matrix(s, s) gives instead
+    s = parse_symbol(text)
+    with pytest.raises(PreconditionError, match="fixing the origin"):
+        restricted_norm(s, 16)
+    with pytest.raises(PreconditionError, match="fixing the origin"):
+        restricted_norms(s, [8, 16])
+    with pytest.raises(PreconditionError, match="fixing the origin"):
+        norm_schedule("restricted", {"s": s}, [8, 16])

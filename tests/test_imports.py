@@ -52,3 +52,15 @@ def test_recognizers_import_no_taylor(module):
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert "taylor" not in imported
+
+
+def test_modules_import_no_private_names():
+    # a module's underscore names are its own; the others use its public ones
+    private = []
+    for path in sorted((SRC / "hardyop").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "hardyop"):
+                private += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                            if alias.name.startswith("_")]
+    assert private == []

@@ -315,12 +315,12 @@ def test_boundary_rejects_tiny_grid():
 
 def test_boundary_of_rotated_automorphism_sweeps_the_real_core():
     # alpha(p) is lam psi(mu z) with psi real and lam mu = 1: the entries are
-    # D_mu C_psi D_mu*, unitarily similar to the real core, and W(C_alpha(p))
-    # depends only on |p|
+    # D_mu C_psi D_mu*, unitarily similar to the stored real matrix, and
+    # W(C_alpha(p)) depends only on |p|
     A = comp_matrix(alpha(0.3 + 0.4j), 128, "full")
-    assert A.core is not None and np.array_equal(A.core.col, A.core.row.conj())
+    assert A.row is not None and np.array_equal(A.col, A.row.conj())
     nr = boundary(A, grid=64)
-    on_core = boundary(A.core.real, grid=64)
+    on_core = boundary(A.matrix, grid=64)
     assert np.array_equal(nr.support_vals, on_core.support_vals)
     assert nr.dense_solves == on_core.dense_solves
     for ref in (boundary(A.entries, grid=64), boundary(comp_matrix(alpha(0.5), 128), grid=64)):
@@ -330,10 +330,10 @@ def test_boundary_of_rotated_automorphism_sweeps_the_real_core():
 
 
 def test_boundary_without_similarity_sweeps_the_entries():
-    # z alpha(p) has lam mu != 1: the core keeps the singular values but not
+    # z alpha(p) has lam mu != 1: the phases keep the singular values but not
     # the numerical range, so the complex entries are swept
     A = comp_matrix(parse_symbol("z*alpha((0.3+0.4i))"), 64, "full")
-    assert A.core is not None and not np.array_equal(A.core.col, A.core.row.conj())
+    assert A.row is not None and not np.array_equal(A.col, A.row.conj())
     nr = boundary(A, grid=64)
     ref = boundary(A.entries, grid=64)
     assert np.array_equal(nr.support_vals, ref.support_vals)
