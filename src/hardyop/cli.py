@@ -31,7 +31,7 @@ from .errors import (
     SolverInternalError,
     UnitDiskPoleError,
 )
-from .symbolic import parse_symbol, require_selfmap
+from .symbolic import parse_symbol
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -253,8 +253,7 @@ def _ellipse_dict(e: closedform.EllipseDisk) -> dict:
 def cmd_nrange(args) -> int:
     s = parse_symbol(args.symbol)
     t0 = time.perf_counter()
-    require_selfmap(s)  # before the closed forms read s
-    ellipse = closedform.recognize_ellipse(s)
+    ellipse = closedform.recognize_ellipse(s)  # validates s first
     dims = sorted(set(args.N))
     per_dim = {"dims": dims, "radius": [], "hausdorff": [], "violation": [], "contained": []}
     dense_solves, radius_evals = [], []

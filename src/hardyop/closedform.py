@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .hardy import h2_inner, h2_norm, inner_multiple, is_inner, kernel_distance, powers
-from .symbolic import Symbol, alpha, compose, cross_products, ratio, taylor_close
+from .symbolic import Symbol, alpha, compose, cross_products, ratio, require_selfmap, taylor_close
 
 UNIMODULAR_TOL = 1e-12     # |lambda| within this of 1 counts as unimodular
 ANGLE_TOL = 1e-12          # rational-angle recognition tolerance
@@ -245,6 +245,8 @@ def recognize_distance_target(a: Symbol, b: Symbol) -> DistanceTarget | None:
     fixing 0 with scalar multipliers (rotation sup); b inner with
     a = alpha_p o b (and the symmetric case); inner symbol against a constant.
     """
+    require_selfmap(a)
+    require_selfmap(b)
     if taylor_close(a, b):
         return DistanceTarget(0.0, "identical", "a = b")
     if a.is_constant and b.is_constant:
@@ -323,6 +325,7 @@ def recognize_restricted_target(s: Symbol) -> float | None:
 def recognize_opnorm_target(s: Symbol) -> float | None:
     """Closed-form value of ||C_s|| when attained: constants attain the lower
     bound, symbols fixing 0 have norm 1, inner symbols attain the upper bound."""
+    require_selfmap(s)
     if s.is_constant:
         return norm_bounds(s.value_at_zero())[0]
     if abs(s.value_at_zero()) <= 1e-13:
@@ -334,6 +337,7 @@ def recognize_opnorm_target(s: Symbol) -> float | None:
 
 def recognize_ellipse(s: Symbol) -> EllipseDisk | None:
     """Known numerical-range ellipse for constant and automorphic symbols."""
+    require_selfmap(s)
     if s.is_constant:
         return const_ellipse(s.value_at_zero())
     p = s.value_at_zero()

@@ -19,12 +19,14 @@ from .errors import PreconditionError, SolverInternalError
 from .symbolic import (Symbol, constant, require_origin_fixed, require_selfmap, rotation_real,
                        taylor, taylor_close, unit_powers)
 
-# Column convolutions switch to numpy.fft at this dimension.  comp_matrix on a
-# 2-core x86 VM, direct vs FFT: real alpha(0.5) 1.7 vs 2.7 ms at N=128, 7.0 vs
-# 7.3 ms at N=256 (the crossover), 36 vs 23 ms at N=512, 496 vs 59 ms at
-# N=1024; complex alpha(0.3+0.4i) crosses below N=256 (12 vs 10 ms).  Kept at
-# 512: a lower cut would move the N=256..511 entries by FFT rounding.
-FFT_COLUMN_THRESHOLD = 512
+# Column convolutions take numpy.fft from this step length m (after the eps^2
+# flush) and np.convolve below it.  comp_matrix, direct/FFT ms on a 2-core x86
+# VM, real alpha(r) | complex blaschke([r (0.6+0.8i), 0.3i]), r set for m:
+#   m=128: N=512 19/29 | 40/41, N=2048 268/360 | 467/426
+#   m=192: N=512 17/20 | 42/40, N=2048 238/264 | 641/461
+#   m=256: N=512 22/23 | 48/37, N=2048 368/317 | 796/551
+# At N=128 (m <= 129) direct wins at any m: 2.8/4.6 ms at m=128.
+FFT_COLUMN_THRESHOLD = 192
 MONOTONE_TOL = 1e-9            # certificate slack for nondecreasing values
 TARGET_TOL = 1e-9              # certificate slack for value <= target
 
@@ -112,30 +114,40 @@ def _fast_len(n: int, real: bool) -> int:
 
 def _power_columns(first: np.ndarray, step: np.ndarray, count: int, length: int) -> np.ndarray:
     """Columns first, first*step, first*step^2, ... under truncated convolution;
-    float64 (real FFTs on the FFT path) when first and step are real.  A step
-    that is exactly z shifts the columns with no arithmetic."""
+    float64 (real FFTs) when first and step are real.  The step drops its
+    coefficients below eps^2 times its largest and its trailing zeros: exactly
+    z shifts the columns, length m >= FFT_COLUMN_THRESHOLD takes numpy.fft and
+    shorter steps np.convolve (exact for polynomials).  Entries below eps^2
+    times the largest of the first column (so below eps^2 ||M||) become 0 as
+    formed, keeping out subnormals, on which LAPACK runs several times slower;
+    a zero column ends the build."""
     real = np.isrealobj(first) and np.isrealobj(step)
+    tiny = np.finfo(float).eps ** 2
     out = np.zeros((length, count), dtype=float if real else complex)
     col = np.zeros(length, dtype=out.dtype)
-    m = min(first.size, length)
-    col[:m] = first[:m]
+    col[:min(first.size, length)] = first[:length]
+    floor = tiny * np.abs(col).max()
+    col[np.abs(col) < floor] = 0
     out[:, 0] = col
-    if step.size > 1 and step[1] == 1 and np.count_nonzero(step) == 1:
+    step = np.where(np.abs(step) < tiny * np.abs(step).max(), 0, step)
+    step = step[:np.flatnonzero(step).max(initial=0) + 1]
+    if step.size == 2 and step[0] == 0 and step[1] == 1:
         col = np.trim_zeros(col, "b")
         for k in range(1, count):
-            seg = col[:length - k]
-            out[k:k + seg.size, k] = seg
-    elif length >= FFT_COLUMN_THRESHOLD:
-        fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
-        L = _fast_len(2 * length, real)
-        step_hat = fft(step, L)
-        for k in range(1, count):
-            col = ifft(fft(col, L) * step_hat, L)[:length]
-            out[:, k] = col
-    else:
-        for k in range(1, count):
+            out[k:k + col.size, k] = col[:length - k]
+        return out
+    fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+    L = _fast_len(2 * length, real)
+    step_hat = fft(step, L) if step.size >= FFT_COLUMN_THRESHOLD else None
+    for k in range(1, count):
+        if step_hat is None:
             col = np.convolve(col, step)[:length]
-            out[:, k] = col
+        else:
+            col = ifft(fft(col, L) * step_hat, L)[:length]
+        col[np.abs(col) < floor] = 0
+        if not col.any():
+            break
+        out[:, k] = col
     return out
 
 
@@ -155,12 +167,8 @@ def comp_matrix(s: Symbol, N: int, basis: str = "full") -> OpMatrix:
     shift = int(basis == "h20")  # h20 degrees start at 1
     rot = rotation_real(s)  # psi is a selfmap too: |psi(w)| = |s(conj(mu) w)|
     t = _real_taylor(s if rot is None else rot[2], N + shift)
-    if shift:
-        cols = _power_columns(t, t, N, N + 1)[1:, :]
-    else:
-        e0 = np.zeros(N)
-        e0[0] = 1.0
-        cols = _power_columns(e0, t, N, N)
+    first = t if shift else np.ones(1)  # s for h20, e_0 for full
+    cols = _power_columns(first, t, N, N + shift)[shift:, :]
     if rot is None:
         return OpMatrix(cols, basis)
     lam, mu, _ = rot
@@ -192,20 +200,17 @@ def weighted_matrix(w: Symbol, s: Symbol, N: int) -> OpMatrix:
 
 
 def op_norm(A) -> float:
-    """Largest singular value of a compression, by one dense LAPACK solve:
-    the top eigenvalue of the Gram matrix M^T M for real M (0.7 s against 3.5 s
-    for a complex SVD at N=2048 on 2 cores), a complex SVD otherwise.  An
-    OpMatrix is solved on its stored matrix, since its phases keep the
-    singular values.
+    """Largest singular value of a compression: the square root of the top
+    eigenvalue of the Gram matrix M^H M, by one dense LAPACK eigensolve, for
+    real and complex M alike.  An OpMatrix is solved on its stored matrix,
+    since its phases keep the singular values.
 
     Compressions of slow-gap operators (automorphisms, non-inner symbols
     touching the circle) have clustered top singular values, where power
     iteration needs thousands of steps; a dense solve costs the same at any gap.
     """
     M = as_opmatrix(A).matrix
-    if np.isrealobj(M):
-        return float(np.sqrt(max(np.linalg.eigvalsh(M.T @ M)[-1], 0.0)))
-    return float(np.linalg.svd(M, compute_uv=False)[0])
+    return float(np.sqrt(max(np.linalg.eigvalsh(M.conj().T @ M)[-1], 0.0)))
 
 
 # ---------------------------------------------------------------------------

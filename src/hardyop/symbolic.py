@@ -379,7 +379,7 @@ def validate_selfmap(s: Symbol) -> SelfmapDiagnostics:
     estimates, since the raw samples misrank the ~4096 near-equal maxima of a
     degree-4096 symbol.  Poles on or near the closed disk are rejected at
     construction, so a refined sup within 1 + 1e-9 is a selfmap; a constant
-    c, whose sup |c| cannot tell |c| = 1 apart, is one when |c| < 1.
+    c = ratio(num, den), whose sup |c| cannot tell |c| = 1 apart, is one when |c| < 1.
     """
     if s._diag is not None:
         return s._diag
@@ -403,9 +403,10 @@ def validate_selfmap(s: Symbol) -> SelfmapDiagnostics:
     best = _golden_max(modulus, t - h, t + h, 1e-10)
     sup = max(float(v.max()), float(best.max()))
     j = int(np.argmax(v[:, 0]))
+    c = ratio(*_same_length(s.num, s.den))
     object.__setattr__(s, "_diag", SelfmapDiagnostics(
         boundary_sup=sup, sup_theta=2.0 * np.pi * j / K, grid_size=K, grid_sup=float(v[j, 0]),
-        is_selfmap=abs(s.num[0]) < 1.0 if s.is_constant else sup <= 1.0 + SELFMAP_TOL))
+        is_selfmap=sup <= 1.0 + SELFMAP_TOL if c is None else abs(c) < 1.0))
     return s._diag
 
 

@@ -31,11 +31,21 @@ def test_exit_code_on_invalid_selfmap(capsys):
     ["norm", "const(1)"], ["norm", "const(1)", "--weighted"], ["norm", "const(1)", "--restricted"],
     ["norm", "const(1i)"], ["distance", "const(1)", "z"], ["distance", "z", "const(-1)"],
     ["nrange", "const(1)"], ["psolve", "const(1)"],
+    ["norm", "(1+0.5*z)/(1+0.5*z)", "--weighted"], ["distance", "z", "(1+0.5*z)/(1+0.5*z)"],
 ], ids=" ".join)
 def test_unimodular_constant_is_not_a_selfmap(capsys, args):
-    # a constant maps the disk into itself only when |c| < 1
+    # a constant maps the disk into itself only when |c| < 1, also one
+    # written as num/den with num = c den
     assert main(args + ["-N", "4,16"]) == 2
     assert "is not a selfmap" in capsys.readouterr().err
+
+
+def test_disguised_constant_inside_the_disk_is_accepted(tmp_path):
+    # the constant 0.5: f -> 0.5 f(0.5) has norm 0.5 / sqrt(1 - 0.25)
+    code, doc = run_json(["norm", "(0.5+0.25*z)/(1+0.5*z)", "--weighted", "-N", "4,16,64"],
+                         tmp_path)
+    assert code == 0
+    assert doc["values"][-1] == pytest.approx(1 / math.sqrt(3), abs=1e-12)
 
 
 @pytest.mark.parametrize("symbol", ["0.5 + 0.3*z", "const(0.5)"])
@@ -72,7 +82,7 @@ def test_psolve_rejects_bad_tolerance(capsys, ptol):
 
 @pytest.mark.parametrize("symbol, solver", [
     ("alpha(0.5)", "eigvalsh"),    # real compression: Gram eigensolve
-    ("(0.2+0.1i) + 0.3*z + 0.2i*z^2", "svd"),  # complex compression: complex SVD
+    ("(0.2+0.1i) + 0.3*z + 0.2i*z^2", "eigvalsh"),  # complex compression: complex Gram eigensolve
     ("(0.3+0.4i)*z", "eigvalsh"),  # a rotated real symbol: Gram eigensolve of its real matrix
 ], ids=["real", "complex", "rotated"])
 def test_exit_code_on_lapack_failure(monkeypatch, capsys, symbol, solver):

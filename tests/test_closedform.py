@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hardyop import (
     EllipseDisk,
+    NotSelfmapError,
     Symbol,
     alpha,
     alpha_ellipse,
@@ -15,6 +16,7 @@ from hardyop import (
     const_ellipse,
     constant,
     distance,
+    identity,
     inner_alpha_distance,
     inner_const_distance,
     inner_symbol_norm,
@@ -254,6 +256,18 @@ def test_recognize_opnorm_targets():
     assert recognize_opnorm_target(alpha(0.3)) == pytest.approx(
         math.sqrt(1.3 / 0.7), abs=1e-15)
     assert recognize_opnorm_target(parse_symbol("(z+0.2)/2")) is None
+
+
+@pytest.mark.parametrize("recognize, args", [
+    (recognize_opnorm_target, (constant(1),)),
+    (recognize_ellipse, (constant(1),)),
+    (recognize_distance_target, (constant(1), identity())),
+    (recognize_distance_target, (identity(), constant(1))),
+], ids=["opnorm", "ellipse", "distance-a", "distance-b"])
+def test_recognizers_reject_non_selfmaps(recognize, args):
+    # one message for every caller, not that of a formula's parameter check
+    with pytest.raises(NotSelfmapError, match="not a selfmap"):
+        recognize(*args)
 
 
 def test_recognize_ellipse():

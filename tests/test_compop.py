@@ -8,6 +8,7 @@ from hardyop import (
     OpMatrix,
     PreconditionError,
     alpha,
+    blaschke,
     boundary,
     comp_matrix,
     compop,
@@ -23,11 +24,15 @@ from hardyop import (
     restricted_norm,
     restricted_norms,
     taylor,
+    validate_selfmap,
     weighted_matrix,
 )
 
 PHI23 = parse_symbol("(z^2+z^3)/2")
 PHI12 = parse_symbol("(z+z^2)/2")
+# zeros of unrelated phases: a complex matrix, and a series with m = 322
+# coefficients above eps^2, so its columns take the FFT at every N >= 192
+SLOW_CPLX = blaschke([0.8, 0.3j])
 
 
 # ---------------------------------------------------------------------------
@@ -75,15 +80,16 @@ def test_comp_matrix_columns_are_truncated_powers():
 
 
 def test_fft_and_direct_columns_agree():
-    # the FFT path kicks in at dimension 512; real coefficients stay float64
-    s = alpha(0.3)
+    # alpha(0.8)'s series keeps m = 321 coefficients above eps^2: FFT columns
+    # at N=512, direct ones at N=128 (m <= N); real coefficients stay float64
+    s = alpha(0.8)
     big = comp_matrix(s, 512, "full").entries
     small = comp_matrix(s, 128, "full").entries
     assert big.dtype == np.float64 and small.dtype == np.float64
     assert np.max(np.abs(big[:128, :128] - small)) < 1e-13
     # spot-check deep columns against plain convolution powers, for a real
     # symbol and a complex one (complex FFT path, complex128 entries)
-    cplx = alpha(0.3 + 0.4j)
+    cplx = SLOW_CPLX
     big_c = comp_matrix(cplx, 512, "full").entries
     assert big_c.dtype == np.complex128
     for sym, M in ((s, big), (cplx, big_c)):
@@ -98,9 +104,11 @@ def test_fft_and_direct_columns_agree():
 
 @pytest.mark.parametrize("length", [512, 513, 1024, 1025])
 @pytest.mark.parametrize("p", [0.3, 0.3 + 0.4j])
-def test_power_columns_fft_matches_direct_convolution(length, p):
+def test_power_columns_fft_matches_direct_convolution(length, p, monkeypatch):
     # real FFT lengths are 5-smooth and complex ones 11-smooth; odd lengths
-    # and lengths past a power of two pad differently
+    # and lengths past a power of two pad differently.  alpha(0.3)'s series
+    # is 61 coefficients long above eps^2, so the FFT path is forced.
+    monkeypatch.setattr(compop, "FFT_COLUMN_THRESHOLD", 1)
     step = compop._real_taylor(alpha(p), length)
     first = compop._real_taylor(alpha(p / 2), length)
     M = compop._power_columns(first, step, 40, length)
@@ -121,7 +129,7 @@ def test_fast_len_matches_scipy_next_fast_len():
 @pytest.mark.parametrize("N", [16, 600, 2048])
 @pytest.mark.parametrize("basis", ["full", "h20"])
 def test_identity_compression_is_exact(N, basis):
-    # a step of exactly z shifts columns, on the FFT path (N >= 512) too
+    # a step of exactly z shifts columns at every N
     assert np.array_equal(comp_matrix(identity(), N, basis).entries, np.eye(N))
 
 
@@ -130,6 +138,8 @@ def test_weighted_matrix_identity_symbol_is_exact_toeplitz():
     N = 600
     W = weighted_matrix(w, identity(), N).entries
     t = taylor(w, N).real
+    # flushed as every compression is: entries below eps^2 times the largest
+    t[np.abs(t) < np.finfo(float).eps ** 2 * np.abs(t).max()] = 0
     for k in (0, 1, 299, 599):
         expect = np.zeros(N)
         expect[k:] = t[:N - k]
@@ -175,6 +185,48 @@ def test_opmatrix_basis_mismatch():
         _ = A - B
 
 
+FLUSH_CASES = {
+    "real-blaschke": alpha(0.5),
+    "complex-blaschke": blaschke([0.5, 0.3j]),
+    "complex-blaschke-fft": SLOW_CPLX,
+    "complex-contraction": parse_symbol("0.6*blaschke(0.5, 0.3i)"),
+    "rotated-blaschke": alpha(0.3 + 0.4j),
+    "real-poly": parse_symbol("0.187623 + (-0.302960)*z + 0.183228*z^4"),
+    "complex-poly": parse_symbol(
+        "(0.189406-0.105099i) + (-0.209655+0.100080i)*z + (-0.061286+0.061018i)*z^4"),
+    "rotated-poly": parse_symbol("(0.3+0.4i)*z + 0.2i*z^2"),
+}
+
+
+@pytest.mark.parametrize("N", [64, 511, 512, 1024])
+@pytest.mark.parametrize("case", list(FLUSH_CASES))
+def test_compressions_hold_no_subnormals(case, N):
+    # every entry is 0 or at least eps^2 times the largest of the first
+    # column, and no real or imaginary part of an entry is subnormal
+    s = FLUSH_CASES[case]
+    for A in (comp_matrix(s, N, "full"), comp_matrix(s, N, "h20"), weighted_matrix(s, s, N)):
+        mag = np.abs(A.matrix)
+        floor = np.finfo(float).eps ** 2 * mag[:, 0].max()
+        assert not np.any((mag > 0) & (mag < floor))
+        parts = np.abs(A.entries.view(np.float64))
+        assert not np.any((parts > 0) & (parts < np.finfo(float).tiny))
+
+
+def test_polynomial_columns_take_no_fft(monkeypatch):
+    # a degree-3 step convolves directly at any N: exact, and O(N) per column
+    cplx3 = parse_symbol("0.3*z + (0.2+0.1i)*z^2 + 0.2i*z^3")
+    for s in (cplx3, SLOW_CPLX):
+        validate_selfmap(s)  # cached; its boundary scan takes FFTs
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+    assert comp_matrix(cplx3, 1024).matrix.dtype == np.complex128
+    assert calls == []
+    comp_matrix(SLOW_CPLX, 512)  # the counter sees the FFT path
+    assert calls
+
+
 # ---------------------------------------------------------------------------
 # op_norm
 
@@ -204,14 +256,19 @@ def test_op_norm_zero_matrix():
     assert op_norm(np.zeros((6, 6))) == 0.0
 
 
-@pytest.mark.parametrize("p", [0.5, 0.3 + 0.4j], ids=["real", "complex"])
+@pytest.mark.parametrize("p", [0.5, 0.3 + 0.4j, [0.5, 0.3j]],
+                         ids=["real", "complex", "complex-blaschke"])
 def test_escalation_matches_dense_svd(p):
-    # slow spectral gap: the top singular values of C_alpha - I cluster; a
-    # real alpha takes the Gram eigensolve, a complex one the complex SVD
-    M = comp_matrix(alpha(p), 256, "full").entries - np.eye(256)
+    # slow spectral gap: the top singular values of C_phi - I cluster; real
+    # and complex matrices alike take the Gram eigensolve
+    s = blaschke(p) if isinstance(p, list) else alpha(p)
+    M = comp_matrix(s, 256, "full").entries - np.eye(256)
     assert M.dtype == (np.float64 if isinstance(p, float) else np.complex128)
     oracle = float(np.linalg.svd(M, compute_uv=False)[0])
-    assert op_norm(M) == pytest.approx(oracle, abs=1e-10)
+    if M.dtype == np.float64:
+        assert op_norm(M) == pytest.approx(oracle, abs=1e-10)
+    else:
+        assert op_norm(M) == pytest.approx(oracle, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +402,7 @@ def test_weighted_schedule_target():
     assert rep.target == pytest.approx(1 / math.sqrt(2), abs=1e-15)
 
 
-# three terms with unrelated phases: no rotated real form, so the complex SVD
+# three terms with unrelated phases: no rotated real form, so a complex matrix
 CPLX = parse_symbol("(0.2+0.1i) + 0.3*z + 0.2i*z^2")
 # the same for a symbol fixing 0, which the restriction needs
 CPLX0 = parse_symbol("0.3*z + (0.2+0.1i)*z^2 + 0.2i*z^3")
@@ -379,8 +436,7 @@ def per_dimension(task, params, N):
 
 @pytest.mark.parametrize("case", list(SLICED_CASES))
 def test_schedule_slices_match_per_dimension_builds(case, monkeypatch):
-    # one build at the largest dimension (FFT columns at 520) sliced to the
-    # smaller ones (direct columns when built alone)
+    # one build at the largest dimension sliced to the smaller ones
     task, params = SLICED_CASES[case]
     dims = [16, 64, 520]
     builds = []
@@ -413,8 +469,7 @@ ROTATED = {
 @pytest.mark.parametrize("name", list(ROTATED))
 @pytest.mark.parametrize("basis", ["full", "h20"])
 def test_op_norm_of_real_core_matches_complex_entries(name, basis):
-    # N=520 builds the real columns by FFT; D_mu C_psi D_lam has the
-    # singular values of the real C_psi
+    # D_mu C_psi D_lam has the singular values of the real C_psi
     A = comp_matrix(ROTATED[name], 520, basis)
     assert A.row is not None and A.matrix.dtype == np.float64
     assert A.entries.dtype == np.complex128

@@ -24,12 +24,13 @@ def test_import_loads_no_scipy(module):
 
 
 def test_fft_compressions_load_no_scipy():
-    # N=512 is on the FFT path; real and complex symbols take rfft and fft
+    # series with over 320 coefficients above eps^2 take the FFT at N=512: the real
+    # alpha(0.8) rfft, the complex blaschke([0.8, 0.3i]) fft
     code = (
-        "from hardyop import alpha, comp_matrix\n"
-        "for p in (0.5, 0.3 + 0.4j):\n"
+        "from hardyop import alpha, blaschke, comp_matrix\n"
+        "for s in (alpha(0.8), blaschke([0.8, 0.3j])):\n"
         "    for basis in ('full', 'h20'):\n"
-        "        comp_matrix(alpha(p), 512, basis)\n"
+        "        comp_matrix(s, 512, basis)\n"
     )
     assert _scipy_modules(code) == []
 
@@ -64,3 +65,13 @@ def test_modules_import_no_private_names():
                 private += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
                             if alias.name.startswith("_")]
     assert private == []
+
+
+def test_compop_solves_no_svd():
+    # one top-singular-value policy: op_norm's Gram eigensolve, for real and
+    # complex matrices alike
+    tree = ast.parse((SRC / "hardyop" / "compop.py").read_text())
+    calls = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.Attribute) and node.attr == "svd")
+             or (isinstance(node, ast.Name) and node.id == "svd")]
+    assert calls == []

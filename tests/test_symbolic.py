@@ -405,6 +405,18 @@ def test_validate_finds_highest_of_many_close_peaks(text):
     assert fine - 1e-12 <= validate_selfmap(s).boundary_sup <= fine + 1e-4
 
 
+@pytest.mark.parametrize("text, is_selfmap", [
+    ("(1+0.5*z)/(1+0.5*z)", False),     # the constant 1
+    ("(0.5+0.25*z)/(1+0.5*z)", True),   # the constant 0.5
+    ("(1i-0.5i*z^2)/(1-0.5*z^2)", False),  # the constant i
+])
+def test_disguised_constant_is_a_selfmap_iff_inside_the_disk(text, is_selfmap):
+    # num = c den: the boundary sup |c| cannot tell |c| = 1 apart
+    s = parse_symbol(text)
+    assert not s.is_constant
+    assert validate_selfmap(s).is_selfmap is is_selfmap
+
+
 def test_diagnostics_cached():
     s = alpha(0.25)
     assert validate_selfmap(s) is validate_selfmap(s)
