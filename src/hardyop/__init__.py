@@ -74,7 +74,6 @@ from .numrange import (
     min_boundary_distance,
     polyline_hausdorff,
     sample_w,
-    write_boundary_csv,
 )
 from .symbolic import (
     CoeffVec,

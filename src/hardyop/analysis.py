@@ -47,7 +47,6 @@ class PSolveResult:
     r: float
     r_extrapolated: float
     plateau_delta: float
-    dimension: int
     h2: float
     sup: float
 
@@ -88,8 +87,7 @@ def p_solve(s: Symbol, tol: float = 1e-8, N: int = 512) -> PSolveResult:
     sup = p_norm(s, math.inf).value
     ok, _mag = inner_multiple(s)
     if ok:
-        return PSolveResult("inner_multiple", None, abs(sup - r), r, r_extrap,
-                            plateau, N, h2, sup)
+        return PSolveResult("inner_multiple", None, abs(sup - r), r, r_extrap, plateau, h2, sup)
     if r < h2 - 1e-6 or r > sup + 1e-6:
         raise InconsistencyError(
             f"restricted norm {r:.12g} escapes [||phi||_2, ||phi||_inf] = "
@@ -101,7 +99,7 @@ def p_solve(s: Symbol, tol: float = 1e-8, N: int = 512) -> PSolveResult:
 
     g2 = g(2.0)
     if g2 >= -1e-9:
-        return PSolveResult("finite", 2.0, abs(g2), r, r_extrap, plateau, N, h2, sup)
+        return PSolveResult("finite", 2.0, abs(g2), r, r_extrap, plateau, h2, sup)
     if g(float(P_CAP)) < 0.0:
         raise BracketError(
             f"||phi||_p stays below the restricted norm {r:.12g} up to p = {P_CAP}"
@@ -116,7 +114,7 @@ def p_solve(s: Symbol, tol: float = 1e-8, N: int = 512) -> PSolveResult:
         else:
             hi = mid
     p_star = 0.5 * (lo + hi)
-    return PSolveResult("finite", p_star, abs(g(p_star)), r, r_extrap, plateau, N, h2, sup)
+    return PSolveResult("finite", p_star, abs(g(p_star)), r, r_extrap, plateau, h2, sup)
 
 
 def p_grid_sign_changes(s: Symbol, r: float) -> int:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -140,6 +141,13 @@ def _dims(text: str) -> list[int]:
     return dims
 
 
+def _positive(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hardyop",
@@ -172,14 +180,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nrange", help="numerical range boundary of a compression")
     p.add_argument("symbol")
     p.add_argument("--grid", type=int, default=720, help="support angle count")
-    p.add_argument("--samples", type=int, default=200, help="random Rayleigh samples")
+    p.add_argument("--samples", type=_positive, default=200, help="random Rayleigh samples")
     p.add_argument("--seed", type=int, default=0, help="seed for the Rayleigh samples")
     common(p, dims_default="64")
 
     p = sub.add_parser("psolve", help="exponent p with ||phi||_p = restricted norm")
     p.add_argument("symbol")
     p.add_argument("--ptol", type=float, default=1e-8, help="exponent tolerance")
-    common(p, dims_default="512")
+    p.add_argument("-N", type=int, default=512, help="largest compression dimension")
+    p.add_argument("--json", metavar="PATH", help="write the JSON report here")
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=sorted(verify.SUITES))
@@ -239,17 +248,6 @@ def cmd_distance(args) -> int:
                             {"symbol_a": args.symbol_a, "symbol_b": args.symbol_b}, args)
 
 
-def _ellipse_dict(e: closedform.EllipseDisk) -> dict:
-    return {
-        "focus_a": e.focus_a,
-        "focus_b": e.focus_b,
-        "major_len": e.major_len,
-        "minor_len": e.minor_len,
-        "degenerate": e.degenerate,
-        "closed": e.closed,
-    }
-
-
 def cmd_nrange(args) -> int:
     s = parse_symbol(args.symbol)
     t0 = time.perf_counter()
@@ -257,12 +255,10 @@ def cmd_nrange(args) -> int:
     dims = sorted(set(args.N))
     per_dim = {"dims": dims, "radius": [], "hausdorff": [], "violation": [], "contained": []}
     dense_solves, radius_evals = [], []
-    last_nr = None
     all_contained = True
+    A = compop.comp_matrix(s, dims[-1], "full")  # nested bases: slice the smaller ones
     for N in dims:
-        A = compop.comp_matrix(s, N, "full")
-        nr = numrange.boundary(A, grid=args.grid)
-        last_nr = nr
+        nr = numrange.boundary(A.leading(N), grid=args.grid)
         per_dim["radius"].append(nr.radius)
         dense_solves.append(nr.dense_solves)
         radius_evals.append(nr.radius_evals)
@@ -278,7 +274,6 @@ def cmd_nrange(args) -> int:
             per_dim["contained"].append(None)
     interior = None
     if ellipse is not None:
-        # A is the compression at the largest dimension (dims is sorted, nonempty)
         pts = numrange.sample_w(A, count=args.samples, seed=args.seed)
         interior = numrange.min_boundary_distance(pts, ellipse)
     body = {
@@ -286,16 +281,16 @@ def cmd_nrange(args) -> int:
         "params": {"symbol": args.symbol, "grid": args.grid,
                    "samples": args.samples, "seed": args.seed},
         **per_dim,
-        "target_ellipse": None if ellipse is None else _ellipse_dict(ellipse),
+        "target_ellipse": None if ellipse is None else dataclasses.asdict(ellipse),
         "interior_min_dist": interior,
         "pass": all_contained,
         "diagnostics": {"dense_solves": dense_solves, "radius_evals": radius_evals},
         "runtime_ms": (time.perf_counter() - t0) * 1000.0,
     }
-    if args.csv and last_nr is not None:
-        buf = io.StringIO()
-        numrange.write_boundary_csv(last_nr, buf)
-        _write_atomic(args.csv, buf.getvalue())
+    if args.csv:  # the boundary at the largest dimension
+        rows = [[f"{th:.17g}", f"{h:.17g}", f"{pt.real:.17g}", f"{pt.imag:.17g}"]
+                for th, h, pt in zip(nr.thetas, nr.support_vals, nr.boundary_pts)]
+        _emit_csv(args.csv, rows, ["theta", "support", "re", "im"])
     _emit(body, args)
     return EXIT_OK if all_contained else EXIT_VERIFY_FAIL
 
@@ -303,10 +298,10 @@ def cmd_nrange(args) -> int:
 def cmd_psolve(args) -> int:
     s = parse_symbol(args.symbol)
     t0 = time.perf_counter()
-    res = analysis.p_solve(s, tol=args.ptol, N=max(args.N))
+    res = analysis.p_solve(s, tol=args.ptol, N=args.N)
     body = {
         "command": "psolve",
-        "params": {"symbol": args.symbol, "ptol": args.ptol, "N": max(args.N)},
+        "params": {"symbol": args.symbol, "ptol": args.ptol, "N": args.N},
         "outcome": res.outcome,
         "p": res.p_value,
         "residual": res.residual,

@@ -235,7 +235,6 @@ def alpha_ellipse(p: complex) -> EllipseDisk:
 class DistanceTarget:
     value: float
     label: str
-    detail: str
 
 
 def recognize_distance_target(a: Symbol, b: Symbol) -> DistanceTarget | None:
@@ -248,11 +247,9 @@ def recognize_distance_target(a: Symbol, b: Symbol) -> DistanceTarget | None:
     require_selfmap(a)
     require_selfmap(b)
     if taylor_close(a, b):
-        return DistanceTarget(0.0, "identical", "a = b")
+        return DistanceTarget(0.0, "identical")
     if a.is_constant and b.is_constant:
-        p1, p2 = a.value_at_zero(), b.value_at_zero()
-        return DistanceTarget(const_distance(p1, p2), "const_const",
-                              f"constants {p1:.12g}, {p2:.12g}")
+        return DistanceTarget(const_distance(a.value_at_zero(), b.value_at_zero()), "const_const")
     # scalar multiples of one inner function fixing the origin
     c = ratio(*cross_products(a, b))
     if c is not None and not b.is_constant and abs(b.value_at_zero()) <= 1e-13:
@@ -260,9 +257,7 @@ def recognize_distance_target(a: Symbol, b: Symbol) -> DistanceTarget | None:
         if ok:
             lam = c * mu
             if abs(lam) <= 1 + UNIMODULAR_TOL:
-                rot = rotation_distance(lam, mu)
-                return DistanceTarget(rot.value, "rotation",
-                                      f"lambda={lam:.12g}, mu={mu:.12g}, case={rot.case}")
+                return DistanceTarget(rotation_distance(lam, mu).value, "rotation")
     # alpha_p o phi against phi, phi inner
     for outer, inner_sym in ((a, b), (b, a)):
         if inner_sym.is_constant:
@@ -275,19 +270,16 @@ def recognize_distance_target(a: Symbol, b: Symbol) -> DistanceTarget | None:
             if abs(p) >= 1 or abs(p) <= 1e-13:
                 continue
             if taylor_close(compose(alpha(p), inner_sym), outer):
-                return DistanceTarget(inner_alpha_distance(p), "automorphism_pair",
-                                      f"alpha({p:.12g}) o inner")
+                return DistanceTarget(inner_alpha_distance(p), "automorphism_pair")
     # inner symbol vs constant
     for f, g in ((a, b), (b, a)):
         if g.is_constant and not f.is_constant and is_inner(f).is_inner:
             p = g.value_at_zero()
             if abs(f.value_at_zero()) <= 1e-13:
-                return DistanceTarget(inner_const_distance(p), "inner_const",
-                                      f"inner fixing 0 vs constant {p:.12g}")
+                return DistanceTarget(inner_const_distance(p), "inner_const")
             if abs(p) <= 1e-13:
                 # ||C_phi - C_0|| for inner phi has the closed form of ||C_phi||
-                return DistanceTarget(inner_symbol_norm(f.value_at_zero()), "inner_c0",
-                                      "inner vs constant 0")
+                return DistanceTarget(inner_symbol_norm(f.value_at_zero()), "inner_c0")
     return None
 
 

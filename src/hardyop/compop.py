@@ -9,7 +9,7 @@ schedule runner certifies both properties on every run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -77,7 +77,9 @@ class OpMatrix:
 
     def leading(self, N: int) -> "OpMatrix":
         """The leading N x N block, phases included: with nested bases, exactly
-        the compression at dimension N."""
+        the compression at dimension N, for 2 <= N <= dim."""
+        if not 2 <= N <= self.dim:
+            raise PreconditionError(f"compression dimension must lie in [2, {self.dim}], got {N}")
         phases = () if self.row is None else (self.row[:N], self.col[:N])
         return OpMatrix(self.matrix[:N, :N], self.basis, *phases)
 
@@ -262,17 +264,11 @@ def restricted_norms(s: Symbol, dims: Sequence[int]) -> tuple[float, ...]:
 class ConvergenceReport:
     """Per-dimension values of one extremal task, with an optional target."""
 
-    task: str
-    params: dict
     dims: tuple[int, ...]
     values: tuple[float, ...]
     target: float | None = None
     target_label: str | None = None
-    gaps: tuple[float, ...] | None = field(default=None)
-
-    @property
-    def final_value(self) -> float:
-        return self.values[-1]
+    gaps: tuple[float, ...] | None = None
 
 
 _TASKS = ("distance", "restricted", "weighted", "opnorm")
@@ -335,7 +331,5 @@ def norm_schedule(task: str, params: dict, dims: Sequence[int]) -> ConvergenceRe
                     f"compression value {v:.15g} exceeds closed-form target {target:.15g}"
                 )
         gaps = tuple(target - v for v in values)
-    pretty = {k: str(v) if isinstance(v, Symbol) else v for k, v in params.items()}
-    return ConvergenceReport(task=task, params=pretty, dims=dims, values=values,
-                             target=target, target_label=label if target is not None else None,
-                             gaps=gaps)
+    return ConvergenceReport(dims=dims, values=values, target=target,
+                             target_label=label if target is not None else None, gaps=gaps)

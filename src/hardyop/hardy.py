@@ -35,7 +35,6 @@ BLOCK = 1 << 15             # largest grid sampled at once
 class PNormResult:
     """A boundary p-norm value together with the quadrature effort used."""
 
-    p: float
     value: float
     grid_size: int
     est_error: float
@@ -122,16 +121,15 @@ def p_norm(s: Symbol, p: float, tol: float = 1e-10) -> PNormResult:
     d = validate_selfmap(s)
     sup, K = d.boundary_sup, d.grid_size
     if p == math.inf:
-        return PNormResult(p=math.inf, value=sup, grid_size=K,
-                           est_error=abs(sup - d.grid_sup))
+        return PNormResult(value=sup, grid_size=K, est_error=abs(sup - d.grid_sup))
     if sup == 0.0:
-        return PNormResult(p=float(p), value=0.0, grid_size=K, est_error=0.0)
+        return PNormResult(value=0.0, grid_size=K, est_error=0.0)
     value, delta = sup * _grid_mean_pow(s, p, K, sup) ** (1.0 / p), math.inf
     while K < MAX_GRID and delta > tol:
         K *= 2
         prev, value = value, sup * _grid_mean_pow(s, p, K, sup) ** (1.0 / p)
         delta = abs(value - prev)
-    return PNormResult(p=float(p), value=value, grid_size=K, est_error=delta)
+    return PNormResult(value=value, grid_size=K, est_error=delta)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,7 @@ and serves as the independent reference for it.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 
@@ -292,10 +290,3 @@ def min_boundary_distance(points: np.ndarray, e: EllipseDisk) -> float:
     pts = np.asarray(points, dtype=complex).ravel()
     return float(np.min(np.abs(pts[:, None] - bd[None, :])))
 
-
-def write_boundary_csv(nr: NRBoundary, fh: IO[str]) -> None:
-    """Boundary polyline as CSV columns theta, support, re, im."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["theta", "support", "re", "im"])
-    for th, hv, pt in zip(nr.thetas, nr.support_vals, nr.boundary_pts):
-        writer.writerow([f"{th:.17g}", f"{hv:.17g}", f"{pt.real:.17g}", f"{pt.imag:.17g}"])

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hardyop import compop
+from hardyop import boundary, comp_matrix, compop, parse_symbol
 from hardyop.cli import json_dumps, main
 
 
@@ -36,7 +36,7 @@ def test_exit_code_on_invalid_selfmap(capsys):
 def test_unimodular_constant_is_not_a_selfmap(capsys, args):
     # a constant maps the disk into itself only when |c| < 1, also one
     # written as num/den with num = c den
-    assert main(args + ["-N", "4,16"]) == 2
+    assert main(args + ["-N", "16" if args[0] == "psolve" else "4,16"]) == 2
     assert "is not a selfmap" in capsys.readouterr().err
 
 
@@ -150,6 +150,8 @@ def test_distance_csv_mirror(tmp_path):
 def test_nrange_degenerate_segment(tmp_path):
     code, doc = run_json(["nrange", "alpha(0)", "-N", "32"], tmp_path)
     assert code == 0
+    assert list(doc["target_ellipse"]) == [
+        "focus_a", "focus_b", "major_len", "minor_len", "degenerate", "closed"]
     assert doc["target_ellipse"]["degenerate"] is True
     assert doc["target_ellipse"]["focus_a"] == [-1.0, 0.0]
     assert doc["contained"] == [True]
@@ -165,19 +167,50 @@ def test_nrange_dimension_schedule_gap_shrinks(tmp_path):
     assert doc["hausdorff"][1] < doc["hausdorff"][0]
 
 
-def test_nrange_builds_one_compression_per_dimension(monkeypatch, tmp_path):
+def test_nrange_builds_one_compression(monkeypatch, tmp_path):
     built = []
-    comp_matrix = compop.comp_matrix
 
     def counted(s, N, *args):
         built.append(N)
         return comp_matrix(s, N, *args)
 
     monkeypatch.setattr(compop, "comp_matrix", counted)
-    code, doc = run_json(["nrange", "alpha(0.5)", "-N", "16,32"], tmp_path)
+    code, doc = run_json(["nrange", "alpha(0.5)", "-N", "32,64"], tmp_path)
     assert code == 0
     assert doc["interior_min_dist"] > 0
-    assert built == [16, 32]
+    assert built == [64]
+
+
+@pytest.mark.parametrize("symbol, dims, tol", [
+    ("alpha(0.5)", (32, 64), 0.0),  # direct convolution at both sizes: bitwise equal
+    # the N=512 build takes the FFT, the N=128 one np.convolve: moves of 8e-15
+    ("alpha(0.8)", (128, 512), 1e-12),
+])
+def test_nrange_slices_match_per_dimension_builds(tmp_path, symbol, dims, tol):
+    code, doc = run_json(["nrange", symbol, "-N", ",".join(map(str, dims)), "--grid", "32"],
+                         tmp_path)
+    assert code == 0
+    s = parse_symbol(symbol)
+    full = comp_matrix(s, dims[-1])
+    for N, radius in zip(dims, doc["radius"]):
+        sliced, built = boundary(full.leading(N), grid=32), boundary(comp_matrix(s, N), grid=32)
+        assert np.abs(sliced.support_vals - built.support_vals).max() <= tol
+        assert abs(radius - built.radius) <= tol
+
+
+@pytest.mark.parametrize("dims", ["1,32", "0"])
+def test_nrange_rejects_small_dimension(capsys, dims):
+    # every dimension is sliced from one build, and each must still be >= 2
+    assert main(["nrange", "alpha(0.5)", "-N", dims, "--grid", "16"]) == 2
+    assert "input error: compression dimension" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+@pytest.mark.parametrize("symbol", ["0.5*z", "alpha(0.5)"])
+def test_nrange_rejects_nonpositive_samples(capsys, symbol, samples):
+    # rejected when parsed, whether or not the symbol has an ellipse to sample against
+    assert main(["nrange", symbol, "-N", "16", "--grid", "16", "--samples", samples]) == 2
+    assert "--samples" in capsys.readouterr().err
 
 
 def test_nrange_reports_dense_solves(tmp_path):
@@ -214,6 +247,9 @@ def test_nrange_boundary_csv(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "theta,support,re,im"
     assert len(lines) == 91
+    first = lines[1].split(",")
+    assert float(first[0]) == 0.0
+    assert len(first) == 4
 
 
 def test_psolve_report(tmp_path):
@@ -222,6 +258,28 @@ def test_psolve_report(tmp_path):
     assert doc["outcome"] == "finite"
     assert doc["p"] == pytest.approx(2.0, abs=1e-6)
     assert doc["restricted_norm"] == pytest.approx(1 / math.sqrt(2), abs=1e-9)
+
+
+def test_psolve_report_at_one_dimension(tmp_path):
+    code, doc = run_json(["psolve", "(z+z^2)/2", "-N", "128"], tmp_path)
+    assert code == 0
+    assert list(doc) == ["command", "params", "outcome", "p", "residual", "restricted_norm",
+                         "restricted_norm_extrapolated", "plateau_delta", "h2", "sup", "pass",
+                         "runtime_ms"]
+    assert doc["params"] == {"symbol": "(z+z^2)/2", "ptol": 1e-8, "N": 128}
+    assert doc["outcome"] == "finite"
+    assert doc["p"] == pytest.approx(5.5046859820791951, abs=1e-8)
+    assert doc["restricted_norm"] == pytest.approx(0.81534233135153644, abs=1e-12)
+    assert doc["plateau_delta"] == pytest.approx(0.0012435094319191986, abs=1e-12)
+
+
+@pytest.mark.parametrize("flags", [["--csv", "x.csv"], ["-N", "64,256"]], ids=" ".join)
+def test_psolve_rejects_unused_flags(capsys, monkeypatch, tmp_path, flags):
+    # one dimension and a JSON report only: no flag is accepted and then ignored
+    monkeypatch.chdir(tmp_path)
+    assert main(["psolve", "(z+z^2)/2", *flags]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_psolve_inner_multiple(tmp_path):

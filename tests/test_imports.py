@@ -75,3 +75,17 @@ def test_compop_solves_no_svd():
              if (isinstance(node, ast.Attribute) and node.attr == "svd")
              or (isinstance(node, ast.Name) and node.id == "svd")]
     assert calls == []
+
+
+@pytest.mark.parametrize("module", ["symbolic", "hardy", "compop", "closedform", "numrange",
+                                    "analysis"])
+def test_numeric_modules_do_no_io(module):
+    # the numeric modules return numbers; only the CLI renders and writes them
+    tree = ast.parse((SRC / "hardyop" / f"{module}.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported.add(node.module.split(".")[0])
+    assert imported.isdisjoint({"csv", "io", "json", "os", "sys", "tempfile"})

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -16,7 +15,6 @@ from hardyop import (
     parse_symbol,
     polyline_hausdorff,
     sample_w,
-    write_boundary_csv,
 )
 from hardyop.numrange import _certified
 
@@ -294,18 +292,6 @@ def test_polyline_hausdorff_translated_square():
     sq = np.array([0, 1, 1 + 1j, 1j], dtype=complex)
     assert polyline_hausdorff(sq, sq) == 0.0
     assert polyline_hausdorff(sq, sq + 0.1) == pytest.approx(0.1, abs=1e-12)
-
-
-def test_boundary_csv_export():
-    nr = boundary(const_matrix(0.3, 16), grid=90)
-    buf = io.StringIO()
-    write_boundary_csv(nr, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "theta,support,re,im"
-    assert len(lines) == 91
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.0
-    assert len(first) == 4
 
 
 def test_boundary_rejects_tiny_grid():
