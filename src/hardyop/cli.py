@@ -127,6 +127,13 @@ def _emit_csv(path: str, rows: list[list], header: list[str]) -> None:
     _write_atomic(path, buf.getvalue())
 
 
+def _emit_boundary_csv(path: str, nr: numrange.NRBoundary) -> None:
+    """Boundary polyline as CSV columns theta, support, re, im."""
+    rows = [[f"{th:.17g}", f"{h:.17g}", f"{pt.real:.17g}", f"{pt.imag:.17g}"]
+            for th, h, pt in zip(nr.thetas, nr.support_vals, nr.boundary_pts)]
+    _emit_csv(path, rows, ["theta", "support", "re", "im"])
+
+
 # ---------------------------------------------------------------------------
 # argument handling
 
@@ -288,9 +295,7 @@ def cmd_nrange(args) -> int:
         "runtime_ms": (time.perf_counter() - t0) * 1000.0,
     }
     if args.csv:  # the boundary at the largest dimension
-        rows = [[f"{th:.17g}", f"{h:.17g}", f"{pt.real:.17g}", f"{pt.imag:.17g}"]
-                for th, h, pt in zip(nr.thetas, nr.support_vals, nr.boundary_pts)]
-        _emit_csv(args.csv, rows, ["theta", "support", "re", "im"])
+        _emit_boundary_csv(args.csv, nr)
     _emit(body, args)
     return EXIT_OK if all_contained else EXIT_VERIFY_FAIL
 

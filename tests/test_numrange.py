@@ -16,6 +16,7 @@ from hardyop import (
     polyline_hausdorff,
     sample_w,
 )
+from hardyop.cli import _emit_boundary_csv
 from hardyop.numrange import _certified
 
 
@@ -292,6 +293,17 @@ def test_polyline_hausdorff_translated_square():
     sq = np.array([0, 1, 1 + 1j, 1j], dtype=complex)
     assert polyline_hausdorff(sq, sq) == 0.0
     assert polyline_hausdorff(sq, sq + 0.1) == pytest.approx(0.1, abs=1e-12)
+
+
+def test_boundary_csv_export(tmp_path):
+    out = tmp_path / "b.csv"
+    _emit_boundary_csv(str(out), boundary(const_matrix(0.3, 16), grid=90))
+    lines = out.read_text().strip().split("\n")
+    assert lines[0] == "theta,support,re,im"
+    assert len(lines) == 91
+    first = lines[1].split(",")
+    assert float(first[0]) == 0.0
+    assert len(first) == 4
 
 
 def test_boundary_rejects_tiny_grid():
