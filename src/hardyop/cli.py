@@ -259,7 +259,7 @@ def cmd_nrange(args) -> int:
     s = parse_symbol(args.symbol)
     t0 = time.perf_counter()
     ellipse = closedform.recognize_ellipse(s)  # validates s first
-    dims = sorted(set(args.N))
+    dims = compop.require_schedule(args.N)
     per_dim = {"dims": dims, "radius": [], "hausdorff": [], "violation": [], "contained": []}
     dense_solves, radius_evals = [], []
     all_contained = True

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import PreconditionError
 from .hardy import h2_inner, h2_norm, inner_multiple, is_inner, kernel_distance, powers
-from .symbolic import Symbol, alpha, compose, cross_products, ratio, require_selfmap, taylor_close
+from .symbolic import (Symbol, alpha, compose, cross_products, fixes_origin, ratio, require_selfmap,
+                       taylor_close)
 
 UNIMODULAR_TOL = 1e-12     # |lambda| within this of 1 counts as unimodular
 ANGLE_TOL = 1e-12          # rational-angle recognition tolerance
@@ -252,7 +253,7 @@ def recognize_distance_target(a: Symbol, b: Symbol) -> DistanceTarget | None:
         return DistanceTarget(const_distance(a.value_at_zero(), b.value_at_zero()), "const_const")
     # scalar multiples of one inner function fixing the origin
     c = ratio(*cross_products(a, b))
-    if c is not None and not b.is_constant and abs(b.value_at_zero()) <= 1e-13:
+    if c is not None and not b.is_constant and fixes_origin(b):
         ok, mu = inner_multiple(b)
         if ok:
             lam = c * mu
@@ -264,20 +265,19 @@ def recognize_distance_target(a: Symbol, b: Symbol) -> DistanceTarget | None:
             continue
         if not is_inner(inner_sym).is_inner:
             continue
-        q0 = inner_sym.value_at_zero()
-        candidates = [outer.value_at_zero()] if abs(q0) <= 1e-13 else [q0]
-        for p in candidates:
-            if abs(p) >= 1 or abs(p) <= 1e-13:
-                continue
-            if taylor_close(compose(alpha(p), inner_sym), outer):
-                return DistanceTarget(inner_alpha_distance(p), "automorphism_pair")
+        ref = outer if fixes_origin(inner_sym) else inner_sym
+        p = ref.value_at_zero()
+        if abs(p) >= 1 or fixes_origin(ref):
+            continue
+        if taylor_close(compose(alpha(p), inner_sym), outer):
+            return DistanceTarget(inner_alpha_distance(p), "automorphism_pair")
     # inner symbol vs constant
     for f, g in ((a, b), (b, a)):
         if g.is_constant and not f.is_constant and is_inner(f).is_inner:
             p = g.value_at_zero()
-            if abs(f.value_at_zero()) <= 1e-13:
+            if fixes_origin(f):
                 return DistanceTarget(inner_const_distance(p), "inner_const")
-            if abs(p) <= 1e-13:
+            if fixes_origin(g):
                 # ||C_phi - C_0|| for inner phi has the closed form of ||C_phi||
                 return DistanceTarget(inner_symbol_norm(f.value_at_zero()), "inner_c0")
     return None
@@ -286,7 +286,7 @@ def recognize_distance_target(a: Symbol, b: Symbol) -> DistanceTarget | None:
 def _power_orthogonal_certificate(s: Symbol) -> bool:
     """Exact check that <phi, phi^n> = 0 for all n >= 2 (polynomial phi
     vanishing at 0: only finitely many n can overlap in degree)."""
-    if not s.is_polynomial or abs(s.value_at_zero()) > 1e-14:
+    if not s.is_polynomial or not fixes_origin(s):
         return False
     num = s.num
     nonzero = np.flatnonzero(np.abs(num) > 1e-13)
@@ -304,7 +304,7 @@ def recognize_restricted_target(s: Symbol) -> float | None:
     fixing 0 whose powers are orthogonal to the symbol give the coefficient
     norm ||s||_2 exactly.
     """
-    if abs(s.value_at_zero()) > 1e-13:
+    if not fixes_origin(s):
         return None
     ok, mag = inner_multiple(s)
     if ok:
@@ -320,7 +320,7 @@ def recognize_opnorm_target(s: Symbol) -> float | None:
     require_selfmap(s)
     if s.is_constant:
         return norm_bounds(s.value_at_zero())[0]
-    if abs(s.value_at_zero()) <= 1e-13:
+    if fixes_origin(s):
         return 1.0
     if is_inner(s).is_inner:
         return inner_symbol_norm(s.value_at_zero())

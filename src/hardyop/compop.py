@@ -303,6 +303,14 @@ def _task_target(task: str, params: dict):
     return None, None
 
 
+def require_schedule(dims: Sequence[int]) -> tuple[int, ...]:
+    """The dimensions as ints; PreconditionError unless nonempty and strictly increasing."""
+    dims = tuple(int(d) for d in dims)
+    if not dims or any(b <= a for a, b in zip(dims, dims[1:])):
+        raise PreconditionError("dimension schedule must be nonempty and strictly increasing")
+    return dims
+
+
 def norm_schedule(task: str, params: dict, dims: Sequence[int]) -> ConvergenceReport:
     """Run one extremal task over a strictly increasing dimension schedule.
 
@@ -312,9 +320,7 @@ def norm_schedule(task: str, params: dict, dims: Sequence[int]) -> ConvergenceRe
     and never exceed the target beyond solver tolerance; a violation signals a
     solver bug, not bad input.
     """
-    dims = tuple(int(d) for d in dims)
-    if any(b <= a for a, b in zip(dims, dims[1:])) or not dims:
-        raise PreconditionError("dimension schedule must be nonempty and strictly increasing")
+    dims = require_schedule(dims)
     # the builds validate the inputs, before any closed form reads them
     values = _leading_block_norms(lambda N: _task_matrix(task, params, N), dims)
     target, label = _task_target(task, params)

@@ -38,6 +38,7 @@ SUP_OVERSAMPLE = 4          # sup scan: shifted copies of the boundary grid
 SUP_PEAKS = 16              # sup scan: local maxima refined
 FIXED_POINT_TOL = 1e-12     # fixed_point: |phi(z) - z| (Newton) or orbit step
 COEFF_TOL = 1e-10           # coefficient identities: max residual (ratio: times max(1, |c|))
+ORIGIN_TOL = 1e-12          # |phi(0)| <= ORIGIN_TOL counts as fixing the origin
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -166,8 +167,12 @@ def require_selfmap(s: Symbol, what: str = "symbol") -> None:
         )
 
 
+def fixes_origin(s: Symbol) -> bool:
+    return abs(s.value_at_zero()) <= ORIGIN_TOL
+
+
 def require_origin_fixed(s: Symbol, what: str) -> None:
-    if abs(s.value_at_zero()) > 1e-12:
+    if not fixes_origin(s):
         raise PreconditionError(f"{what} needs a symbol fixing the origin")
 
 

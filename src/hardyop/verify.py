@@ -1,13 +1,17 @@
 """Named verification checks: every closed-form formula is recomputed through
 the independent compression/quadrature machinery at fixed tolerances.
 
-Each check returns a CheckResult with the smallest slack over its assertions;
-the CLI `verify` command and the acceptance test suite both run these.
+Each check is a body that records assertions on a _Checker, registered once by
+the `_check(suite)` decorator, which builds ALL_CHECKS and SUITES in
+definition order.  Called with no arguments, a check returns a CheckResult
+with its time and the smallest slack over its assertions; the CLI `verify`
+command and the acceptance test suite both run these.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -63,22 +67,43 @@ class _Checker:
         )
 
 
-def check_const_distance() -> CheckResult:
+SUITES: dict[str, tuple] = {}
+
+
+def _check(suite: str):
+    """Register the decorated body as a zero-argument check of `suite` and of
+    "all", in definition order.  The check times the body on a fresh _Checker
+    and names its result after the function: check_<name> gives <name>."""
+    def register(body):
+        name = body.__name__.removeprefix("check_")
+
+        @functools.wraps(body)
+        def check() -> CheckResult:
+            t0 = time.perf_counter()
+            c = _Checker()
+            body(c)
+            return c.result(name, t0)
+
+        for key in (suite, "all"):
+            SUITES[key] = SUITES.get(key, ()) + (check,)
+        return check
+
+    return register
+
+
+@_check("formulas")
+def check_const_distance(c: _Checker) -> None:
     """Compression of ||C_0 - C_0.5|| against the kernel-distance closed form."""
-    t0 = time.perf_counter()
-    c = _Checker()
     target = math.sqrt(1.0 / 3.0)
     d = compop.distance(symbolic.constant(0.0), symbolic.constant(0.5), 64)
     c.close("distance(const 0, const 0.5, N=64)", d, target, 1e-9)
     c.close("kernel_distance(0, 0.5)", hardy.kernel_distance(0.0, 0.5), target, 1e-12)
     c.close("const_distance formula", closedform.const_distance(0.0, 0.5), target, 1e-12)
-    return c.result("const_distance", t0)
 
 
-def check_rotation_distance() -> CheckResult:
+@_check("formulas")
+def check_rotation_distance(c: _Checker) -> None:
     """Diagonal rotation distances: i*z vs z, and a cube root of unity."""
-    t0 = time.perf_counter()
-    c = _Checker()
     a = parse_symbol("i*z")
     b = symbolic.identity()
     c.close("distance(i z, z, N=3)", compop.distance(a, b, 3), 2.0, 1e-12)
@@ -90,13 +115,11 @@ def check_rotation_distance() -> CheckResult:
     brute = closedform.rotation_distance_bruteforce(lam, 1.0, depth=1_000_000)
     # the brute-force oracle carries O(depth * eps) phase drift, so 1e-9
     c.close("matches brute force to depth 1e6", rot.value, brute, 1e-9)
-    return c.result("rotation_distance", t0)
 
 
-def check_inner_const_convergence() -> CheckResult:
+@_check("formulas")
+def check_inner_const_convergence(c: _Checker) -> None:
     """||C_{z^2} - C_0.5|| compressions converge fast to the closed form."""
-    t0 = time.perf_counter()
-    c = _Checker()
     rep = compop.norm_schedule(
         "distance", {"a": parse_symbol("z^2"), "b": symbolic.constant(0.5)},
         [16, 32, 64, 128],
@@ -108,13 +131,11 @@ def check_inner_const_convergence() -> CheckResult:
     c.ok("values nondecreasing (certified by schedule)", True)
     for v in rep.values:
         c.le("value <= target + 1e-9", v, target + 1e-9)
-    return c.result("inner_const_convergence", t0)
 
 
-def check_automorphism_distance() -> CheckResult:
+@_check("formulas")
+def check_automorphism_distance(c: _Checker) -> None:
     """||C_{alpha_0.5} - I|| compressions: monotone, bounded, slowly closing."""
-    t0 = time.perf_counter()
-    c = _Checker()
     rep = compop.norm_schedule(
         "distance", {"a": symbolic.alpha(0.5), "b": symbolic.identity()},
         [128, 256, 512, 1024, 2048],
@@ -130,13 +151,11 @@ def check_automorphism_distance() -> CheckResult:
     c.le("gap at N=2048", gaps[-1], 0.05)
     for g1, g2 in zip(gaps, gaps[1:]):
         c.gt("gaps strictly decreasing", g1, g2)
-    return c.result("automorphism_distance", t0)
 
 
-def check_const_range_ellipse() -> CheckResult:
+@_check("nrange")
+def check_const_range_ellipse(c: _Checker) -> None:
     """Numerical range of the C_0.5 compression against its closed ellipse."""
-    t0 = time.perf_counter()
-    c = _Checker()
     A = compop.const_matrix(0.5, 64)
     nr = numrange.boundary(A, grid=720)
     e = closedform.const_ellipse(0.5)
@@ -145,13 +164,11 @@ def check_const_range_ellipse() -> CheckResult:
     cmp_ = numrange.ellipse_compare(nr, e)
     c.le("hausdorff gap", cmp_.hausdorff, 1e-6)
     c.le("containment violation", cmp_.max_violation, 1e-8)
-    return c.result("const_range_ellipse", t0)
 
 
-def check_automorphism_range_ellipse() -> CheckResult:
+@_check("nrange")
+def check_automorphism_range_ellipse(c: _Checker) -> None:
     """Numerical range of C_{alpha_0.5} compressions inside the open ellipse."""
-    t0 = time.perf_counter()
-    c = _Checker()
     e = closedform.alpha_ellipse(0.5)
     c.close("ellipse major axis", e.major_len, 2.0 / math.sqrt(0.75), 1e-12)
     c.close("ellipse minor axis", e.minor_len, 1.0 / math.sqrt(0.75), 1e-12)
@@ -170,10 +187,10 @@ def check_automorphism_range_ellipse() -> CheckResult:
             c.gt("sampled points strictly interior", numrange.min_boundary_distance(pts, e), 0.0)
     c.le("hausdorff gap at N=256", gaps[256], 0.05)
     c.gt("hausdorff gap decreasing 64 -> 256", gaps[64], gaps[256])
-    return c.result("automorphism_range_ellipse", t0)
 
 
-def check_restricted_norms() -> CheckResult:
+@_check("restricted")
+def check_restricted_norms(c: _Checker) -> None:
     """Restricted norms: 1 for inner symbols fixing 0, strictly below 1 and
     settling at first order for the non-inner (z+z^2)/2.
 
@@ -187,8 +204,6 @@ def check_restricted_norms() -> CheckResult:
     0 < value(512) - value(256) <= (value(256) - value(128)) / 2.
     A schedule that stalls, drops or climbs slower than O(1/N) fails it.
     """
-    t0 = time.perf_counter()
-    c = _Checker()
     for text in ("z^2", "z^3", "z*alpha(0.5)"):
         v = compop.restricted_norm(parse_symbol(text), 128)
         c.close(f"restricted norm of {text} at N=128", v, 1.0, 1e-8)
@@ -197,14 +212,12 @@ def check_restricted_norms() -> CheckResult:
     c.gt("non-inner margin 1 - value(512)", 1.0 - v512, 1e-3)
     c.le("plateau value(512) - value(256)", v512 - v256, (v256 - v128) / 2.0)
     c.gt("still rising value(512) - value(256)", v512 - v256, 0.0)
-    return c.result("restricted_norms", t0)
 
 
-def check_minimal_norm_case() -> CheckResult:
+@_check("restricted")
+def check_minimal_norm_case(c: _Checker) -> None:
     """(z^2+z^3)/2: restricted norm equals ||phi||_2 with exact orthogonality
     of higher powers, while the power family itself is not orthogonal."""
-    t0 = time.perf_counter()
-    c = _Checker()
     s = parse_symbol("(z^2+z^3)/2")
     c.close("restricted norm at N=16", compop.restricted_norm(s, 16),
             1.0 / math.sqrt(2.0), 1e-9)
@@ -214,13 +227,11 @@ def check_minimal_norm_case() -> CheckResult:
          bool(np.all(rep.power_overlaps == 0)))
     G = analysis.rudin_audit(s, 3)
     c.close("<phi^2, phi^3>", abs(G[2, 3]), 0.03125, 1e-12)
-    return c.result("minimal_norm_case", t0)
 
 
-def check_p_norm_solve() -> CheckResult:
+@_check("restricted")
+def check_p_norm_solve(c: _Checker) -> None:
     """The exponent solve on the three canonical cases."""
-    t0 = time.perf_counter()
-    c = _Checker()
     r1 = analysis.p_solve(parse_symbol("(z^2+z^3)/2"))
     c.ok("(z^2+z^3)/2 finite", r1.outcome == "finite")
     if r1.p_value is not None:
@@ -235,36 +246,30 @@ def check_p_norm_solve() -> CheckResult:
     c.le("(z+z^2)/2 residual", r3.residual, 1e-8)
     c.ok("single sign change on 64-point exponent grid",
          analysis.p_grid_sign_changes(s3, r3.r) == 1)
-    return c.result("p_norm_solve", t0)
 
 
-def check_inner_pullback() -> CheckResult:
+@_check("formulas")
+def check_inner_pullback(c: _Checker) -> None:
     """Boundary pull-back identity for alpha_0.3 against f = 1 + z."""
-    t0 = time.perf_counter()
-    c = _Checker()
     res = analysis.inner_pullback_check(symbolic.alpha(0.3), [1.0, 1.0])
     c.le("residual", res.residual, 1e-10)
     c.close("left side", res.lhs, 2.6, 1e-9)
     c.close("right side", res.rhs, 2.6, 1e-9)
-    return c.result("inner_pullback", t0)
 
 
-def check_quadrature_norms() -> CheckResult:
+@_check("formulas")
+def check_quadrature_norms(c: _Checker) -> None:
     """Boundary p-norms of (z^2+z^3)/2: the exact 4-norm and monotonicity."""
-    t0 = time.perf_counter()
-    c = _Checker()
     s = parse_symbol("(z^2+z^3)/2")
     c.close("||phi||_4", hardy.p_norm(s, 4).value, (3.0 / 8.0) ** 0.25, 1e-8)
     vals = [hardy.p_norm(s, p).value for p in (2, 3, 4, 8, 16)]
     for a, b in zip(vals, vals[1:]):
         c.le("p-norms nondecreasing", a, b + 1e-9)
-    return c.result("quadrature_norms", t0)
 
 
-def check_iterate_contraction() -> CheckResult:
+@_check("iterates")
+def check_iterate_contraction(c: _Checker) -> None:
     """Iterates of z/2 + 1/4 contract to the constant 1/2 in compression norm."""
-    t0 = time.perf_counter()
-    c = _Checker()
     rep = analysis.iterate_sweep(parse_symbol("z/2 + 0.25"), 8, 128)
     c.close("fixed point", abs(rep.fixed_pt - 0.5), 0.0, 1e-10)
     for a, b in zip(rep.dist_to_fixed, rep.dist_to_fixed[1:]):
@@ -275,47 +280,9 @@ def check_iterate_contraction() -> CheckResult:
         for n, g in zip(rep.ns, rep.strict_gaps):
             if n >= rep.first_strict_n:
                 c.gt(f"gap positive at n={n}", g, 1e-6)
-    return c.result("iterate_contraction", t0)
 
 
-ALL_CHECKS = (
-    check_const_distance,
-    check_rotation_distance,
-    check_inner_const_convergence,
-    check_automorphism_distance,
-    check_const_range_ellipse,
-    check_automorphism_range_ellipse,
-    check_restricted_norms,
-    check_minimal_norm_case,
-    check_p_norm_solve,
-    check_inner_pullback,
-    check_quadrature_norms,
-    check_iterate_contraction,
-)
-
-SUITES = {
-    "formulas": (
-        check_const_distance,
-        check_rotation_distance,
-        check_inner_const_convergence,
-        check_automorphism_distance,
-        check_inner_pullback,
-        check_quadrature_norms,
-    ),
-    "nrange": (
-        check_const_range_ellipse,
-        check_automorphism_range_ellipse,
-    ),
-    "restricted": (
-        check_restricted_norms,
-        check_minimal_norm_case,
-        check_p_norm_solve,
-    ),
-    "iterates": (
-        check_iterate_contraction,
-    ),
-    "all": ALL_CHECKS,
-}
+ALL_CHECKS = SUITES["all"]
 
 
 def run_suite(name: str) -> list[CheckResult]:

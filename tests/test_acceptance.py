@@ -16,6 +16,7 @@ from hardyop import verify
 
 def _run(check) -> verify.CheckResult:
     result = check()
+    assert result.name == check.__name__.removeprefix("check_")
     status = "PASS" if result.passed else "FAIL"
     print(f"{status} {result.name} margin={result.margin:.3g} "
           f"elapsed={result.elapsed_ms:.0f}ms")
@@ -24,6 +25,20 @@ def _run(check) -> verify.CheckResult:
             print(f"    failed assertion: {item['label']} "
                   f"(value={item['value']:.12g}, target={item['target']:.12g})")
     return result
+
+
+def test_every_check_registered_once_in_definition_order():
+    module_checks = [fn for name, fn in vars(verify).items() if name.startswith("check_")]
+    assert list(verify.ALL_CHECKS) == module_checks
+    assert verify.SUITES["all"] == verify.ALL_CHECKS
+    named = {k: v for k, v in verify.SUITES.items() if k != "all"}
+    assert sorted(named) == ["formulas", "iterates", "nrange", "restricted"]
+    for checks in named.values():
+        positions = [module_checks.index(fn) for fn in checks]
+        assert positions == sorted(positions)
+    # the named suites partition "all"
+    assert sorted(module_checks.index(fn) for v in named.values() for fn in v) == list(
+        range(len(module_checks)))
 
 
 def test_criterion_01_const_distance():

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hardyop
 from hardyop import boundary, comp_matrix, compop, parse_symbol
 from hardyop.cli import json_dumps, main
 
@@ -205,6 +210,13 @@ def test_nrange_rejects_small_dimension(capsys, dims):
     assert "input error: compression dimension" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dims", ["64,32", "32,32", "64,32,32"])
+def test_nrange_rejects_unordered_schedule(capsys, dims):
+    # one schedule rule for norm, distance and nrange
+    assert main(["nrange", "alpha(0.5)", "-N", dims, "--grid", "16"]) == 2
+    assert "dimension schedule must be nonempty and strictly increasing" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 @pytest.mark.parametrize("symbol", ["0.5*z", "alpha(0.5)"])
 def test_nrange_rejects_nonpositive_samples(capsys, symbol, samples):
@@ -313,6 +325,17 @@ def test_verify_iterates_suite(tmp_path):
     assert doc["pass"] is True
     assert doc["checks"][0]["name"] == "iterate_contraction"
     assert doc["checks"][0]["pass"] is True
+
+
+def test_module_entry_point_runs_verify():
+    # `python -m hardyop.cli` goes through cli.run, as the hardyop console script does
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(hardyop.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-m", "hardyop.cli", "verify", "iterates"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["pass"] is True
 
 
 def test_report_escapes_control_characters(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hardyop import (
     EllipseDisk,
     NotSelfmapError,
+    PreconditionError,
     Symbol,
     alpha,
     alpha_ellipse,
@@ -22,6 +23,7 @@ from hardyop import (
     inner_symbol_norm,
     kernel_distance,
     norm_bounds,
+    norm_schedule,
     parse_symbol,
     recognize_distance_target,
     recognize_ellipse,
@@ -247,6 +249,20 @@ def test_recognize_restricted_targets():
     # at the degree cap the expansion adds two shifted copies per power
     assert recognize_restricted_target(parse_symbol("0.5*z + 0.5*z^4096")) == pytest.approx(
         math.sqrt(0.5), abs=1e-15)
+
+
+def test_restriction_and_its_target_share_the_origin_rule():
+    # |phi(0)| = 5e-13 fixes the origin for the restriction, so the target applies too
+    s = parse_symbol("5e-13 + 0.5*z")
+    rep = norm_schedule("restricted", {"s": s}, [8, 16])
+    assert recognize_restricted_target(s) == pytest.approx(0.5, abs=1e-15)
+    assert rep.target == recognize_restricted_target(s)
+    assert rep.values[-1] == pytest.approx(0.5, abs=1e-12)
+    # past the rule, both refuse
+    s = parse_symbol("5e-12 + 0.5*z")
+    assert recognize_restricted_target(s) is None
+    with pytest.raises(PreconditionError, match="fixing the origin"):
+        norm_schedule("restricted", {"s": s}, [8, 16])
 
 
 def test_recognize_opnorm_targets():

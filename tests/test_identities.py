@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from hardyop import Symbol, alpha, op_norm, restricted_norm, weighted_matrix
+from hardyop import (Symbol, alpha, comp_matrix, distance, norm_bounds, op_norm, restricted_norm,
+                     weighted_matrix)
 from hardyop.symbolic import sym_mul
 
 
@@ -39,3 +40,52 @@ def test_restriction_is_the_weighted_compression_one_size_up(s, N):
     r = restricted_norm(s, N)
     assert abs(r - op_norm(weighted_matrix(s, s, N + 1))) <= 1e-14 * r
     assert op_norm(weighted_matrix(s, s, N)) <= r + 1e-14
+
+
+def _symbols_off_the_origin() -> list[Symbol]:
+    """Four selfmaps with phi(0) != 0: real and complex c0 + c1 z + c2 z^2 + c3 z^3
+    with sum |c_k| = 0.9, and alpha(p) for a real and a complex p."""
+    rng = np.random.default_rng(20070217)
+    out = [Symbol(0.9 * c / np.abs(c).sum())
+           for c in (rng.uniform(-1, 1, 4), rng.normal(size=4) + 1j * rng.normal(size=4))]
+    out.append(alpha(rng.uniform(0.1, 0.8)))
+    out.append(alpha(rng.uniform(0.1, 0.8) * np.exp(2j * np.pi * rng.uniform())))
+    return out
+
+
+ALL_SYMBOLS = SYMBOLS + _symbols_off_the_origin()
+ALL_IDS = [f"s{k}" for k in range(len(ALL_SYMBOLS))]
+
+
+@pytest.mark.parametrize("N", [16, 64])
+@pytest.mark.parametrize("s", ALL_SYMBOLS, ids=ALL_IDS)
+def test_compression_is_below_the_norm_upper_bound(s, N):
+    # ||C_s|| <= sqrt((1 + |s(0)|) / (1 - |s(0)|)), and a compression is a lower bound of ||C_s||;
+    # inner symbols fixing 0 meet the bound 1 exactly, so allow rounding (4.4e-16 seen)
+    upper = norm_bounds(s.value_at_zero())[1]
+    assert op_norm(comp_matrix(s, N)) <= upper * (1 + 1e-14)
+
+
+@pytest.mark.parametrize("N", [16, 64])
+def test_distance_is_symmetric(N):
+    for a, b in zip(ALL_SYMBOLS, ALL_SYMBOLS[1:]):
+        assert distance(a, b, N) == distance(b, a, N)
+
+
+def _rotated(psi: Symbol, lam: complex, mu: complex) -> Symbol:
+    """lam psi(mu z)."""
+    return Symbol(lam * psi.num * mu ** np.arange(psi.num.size),
+                  psi.den * mu ** np.arange(psi.den.size))
+
+
+REAL_CORES = [s for s in ALL_SYMBOLS if not np.any(s.num.imag) and not np.any(s.den.imag)]
+
+
+@pytest.mark.parametrize("N", [16, 64])
+@pytest.mark.parametrize("psi", REAL_CORES, ids=[f"psi{k}" for k in range(len(REAL_CORES))])
+def test_rotation_keeps_every_compression_norm(psi, N):
+    # C_{lam psi(mu z)} = D_mu C_psi D_lam with unitary diagonal D, at every N
+    rng = np.random.default_rng(N)
+    lam, mu = np.exp(2j * np.pi * rng.uniform(size=2))
+    expected = op_norm(comp_matrix(psi, N))
+    assert abs(op_norm(comp_matrix(_rotated(psi, lam, mu), N)) - expected) <= 1e-13 * expected
