@@ -98,16 +98,19 @@ def _dump(obj, out: io.StringIO) -> None:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hardyop-", suffix=".tmp")
+    """Write via a temporary file in path's directory; an unwritable path is an input error."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".hardyop-", suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _emit(report: dict, args) -> None:

@@ -27,7 +27,7 @@ DENOM_CAP = 1_000_000      # continued-fraction denominator cap
 
 def _require_disk(p: complex, name: str = "p") -> complex:
     p = complex(p)
-    if abs(p) >= 1:
+    if not abs(p) < 1:  # NaN too
         raise PreconditionError(f"{name} must lie in the open unit disk, got |{name}|={abs(p):.6g}")
     return p
 
@@ -113,7 +113,7 @@ def rotation_distance(lam: complex, mu: complex) -> RotationDistance:
     sup is taken by rotation_distance_bruteforce at its default depth.
     """
     lam, mu = complex(lam), complex(mu)
-    if abs(lam) > 1 + UNIMODULAR_TOL or abs(mu) > 1 + UNIMODULAR_TOL:
+    if not (abs(lam) <= 1 + UNIMODULAR_TOL and abs(mu) <= 1 + UNIMODULAR_TOL):  # NaN too
         raise PreconditionError("scalars must lie in the closed unit disk")
     if abs(lam - mu) <= UNIMODULAR_TOL:
         return RotationDistance(0.0, "equal", None)
@@ -289,8 +289,8 @@ def _power_orthogonal_certificate(s: Symbol) -> bool:
     if not s.is_polynomial or not fixes_origin(s):
         return False
     num = s.num
-    nonzero = np.flatnonzero(np.abs(num) > 1e-13)
-    if nonzero.size == 0 or nonzero[0] == 0:
+    nonzero = np.flatnonzero(np.abs(num[1:]) > 1e-13) + 1  # fixes_origin allows a tiny num[0]
+    if nonzero.size == 0:
         return False
     # the overlap reads only the first num.size coefficients of each power
     higher = islice(powers(num, (num.size - 1) // int(nonzero[0]), num.size), 1, None)

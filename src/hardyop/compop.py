@@ -19,14 +19,6 @@ from .errors import PreconditionError, SolverInternalError
 from .symbolic import (Symbol, constant, require_origin_fixed, require_selfmap, rotation_real,
                        taylor, taylor_close, unit_powers)
 
-# Column convolutions take numpy.fft from this step length m (after the eps^2
-# flush) and np.convolve below it.  comp_matrix, direct/FFT ms on a 2-core x86
-# VM, real alpha(r) | complex blaschke([r (0.6+0.8i), 0.3i]), r set for m:
-#   m=128: N=512 19/29 | 40/41, N=2048 268/360 | 467/426
-#   m=192: N=512 17/20 | 42/40, N=2048 238/264 | 641/461
-#   m=256: N=512 22/23 | 48/37, N=2048 368/317 | 796/551
-# At N=128 (m <= 129) direct wins at any m: 2.8/4.6 ms at m=128.
-FFT_COLUMN_THRESHOLD = 192
 MONOTONE_TOL = 1e-9            # certificate slack for nondecreasing values
 TARGET_TOL = 1e-9              # certificate slack for value <= target
 
@@ -100,26 +92,13 @@ def _real_taylor(s: Symbol, N: int) -> np.ndarray:
     return t if t.imag.any() else t.real.copy()
 
 
-def _fast_len(n: int, real: bool) -> int:
-    """Smallest n' >= n whose prime factors lie in (2, 3, 5) for real FFTs or
-    (2, 3, 5, 7, 11) for complex ones: the rule of scipy.fft.next_fast_len."""
-    primes = (2, 3, 5) if real else (2, 3, 5, 7, 11)
-    while True:
-        m = n
-        for p in primes:
-            while m % p == 0:
-                m //= p
-        if m == 1:
-            return n
-        n += 1
-
-
 def _power_columns(first: np.ndarray, step: np.ndarray, count: int, length: int) -> np.ndarray:
-    """Columns first, first*step, first*step^2, ... under truncated convolution;
-    float64 (real FFTs) when first and step are real.  The step drops its
-    coefficients below eps^2 times its largest and its trailing zeros: exactly
-    z shifts the columns, length m >= FFT_COLUMN_THRESHOLD takes numpy.fft and
-    shorter steps np.convolve (exact for polynomials).  Entries below eps^2
+    """Columns first, first*step, first*step^2, ... under truncated convolution
+    by np.convolve, float64 when first and step are real.  The step drops its
+    coefficients below eps^2 times its largest and its trailing zeros; a step
+    of exactly z shifts the columns.  A longer build's leading block is
+    bitwise the shorter build unless their steps trim to different lengths
+    (a lacunary step with terms past the shorter length).  Entries below eps^2
     times the largest of the first column (so below eps^2 ||M||) become 0 as
     formed, keeping out subnormals, on which LAPACK runs several times slower;
     a zero column ends the build."""
@@ -138,14 +117,8 @@ def _power_columns(first: np.ndarray, step: np.ndarray, count: int, length: int)
         for k in range(1, count):
             out[k:k + col.size, k] = col[:length - k]
         return out
-    fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
-    L = _fast_len(2 * length, real)
-    step_hat = fft(step, L) if step.size >= FFT_COLUMN_THRESHOLD else None
     for k in range(1, count):
-        if step_hat is None:
-            col = np.convolve(col, step)[:length]
-        else:
-            col = ifft(fft(col, L) * step_hat, L)[:length]
+        col = np.convolve(col, step)[:length]
         col[np.abs(col) < floor] = 0
         if not col.any():
             break
@@ -241,8 +214,9 @@ def restricted_norm(s: Symbol, N: int) -> float:
 def _leading_block_norms(build, dims: Sequence[int]) -> tuple[float, ...]:
     """Norms of the leading N x N blocks of one matrix build(max(dims)).
 
-    Every compression here uses nested bases, so the block at N is exactly
-    the compression built at N; one build serves a whole schedule.
+    Every compression here uses nested bases and one convolution path, so the
+    block at N is exactly the compression built at N (but see _power_columns on
+    lacunary steps); one build serves a whole schedule.
     """
     dims = tuple(int(d) for d in dims)
     if not dims or min(dims) < 2:

@@ -82,7 +82,7 @@ def kernel_distance(p1: complex, p2: complex) -> float:
     """Distance between the reproducing kernels at p1 and p2 (closed form)."""
     p1, p2 = complex(p1), complex(p2)
     for p in (p1, p2):
-        if abs(p) >= 1:
+        if not abs(p) < 1:  # NaN too
             raise PreconditionError(f"kernel point must lie in the open disk, got |p|={abs(p):.6g}")
     val = (
         1.0 / (1.0 - abs(p1) ** 2)
@@ -116,7 +116,7 @@ def p_norm(s: Symbol, p: float, tol: float = 1e-10) -> PNormResult:
     symbol's grid_size until two successive values agree within tol; at the
     2^20 grid the last estimate is returned with its refinement delta.
     """
-    if p != math.inf and p < 2:
+    if not p >= 2:  # NaN too
         raise PreconditionError(f"p must be >= 2 (or inf), got {p}")
     d = validate_selfmap(s)
     sup, K = d.boundary_sup, d.grid_size

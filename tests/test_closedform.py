@@ -24,6 +24,7 @@ from hardyop import (
     kernel_distance,
     norm_bounds,
     norm_schedule,
+    p_norm,
     parse_symbol,
     recognize_distance_target,
     recognize_ellipse,
@@ -127,6 +128,27 @@ def test_rotation_rejects_outside_closed_disk():
 
     with pytest.raises(PreconditionError):
         rotation_distance(1.5, 1.0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rotation_distance(NAN, 1.0),
+    lambda: rotation_distance(1.0, complex(0.5, NAN)),
+    lambda: norm_bounds(NAN),
+    lambda: const_ellipse(NAN),
+    lambda: alpha_ellipse(complex(NAN, 0.0)),
+    lambda: inner_const_distance(NAN),
+    lambda: kernel_distance(NAN, 0),
+    lambda: p_norm(alpha(0.5), NAN),
+], ids=["rotation-lam", "rotation-mu", "norm_bounds", "const_ellipse", "alpha_ellipse",
+        "inner_const_distance", "kernel_distance", "p_norm"])
+def test_nan_scalars_are_rejected(call):
+    # every comparison with NaN is false, so each precondition is written to pass
+    # only in-range values; a NaN never reaches a formula
+    with pytest.raises(PreconditionError):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +265,10 @@ def test_recognize_restricted_targets():
         1 / math.sqrt(2), abs=1e-15)
     assert recognize_restricted_target(parse_symbol("(z+z^2)/2")) is None
     assert recognize_restricted_target(parse_symbol("z/2 + 0.25")) is None
+    # a constant term within the origin rule does not hide the first power
+    for c in ("5e-14", "5e-13"):
+        assert recognize_restricted_target(parse_symbol(f"{c} + (z^2+z^3)/2")) == pytest.approx(
+            1 / math.sqrt(2), abs=1e-15)
     # 500 powers, each truncated to the 501 coefficients the overlap reads
     assert recognize_restricted_target(parse_symbol("0.5*z + 0.5*z^500")) == pytest.approx(
         math.sqrt(0.5), abs=1e-15)

@@ -31,7 +31,7 @@ from hardyop import (
 PHI23 = parse_symbol("(z^2+z^3)/2")
 PHI12 = parse_symbol("(z+z^2)/2")
 # zeros of unrelated phases: a complex matrix, and a series with m = 322
-# coefficients above eps^2, so its columns take the FFT at every N >= 192
+# coefficients above eps^2, so every column at N >= 322 convolves a long step
 SLOW_CPLX = blaschke([0.8, 0.3j])
 
 
@@ -80,15 +80,16 @@ def test_comp_matrix_columns_are_truncated_powers():
 
 
 def test_fft_and_direct_columns_agree():
-    # alpha(0.8)'s series keeps m = 321 coefficients above eps^2: FFT columns
-    # at N=512, direct ones at N=128 (m <= N); real coefficients stay float64
+    # alpha(0.8)'s series keeps m = 321 coefficients above eps^2: a step of 321
+    # terms at N=512, one cut to N at N=128; real coefficients stay float64 and
+    # the N=128 build is the leading block of the N=512 one, bitwise
     s = alpha(0.8)
     big = comp_matrix(s, 512, "full").entries
     small = comp_matrix(s, 128, "full").entries
     assert big.dtype == np.float64 and small.dtype == np.float64
-    assert np.max(np.abs(big[:128, :128] - small)) < 1e-13
+    assert np.array_equal(big[:128, :128], small)
     # spot-check deep columns against plain convolution powers, for a real
-    # symbol and a complex one (complex FFT path, complex128 entries)
+    # symbol and a complex one (complex128 entries)
     cplx = SLOW_CPLX
     big_c = comp_matrix(cplx, 512, "full").entries
     assert big_c.dtype == np.complex128
@@ -100,30 +101,6 @@ def test_fft_and_direct_columns_agree():
             col = np.convolve(col, t)[:512]
             if k in (7, 100, 400):
                 assert np.max(np.abs(M[:, k] - col)) < 1e-12
-
-
-@pytest.mark.parametrize("length", [512, 513, 1024, 1025])
-@pytest.mark.parametrize("p", [0.3, 0.3 + 0.4j])
-def test_power_columns_fft_matches_direct_convolution(length, p, monkeypatch):
-    # real FFT lengths are 5-smooth and complex ones 11-smooth; odd lengths
-    # and lengths past a power of two pad differently.  alpha(0.3)'s series
-    # is 61 coefficients long above eps^2, so the FFT path is forced.
-    monkeypatch.setattr(compop, "FFT_COLUMN_THRESHOLD", 1)
-    step = compop._real_taylor(alpha(p), length)
-    first = compop._real_taylor(alpha(p / 2), length)
-    M = compop._power_columns(first, step, 40, length)
-    assert M.dtype == (np.complex128 if np.iscomplexobj(p) else np.float64)
-    col = first
-    for k in range(40):
-        assert np.max(np.abs(M[:, k] - col)) <= 1e-13 * np.max(np.abs(col))
-        col = np.convolve(col, step)[:length]
-
-
-def test_fast_len_matches_scipy_next_fast_len():
-    scipy_fft = pytest.importorskip("scipy.fft")
-    for real in (True, False):
-        for n in range(1, 5000):
-            assert compop._fast_len(n, real) == scipy_fft.next_fast_len(n, real=real)
 
 
 @pytest.mark.parametrize("N", [16, 600, 2048])
@@ -213,7 +190,8 @@ def test_compressions_hold_no_subnormals(case, N):
 
 
 def test_polynomial_columns_take_no_fft(monkeypatch):
-    # a degree-3 step convolves directly at any N: exact, and O(N) per column
+    # every step convolves directly: a degree-3 one exactly, in O(N) per
+    # column, and the 322-term series of SLOW_CPLX too
     cplx3 = parse_symbol("0.3*z + (0.2+0.1i)*z^2 + 0.2i*z^3")
     for s in (cplx3, SLOW_CPLX):
         validate_selfmap(s)  # cached; its boundary scan takes FFTs
@@ -223,8 +201,8 @@ def test_polynomial_columns_take_no_fft(monkeypatch):
         monkeypatch.setattr(np.fft, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
     assert comp_matrix(cplx3, 1024).matrix.dtype == np.complex128
     assert calls == []
-    comp_matrix(SLOW_CPLX, 512)  # the counter sees the FFT path
-    assert calls
+    comp_matrix(SLOW_CPLX, 512)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +400,17 @@ SLICED_CASES = {
     "weighted-complex": ("weighted", {"w": CPLX, "s": CPLX}),
     "weighted-rotated": ("weighted", {"w": ROT, "s": ROT}),
 }
+
+
+@pytest.mark.parametrize("N", [64, 128])
+@pytest.mark.parametrize("task", ["opnorm", "distance"])
+@pytest.mark.parametrize("s", [alpha(0.8), SLOW_CPLX], ids=["alpha(0.8)", "blaschke"])
+def test_schedule_value_does_not_depend_on_the_rest_of_the_schedule(s, task, N):
+    # the value at N is that of the compression built at N, bitwise, whatever
+    # larger dimension the schedule builds: one convolution path at every size
+    params = {"s": s} if task == "opnorm" else {"a": s, "b": identity()}
+    alone = norm_schedule(task, params, [N]).values[0]
+    assert norm_schedule(task, params, [N, 4 * N]).values[0] == alone
 
 
 def per_dimension(task, params, N):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from hardyop import (Symbol, alpha, comp_matrix, distance, norm_bounds, op_norm, restricted_norm,
-                     weighted_matrix)
-from hardyop.symbolic import sym_mul
+from hardyop import (Symbol, alpha, comp_matrix, constant, distance, norm_bounds, op_norm,
+                     restricted_norm, validate_selfmap, weighted_matrix)
+from hardyop.cli import main
+from hardyop.symbolic import format_symbol, sym_mul
 
 
 def _origin_fixing_symbols() -> list[Symbol]:
@@ -89,3 +90,53 @@ def test_rotation_keeps_every_compression_norm(psi, N):
     lam, mu = np.exp(2j * np.pi * rng.uniform(size=2))
     expected = op_norm(comp_matrix(psi, N))
     assert abs(op_norm(comp_matrix(_rotated(psi, lam, mu), N)) - expected) <= 1e-13 * expected
+
+
+def _selfmap_verdict_cases() -> list[tuple[Symbol, bool]]:
+    """Seeded symbols with the verdict their construction forces, every sup at
+    most 0.9, exactly 1, or at least 1.1: polynomials with coefficient sum
+    |c_k| = 0.9 (phi(0) != 0 in half of them) or |phi(1)| = 1.1; rotated
+    automorphisms lam alpha_p(mu z) (inner, sup 1), also scaled by 1.1;
+    constants of modulus 0.9, 1 and 1.1; and disguised constants c den / den."""
+    rng = np.random.default_rng(20070218)
+    cases = []
+    for k in range(8):
+        c = rng.normal(size=2 + k % 4) + 1j * rng.normal(size=2 + k % 4) * (k % 2)
+        if k < 4:
+            c[0] = 0.0
+        cases.append((Symbol(0.9 * c / np.abs(c).sum()), True))
+        cases.append((Symbol(1.1 * c / abs(c.sum())), False))
+    for _ in range(3):
+        p = rng.uniform(0.1, 0.8) * np.exp(2j * np.pi * rng.uniform())
+        lam, mu = np.exp(2j * np.pi * rng.uniform(size=2))
+        num, den = np.array([p, -mu]), np.array([1.0, -np.conj(p) * mu])
+        cases.append((Symbol(lam * num, den), True))
+        cases.append((Symbol(1.1 * lam * num, den), False))
+    for unit in (1.0, -1.0, 1j, -1j):
+        phase = np.exp(2j * np.pi * rng.uniform())
+        den = np.array([1.0, rng.uniform(-0.5, 0.5) + 0.5j * rng.uniform(-1, 1)])
+        cases += [(constant(0.9 * phase), True), (constant(unit), False),
+                  (constant(1.1 * phase), False),
+                  (Symbol(0.9 * phase * den, den), True), (Symbol(unit * den, den), False)]
+    return cases
+
+
+SELFMAP_CASES = _selfmap_verdict_cases()
+
+
+@pytest.mark.parametrize("s, selfmap", SELFMAP_CASES,
+                         ids=[f"case{k}" for k in range(len(SELFMAP_CASES))])
+def test_selfmap_verdicts(s, selfmap, capsys):
+    # an accepted symbol maps the disk into itself by an independent dense scan;
+    # a rejected one is refused by every command, as an input error
+    assert validate_selfmap(s).is_selfmap == selfmap
+    text = format_symbol(s)
+    if selfmap:
+        assert abs(s.value_at_zero()) < 1
+        assert np.abs(s(np.exp(2j * np.pi * np.arange(1 << 14) / (1 << 14)))).max() <= 1 + 1e-9
+        return
+    for args in (["norm", text, "-N", "8"], ["distance", text, "0.5*z", "-N", "8"],
+                 ["distance", "0.5*z", text, "-N", "8"], ["nrange", text, "-N", "8"],
+                 ["psolve", text, "-N", "16"]):
+        assert main(args) == 2
+        assert "not a selfmap" in capsys.readouterr().err

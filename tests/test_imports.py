@@ -24,8 +24,8 @@ def test_import_loads_no_scipy(module):
 
 
 def test_fft_compressions_load_no_scipy():
-    # series with over 320 coefficients above eps^2 take the FFT at N=512: the real
-    # alpha(0.8) rfft, the complex blaschke([0.8, 0.3i]) fft
+    # series with over 320 coefficients above eps^2, the real alpha(0.8) and the
+    # complex blaschke([0.8, 0.3i]), build their N=512 columns on numpy alone
     code = (
         "from hardyop import alpha, blaschke, comp_matrix\n"
         "for s in (alpha(0.8), blaschke([0.8, 0.3j])):\n"
@@ -75,6 +75,17 @@ def test_compop_solves_no_svd():
              if (isinstance(node, ast.Attribute) and node.attr == "svd")
              or (isinstance(node, ast.Name) and node.id == "svd")]
     assert calls == []
+
+
+def test_compop_takes_no_fft():
+    # one convolution path for compression columns: np.convolve at every size,
+    # so a leading block is the compression built at its own dimension
+    tree = ast.parse((SRC / "hardyop" / "compop.py").read_text())
+    uses = [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr == "fft")
+            or (isinstance(node, ast.Name) and node.id == "fft")
+            or (isinstance(node, ast.alias) and "fft" in node.name)]
+    assert uses == []
 
 
 @pytest.mark.parametrize("module", ["symbolic", "hardy", "compop", "closedform", "numrange",
