@@ -66,14 +66,17 @@ def _restricted_schedule(s: Symbol, N: int) -> tuple[float, float, float]:
 def p_solve(s: Symbol, tol: float = 1e-8, N: int = 512) -> PSolveResult:
     """Solve ||phi||_p = ||C_phi restricted to zH^2|| for the exponent p.
 
-    Requires a nonconstant selfmap fixing the origin.  The restricted norm is
-    estimated at dimension N with a recorded plateau delta and an Aitken
-    extrapolation (slowly converging compressions are reported, not hidden);
-    scalar multiples of inner functions short-circuit to "inner_multiple",
-    everything else is solved by bisection using monotonicity of p -> ||phi||_p.
+    Requires N >= 8 and a nonconstant selfmap fixing the origin.  The
+    restricted norm is estimated at dimension N with a recorded plateau delta
+    and an Aitken extrapolation (slowly converging compressions are reported,
+    not hidden); scalar multiples of inner functions short-circuit to
+    "inner_multiple", everything else is solved by bisection using
+    monotonicity of p -> ||phi||_p.
     """
     if not 0.0 < tol < math.inf:
         raise PreconditionError(f"exponent tolerance must be positive and finite, got {tol!r}")
+    if N < 8:  # the schedule solves at N/4, N/2 and N
+        raise PreconditionError(f"exponent solve needs N >= 8, got {N}")
     require_selfmap(s)
     if s.is_constant:
         raise PreconditionError("exponent solve needs a nonconstant symbol")

@@ -101,10 +101,12 @@ def _power_columns(first: np.ndarray, step: np.ndarray, count: int, length: int)
     (a lacunary step with terms past the shorter length).  Entries below eps^2
     times the largest of the first column (so below eps^2 ||M||) become 0 as
     formed, keeping out subnormals, on which LAPACK runs several times slower;
-    a zero column ends the build."""
+    a zero column ends the build.  The output is column-major, so each column
+    write is contiguous and the zero columns after the build ends are never
+    touched."""
     real = np.isrealobj(first) and np.isrealobj(step)
     tiny = np.finfo(float).eps ** 2
-    out = np.zeros((length, count), dtype=float if real else complex)
+    out = np.zeros((length, count), dtype=float if real else complex, order="F")
     col = np.zeros(length, dtype=out.dtype)
     col[:min(first.size, length)] = first[:length]
     floor = tiny * np.abs(col).max()
@@ -178,13 +180,17 @@ def op_norm(A) -> float:
     """Largest singular value of a compression: the square root of the top
     eigenvalue of the Gram matrix M^H M, by one dense LAPACK eigensolve, for
     real and complex M alike.  An OpMatrix is solved on its stored matrix,
-    since its phases keep the singular values.
+    since its phases keep the singular values.  The Gram is formed on the
+    column support M_K, up to the last nonzero column K: Gram([M_K 0]) is
+    diag(Gram(M_K), 0), with the same top eigenvalue, and a contraction's
+    flushed build has K set by sup|phi|, not by N.
 
     Compressions of slow-gap operators (automorphisms, non-inner symbols
     touching the circle) have clustered top singular values, where power
     iteration needs thousands of steps; a dense solve costs the same at any gap.
     """
     M = as_opmatrix(A).matrix
+    M = M[:, :np.flatnonzero(M.any(axis=0)).max(initial=0) + 1]
     return float(np.sqrt(max(np.linalg.eigvalsh(M.conj().T @ M)[-1], 0.0)))
 
 

@@ -85,6 +85,13 @@ def test_psolve_rejects_bad_tolerance(capsys, ptol):
     assert capsys.readouterr().err.startswith("input error:")
 
 
+@pytest.mark.parametrize("N", ["2", "7"])
+def test_psolve_names_its_dimension_rule(capsys, N):
+    # the restricted norms are solved at N/4, N/2 and N
+    assert main(["psolve", "z^2", "-N", N]) == 2
+    assert f"needs N >= 8, got {N}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("symbol, solver", [
     ("alpha(0.5)", "eigvalsh"),    # real compression: Gram eigensolve
     ("(0.2+0.1i) + 0.3*z + 0.2i*z^2", "eigvalsh"),  # complex compression: complex Gram eigensolve

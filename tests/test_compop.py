@@ -185,8 +185,52 @@ def test_compressions_hold_no_subnormals(case, N):
         mag = np.abs(A.matrix)
         floor = np.finfo(float).eps ** 2 * mag[:, 0].max()
         assert not np.any((mag > 0) & (mag < floor))
-        parts = np.abs(A.entries.view(np.float64))
+        parts = np.abs(np.stack([A.entries.real, A.entries.imag]))
         assert not np.any((parts > 0) & (parts < np.finfo(float).tiny))
+
+
+CONTRACTIONS = {
+    "complex-poly": FLUSH_CASES["complex-poly"],
+    "blaschke": parse_symbol("0.5*blaschke(0.3, 0.4i)"),
+    "affine": parse_symbol("z/2 + 0.25"),
+}
+
+
+@pytest.mark.parametrize("N", [256, 1024])
+@pytest.mark.parametrize("case", list(CONTRACTIONS))
+def test_contraction_is_solved_on_its_column_support(case, N):
+    # sup|s| < 1: ||s^k|| decays geometrically, so the flushed build ends at
+    # a column K < N and the solve on columns :K matches the full Gram's
+    s = CONTRACTIONS[case]
+    for A in (comp_matrix(s, N, "full"), comp_matrix(s, N, "h20"), weighted_matrix(s, s, N)):
+        M = A.matrix
+        nonzero = M.any(axis=0)
+        K = int(np.argmin(nonzero))
+        assert 0 < K < N and not nonzero[K:].any()
+        full = math.sqrt(np.linalg.eigvalsh(M.conj().T @ M)[-1])
+        assert op_norm(A) == pytest.approx(full, rel=1e-14, abs=0)
+    assert distance(s, s, N) == 0.0
+
+
+def test_inner_symbol_has_full_column_support():
+    assert comp_matrix(alpha(0.5), 1024).matrix.any(axis=0).all()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: comp_matrix(alpha(0.5), 64),
+    lambda: comp_matrix(parse_symbol("z^2"), 64, "h20"),
+    lambda: comp_matrix(alpha(0.3 + 0.4j), 64),
+    lambda: comp_matrix(FLUSH_CASES["complex-poly"], 64, "h20"),
+    lambda: const_matrix(0.5, 64),
+    lambda: weighted_matrix(PHI12, PHI23, 64),
+    lambda: weighted_matrix(alpha(0.3 + 0.4j), alpha(0.3 + 0.4j), 64),
+    lambda: comp_matrix(alpha(0.5), 64) - comp_matrix(identity(), 64),
+], ids=["real", "h20-shift", "rotated", "complex-h20", "const", "weighted", "weighted-rotated",
+        "difference"])
+def test_compressions_are_column_major(build):
+    A = build()
+    for M in (A.matrix, A.entries):
+        assert M.strides[0] == M.itemsize
 
 
 def test_polynomial_columns_take_no_fft(monkeypatch):
