@@ -41,7 +41,6 @@ from .compop import (
     norm_schedule,
     op_norm,
     restricted_norm,
-    restricted_norms,
     weighted_matrix,
 )
 from .errors import (

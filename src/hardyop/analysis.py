@@ -12,7 +12,7 @@ from itertools import islice
 
 import numpy as np
 
-from .compop import comp_matrix, const_matrix, op_norm, restricted_norms
+from .compop import comp_matrix, const_matrix, norm_schedule, op_norm
 from .errors import BracketError, ConvergenceError, InconsistencyError, PreconditionError
 from .hardy import h2_inner, h2_norm, inner_multiple, is_inner, p_norm, powers
 from .symbolic import (
@@ -53,7 +53,7 @@ class PSolveResult:
 
 def _restricted_schedule(s: Symbol, N: int) -> tuple[float, float, float]:
     """Restricted norms at N/4, N/2, N: value, plateau delta, Aitken limit."""
-    v1, v2, v3 = restricted_norms(s, [N // 4, N // 2, N])
+    v1, v2, v3 = norm_schedule("restricted", {"s": s}, (N // 4, N // 2, N)).values
     plateau = v3 - v2
     d1, d2 = v2 - v1, v3 - v2
     extrapolated = v3

@@ -95,15 +95,15 @@ def _real_taylor(s: Symbol, N: int) -> np.ndarray:
 def _power_columns(first: np.ndarray, step: np.ndarray, count: int, length: int) -> np.ndarray:
     """Columns first, first*step, first*step^2, ... under truncated convolution
     by np.convolve, float64 when first and step are real.  The step drops its
-    coefficients below eps^2 times its largest and its trailing zeros; a step
-    of exactly z shifts the columns.  A longer build's leading block is
-    bitwise the shorter build unless their steps trim to different lengths
-    (a lacunary step with terms past the shorter length).  Entries below eps^2
-    times the largest of the first column (so below eps^2 ||M||) become 0 as
-    formed, keeping out subnormals, on which LAPACK runs several times slower;
-    a zero column ends the build.  The output is column-major, so each column
-    write is contiguous and the zero columns after the build ends are never
-    touched."""
+    coefficients below eps^2 times its largest and its trailing zeros; the
+    step z is exact too, each entry being x*1 + y*0.  A longer build's leading
+    block is bitwise the shorter build unless their steps trim to different
+    lengths (a lacunary step with terms past the shorter length).  Entries
+    below eps^2 times the largest of the first column (so below eps^2 ||M||)
+    become 0 as formed, keeping out subnormals, on which LAPACK runs several
+    times slower; a zero column ends the build.  The output is column-major,
+    so each column write is contiguous and the zero columns after the build
+    ends are never touched."""
     real = np.isrealobj(first) and np.isrealobj(step)
     tiny = np.finfo(float).eps ** 2
     out = np.zeros((length, count), dtype=float if real else complex, order="F")
@@ -114,11 +114,6 @@ def _power_columns(first: np.ndarray, step: np.ndarray, count: int, length: int)
     out[:, 0] = col
     step = np.where(np.abs(step) < tiny * np.abs(step).max(), 0, step)
     step = step[:np.flatnonzero(step).max(initial=0) + 1]
-    if step.size == 2 and step[0] == 0 and step[1] == 1:
-        col = np.trim_zeros(col, "b")
-        for k in range(1, count):
-            out[k:k + col.size, k] = col[:length - k]
-        return out
     for k in range(1, count):
         col = np.convolve(col, step)[:length]
         col[np.abs(col) < floor] = 0
@@ -128,29 +123,34 @@ def _power_columns(first: np.ndarray, step: np.ndarray, count: int, length: int)
     return out
 
 
-def comp_matrix(s: Symbol, N: int, basis: str = "full") -> OpMatrix:
-    """Compression of the composition operator f -> f o s.
-
-    full: column k holds the first N Taylor coefficients of s^k (column 0 is
-    e_0, the constant function).  h20: column k (k = 1..N) holds coefficients
-    1..N of s^k.  For s(z) = lam psi(mu z) with psi real (rotation_real), the
-    columns of psi are built in real arithmetic and stored with the phases
-    row = mu^k and col = lam^k over the basis degrees k:
-    C_s = D_mu C_psi D_lam with D_c = diag(c^k).
-    """
+def _compression(w: Symbol, s: Symbol, N: int, shift: int, basis: str) -> OpMatrix:
+    """Compression of T_{w,s} f = w * (f o s) over the degrees shift..N+shift-1:
+    column k holds taylor(w * s^k).  When s(z) = lam psi(mu z) with psi real
+    (rotation_real) and w(z) = lam_w psi_w(mu z) with the same mu, the real
+    columns of psi_w psi^k are stored with the phases row = mu^d over the row
+    degrees d and col = lam_w lam^k."""
     if N < 2:
         raise PreconditionError("compression dimension must be >= 2")
     require_selfmap(s)
-    shift = int(basis == "h20")  # h20 degrees start at 1
     rot = rotation_real(s)  # psi is a selfmap too: |psi(w)| = |s(conj(mu) w)|
-    t = _real_taylor(s if rot is None else rot[2], N + shift)
-    first = t if shift else np.ones(1)  # s for h20, e_0 for full
-    cols = _power_columns(first, t, N, N + shift)[shift:, :]
-    if rot is None:
+    rot_w = None if rot is None else rotation_real(w, rot[1])
+    if rot_w is not None:
+        (lam, mu, s), (lam_w, _, w) = rot, rot_w
+    cols = _power_columns(_real_taylor(w, N + shift), _real_taylor(s, N + shift),
+                          N, N + shift)[shift:]
+    if rot_w is None:
         return OpMatrix(cols, basis)
-    lam, mu, _ = rot
-    return OpMatrix(cols, basis, unit_powers(mu, N + shift)[shift:],
-                    unit_powers(lam, N + shift)[shift:])
+    return OpMatrix(cols, basis, unit_powers(mu, N + shift)[shift:], lam_w * unit_powers(lam, N))
+
+
+def comp_matrix(s: Symbol, N: int, basis: str = "full") -> OpMatrix:
+    """Compression of f -> f o s: the weighted compression with w = 1 (full),
+    or with w = s less row 0 (h20).  full: column k holds the first N Taylor
+    coefficients of s^k (column 0 is e_0, the constant function); h20: column
+    k (k = 1..N) holds coefficients 1..N of s^k."""
+    if basis == "h20":
+        return _compression(s, s, N, 1, basis)
+    return _compression(constant(1.0), s, N, 0, basis)
 
 
 def const_matrix(p: complex, N: int) -> OpMatrix:
@@ -159,17 +159,10 @@ def const_matrix(p: complex, N: int) -> OpMatrix:
 
 
 def weighted_matrix(w: Symbol, s: Symbol, N: int) -> OpMatrix:
-    """Compression of f -> w * (f o s): column k = taylor(w * s^k, N).  A
-    real matrix with phases (see comp_matrix) when s(z) = lam psi(mu z) and
-    w(z) = lam_w psi_w(mu z) with the same mu."""
-    require_selfmap(s)
-    rot = rotation_real(s)
-    rot_w = None if rot is None else rotation_real(w, rot[1])
-    if rot_w is None:
-        return OpMatrix(_power_columns(_real_taylor(w, N), _real_taylor(s, N), N, N), "full")
-    (lam, mu, psi), (lam_w, _, psi_w) = rot, rot_w
-    cols = _power_columns(_real_taylor(psi_w, N), _real_taylor(psi, N), N, N)
-    return OpMatrix(cols, "full", unit_powers(mu, N), lam_w * unit_powers(lam, N))
+    """Compression of f -> w * (f o s): column k = taylor(w * s^k, N), for
+    N >= 2.  A real matrix with phases (see _compression) when s(z) =
+    lam psi(mu z) and w(z) = lam_w psi_w(mu z) with the same mu."""
+    return _compression(w, s, N, 0, "full")
 
 
 # ---------------------------------------------------------------------------
@@ -215,25 +208,6 @@ def restricted_norm(s: Symbol, N: int) -> float:
     """Compression of the norm of C_s restricted to zH^2, for s fixing 0; also
     that of ||C_s - C_0||, whose full-basis matrix adds a zero row and column."""
     return op_norm(_restriction(s, N))
-
-
-def _leading_block_norms(build, dims: Sequence[int]) -> tuple[float, ...]:
-    """Norms of the leading N x N blocks of one matrix build(max(dims)).
-
-    Every compression here uses nested bases and one convolution path, so the
-    block at N is exactly the compression built at N (but see _power_columns on
-    lacunary steps); one build serves a whole schedule.
-    """
-    dims = tuple(int(d) for d in dims)
-    if not dims or min(dims) < 2:
-        raise PreconditionError("compression dimension must be >= 2")
-    M = build(max(dims))
-    return tuple(op_norm(M.leading(N)) for N in dims)
-
-
-def restricted_norms(s: Symbol, dims: Sequence[int]) -> tuple[float, ...]:
-    """restricted_norm(s, N) for each N in dims, from one h20 build."""
-    return _leading_block_norms(lambda N: _restriction(s, N), dims)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +275,9 @@ def norm_schedule(task: str, params: dict, dims: Sequence[int]) -> ConvergenceRe
     solver bug, not bad input.
     """
     dims = require_schedule(dims)
-    # the builds validate the inputs, before any closed form reads them
-    values = _leading_block_norms(lambda N: _task_matrix(task, params, N), dims)
+    # the build validates the inputs, before any closed form reads them
+    A = _task_matrix(task, params, dims[-1])
+    values = tuple(op_norm(A.leading(N)) for N in dims)
     target, label = _task_target(task, params)
     for a, b in zip(values, values[1:]):
         if b < a - MONOTONE_TOL:

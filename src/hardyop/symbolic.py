@@ -163,7 +163,7 @@ def require_selfmap(s: Symbol, what: str = "symbol") -> None:
     d = validate_selfmap(s)
     if not d.is_selfmap:
         raise NotSelfmapError(
-            f"{what} is not a selfmap of the disk: boundary sup = {d.boundary_sup:.6g}"
+            f"{what} is not a selfmap of the disk: boundary sup = {d.boundary_sup:.12g}"
         )
 
 
@@ -471,11 +471,12 @@ def rotation_real(s: Symbol, mu: complex | None = None):
     (1 for a monomial); lam from num's first nonzero coefficient, taken as
     conj(mu) when that also fits, so that lam mu = 1 whenever the form allows
     it.  Accepted when every imaginary part left after the rotation is at most
-    1e-14 (degree + 1) max |coefficient| over num and den.  None for real symbols, whose
-    compressions are real already, and for symbols of no such form.
+    1e-14 (degree + 1) max |coefficient| over num and den.  None for real
+    symbols unless mu is given (their compressions are real already), and for
+    symbols of no such form.
     """
     num, den = s.num, s.den
-    if not (num.imag.any() or den.imag.any()):
+    if mu is None and not (num.imag.any() or den.imag.any()):
         return None
     nz = np.flatnonzero(num)
     if nz.size == 0:

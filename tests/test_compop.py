@@ -22,7 +22,6 @@ from hardyop import (
     p_norm,
     parse_symbol,
     restricted_norm,
-    restricted_norms,
     taylor,
     validate_selfmap,
     weighted_matrix,
@@ -106,7 +105,7 @@ def test_fft_and_direct_columns_agree():
 @pytest.mark.parametrize("N", [16, 600, 2048])
 @pytest.mark.parametrize("basis", ["full", "h20"])
 def test_identity_compression_is_exact(N, basis):
-    # a step of exactly z shifts columns at every N
+    # np.convolve by the step z forms each entry as x*1 + y*0: exact at every N
     assert np.array_equal(comp_matrix(identity(), N, basis).entries, np.eye(N))
 
 
@@ -404,13 +403,10 @@ def test_schedule_rejects_bad_dims():
 
 
 def test_restricted_norms_match_single_builds():
-    dims = (8, 16, 12)
-    got = restricted_norms(PHI12, dims)
+    dims = (8, 12, 16)
+    got = norm_schedule("restricted", {"s": PHI12}, dims).values
     for N, v in zip(dims, got):
         assert abs(v - restricted_norm(PHI12, N)) <= 1e-12
-    for dims in ([8, 16, 1], [-5, 16], []):
-        with pytest.raises(PreconditionError):
-            restricted_norms(PHI12, dims)
 
 
 def test_schedule_identical_symbols_target_zero():
@@ -529,6 +525,31 @@ def test_weighted_core_needs_a_shared_rotation():
     assert weighted_matrix(alpha(0.3 + 0.4j), ROT, 64).row is None
 
 
+@pytest.mark.parametrize("N", [16, 300])
+@pytest.mark.parametrize("s, rotated", [(alpha(0.5), False), (CPLX, False),
+                                        (alpha(0.3 + 0.4j), True), (ROT, True),
+                                        (parse_symbol("1i*z"), True)],
+                         ids=["real", "complex", "rotated-alpha", "rotated-two-term", "iz"])
+def test_comp_matrix_is_the_weighted_compression(s, rotated, N):
+    # C_s = T_{1,s}, and the h20 matrix is T_{s,s} less its row 0
+    def bitwise(a, b):
+        return (a is None and b is None) or (a.dtype == b.dtype and a.shape == b.shape
+                                             and a.tobytes() == b.tobytes())
+
+    C, W = comp_matrix(s, N), weighted_matrix(constant(1.0), s, N)
+    assert (C.row is not None) == rotated
+    assert bitwise(C.matrix, W.matrix) and bitwise(C.row, W.row) and bitwise(C.col, W.col)
+    h20, T = comp_matrix(s, N, "h20"), weighted_matrix(s, s, N + 1)
+    assert bitwise(h20.matrix, T.matrix[1:, :N])
+    # the phases agree up to rounding: lam lam^k against the running product
+    assert np.max(np.abs(h20.entries - T.entries[1:, :N])) <= 1e-15
+
+
+def test_weighted_matrix_needs_dimension_two():
+    with pytest.raises(PreconditionError):
+        weighted_matrix(PHI23, PHI12, 1)
+
+
 def test_leading_block_keeps_the_core():
     A = comp_matrix(ROT, 64, "h20")
     B = A.leading(16)
@@ -566,7 +587,5 @@ def test_restriction_needs_a_symbol_fixing_the_origin(text):
     s = parse_symbol(text)
     with pytest.raises(PreconditionError, match="fixing the origin"):
         restricted_norm(s, 16)
-    with pytest.raises(PreconditionError, match="fixing the origin"):
-        restricted_norms(s, [8, 16])
     with pytest.raises(PreconditionError, match="fixing the origin"):
         norm_schedule("restricted", {"s": s}, [8, 16])

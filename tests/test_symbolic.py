@@ -11,6 +11,7 @@ from hardyop import (
     ConvergenceError,
     DegreeCapError,
     HardyOpError,
+    NotSelfmapError,
     ParseError,
     PreconditionError,
     Symbol,
@@ -28,7 +29,7 @@ from hardyop import (
     taylor_close,
     validate_selfmap,
 )
-from hardyop.symbolic import rotation_real
+from hardyop.symbolic import require_selfmap, rotation_real
 
 
 def geometric_division_oracle(p: float, N: int) -> np.ndarray:
@@ -415,6 +416,12 @@ def test_disguised_constant_is_a_selfmap_iff_inside_the_disk(text, is_selfmap):
     s = parse_symbol(text)
     assert not s.is_constant
     assert validate_selfmap(s).is_selfmap is is_selfmap
+
+
+def test_rejected_symbol_reports_its_excess():
+    # a sup just over 1 must not print as 1
+    with pytest.raises(NotSelfmapError, match=r"boundary sup = 1\.00000005"):
+        require_selfmap(parse_symbol("1.00000005*z"))
 
 
 def test_diagnostics_cached():
