@@ -18,19 +18,17 @@ from .hardy import h2_inner, h2_norm, inner_multiple, is_inner, p_norm, powers
 from .symbolic import (
     MAX_DEGREE,
     Symbol,
-    circle_grid,
-    circle_values,
     compose,
     fixed_point,
     require_origin_fixed,
     require_selfmap,
     taylor,
+    unit_powers,
 )
 
 P_CAP = 1 << 16            # upper end of the exponent bracket
 PLATEAU_HARD_LIMIT = 1e-2  # restricted-norm schedule must at least settle this far
 QUAD_TOL = 1e-12           # p-norm quadrature tolerance inside the solver
-PULLBACK_GRID = 1024       # circle points of the pull-back quadrature
 
 
 @dataclass(frozen=True)
@@ -54,13 +52,12 @@ class PSolveResult:
 def _restricted_schedule(s: Symbol, N: int) -> tuple[float, float, float]:
     """Restricted norms at N/4, N/2, N: value, plateau delta, Aitken limit."""
     v1, v2, v3 = norm_schedule("restricted", {"s": s}, (N // 4, N // 2, N)).values
-    plateau = v3 - v2
     d1, d2 = v2 - v1, v3 - v2
     extrapolated = v3
     if d1 > 0 and 0 < d2 < 0.95 * d1:
         ratio = d2 / d1
         extrapolated = v3 + d2 * ratio / (1.0 - ratio)
-    return v3, plateau, extrapolated
+    return v3, d2, extrapolated
 
 
 def p_solve(s: Symbol, tol: float = 1e-8, N: int = 512) -> PSolveResult:
@@ -100,7 +97,7 @@ def p_solve(s: Symbol, tol: float = 1e-8, N: int = 512) -> PSolveResult:
     def g(p: float) -> float:
         return p_norm(s, p, tol=QUAD_TOL).value - r
 
-    g2 = g(2.0)
+    g2 = h2 - r
     if g2 >= -1e-9:
         return PSolveResult("finite", 2.0, abs(g2), r, r_extrap, plateau, h2, sup)
     if g(float(P_CAP)) < 0.0:
@@ -276,21 +273,21 @@ def iterate_sweep(s: Symbol, n_max: int, N: int) -> IterateSweepReport:
 
 @dataclass(frozen=True)
 class PullbackCheck:
-    lhs: float       # mean of |f o phi|^2 on the circle
-    rhs: float       # mean of |f|^2 weighted by the Poisson kernel at phi(0)
+    lhs: float       # ||f o phi||_2^2 by p_norm's quadrature
+    rhs: float       # mean of |f|^2 weighted by the Poisson kernel at phi(0), in closed form
     residual: float
 
 
 def inner_pullback_check(s: Symbol, f_coeffs) -> PullbackCheck:
-    """Quadrature check, on PULLBACK_GRID points, that composition with an
-    inner symbol pulls the boundary measure back to the Poisson measure at
-    phi(0)."""
+    """Check that composition with an inner symbol pulls the boundary measure
+    back to the Poisson measure at p = phi(0) (Nordgren).  The right side is
+    sum f_j conj(f_k) m(j - k) with the Poisson moments m(n) = p^n for n >= 0
+    and conj(p)^|n| for n < 0."""
     if not is_inner(s).is_inner:
         raise PreconditionError("the pull-back identity needs an inner symbol")
     f = Symbol(f_coeffs)
-    w = np.exp(1j * circle_grid(PULLBACK_GRID))
-    lhs = float(np.mean(np.abs(f(circle_values(s, PULLBACK_GRID))) ** 2))
-    p0 = s.value_at_zero()
-    pois = ((w + p0) / (w - p0)).real  # Poisson kernel at phi(0), vectorized
-    rhs = float(np.mean(np.abs(circle_values(f, PULLBACK_GRID)) ** 2 * pois))
+    lhs = p_norm(compose(f, s), 2, tol=QUAD_TOL).value ** 2
+    n = np.subtract.outer(np.arange(f.num.size), np.arange(f.num.size))
+    m = unit_powers(s.value_at_zero(), f.num.size)[np.abs(n)]
+    rhs = float((f.num @ np.where(n >= 0, m, np.conj(m)) @ np.conj(f.num)).real)
     return PullbackCheck(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs))

@@ -23,14 +23,10 @@ from . import analysis, closedform, compop, numrange, verify
 from .errors import (
     BracketError,
     ConvergenceError,
-    DegreeCapError,
     HardyOpError,
     InconsistencyError,
-    NotSelfmapError,
-    ParseError,
     PreconditionError,
     SolverInternalError,
-    UnitDiskPoleError,
 )
 from .symbolic import parse_symbol
 
@@ -39,10 +35,9 @@ EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_SOLVER = 3
 
-_INPUT_ERRORS = (ParseError, UnitDiskPoleError, NotSelfmapError,
-                 DegreeCapError, PreconditionError, ValueError, KeyError)
 _SOLVER_ERRORS = (ConvergenceError, BracketError, InconsistencyError, SolverInternalError,
                   np.linalg.LinAlgError)
+_INPUT_ERRORS = (HardyOpError, ValueError, KeyError)  # caught after _SOLVER_ERRORS
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +371,6 @@ def main(argv=None) -> int:
         return EXIT_SOLVER
     except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except HardyOpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -253,7 +253,7 @@ def recognize_distance_target(a: Symbol, b: Symbol) -> DistanceTarget | None:
         return DistanceTarget(const_distance(a.value_at_zero(), b.value_at_zero()), "const_const")
     # scalar multiples of one inner function fixing the origin
     c = ratio(*cross_products(a, b))
-    if c is not None and not b.is_constant and fixes_origin(b):
+    if c is not None and fixes_origin(b):
         ok, mu = inner_multiple(b)
         if ok:
             lam = c * mu
@@ -261,8 +261,6 @@ def recognize_distance_target(a: Symbol, b: Symbol) -> DistanceTarget | None:
                 return DistanceTarget(rotation_distance(lam, mu).value, "rotation")
     # alpha_p o phi against phi, phi inner
     for outer, inner_sym in ((a, b), (b, a)):
-        if inner_sym.is_constant:
-            continue
         if not is_inner(inner_sym).is_inner:
             continue
         ref = outer if fixes_origin(inner_sym) else inner_sym
@@ -273,7 +271,7 @@ def recognize_distance_target(a: Symbol, b: Symbol) -> DistanceTarget | None:
             return DistanceTarget(inner_alpha_distance(p), "automorphism_pair")
     # inner symbol vs constant
     for f, g in ((a, b), (b, a)):
-        if g.is_constant and not f.is_constant and is_inner(f).is_inner:
+        if g.is_constant and is_inner(f).is_inner:
             p = g.value_at_zero()
             if fixes_origin(f):
                 return DistanceTarget(inner_const_distance(p), "inner_const")

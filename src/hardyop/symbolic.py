@@ -119,7 +119,8 @@ class Symbol:
 
     @property
     def is_constant(self) -> bool:
-        return self.is_polynomial and self.num.size == 1
+        """Whether num = c den for a scalar c, by ratio's coefficient test."""
+        return ratio(*_same_length(self.num, self.den)) is not None
 
     def __call__(self, z):
         """Evaluate num(z)/den(z); accepts scalars or arrays."""
@@ -383,8 +384,8 @@ def validate_selfmap(s: Symbol) -> SelfmapDiagnostics:
     search refines the SUP_PEAKS local maxima with the highest parabolic
     estimates, since the raw samples misrank the ~4096 near-equal maxima of a
     degree-4096 symbol.  Poles on or near the closed disk are rejected at
-    construction, so a refined sup within 1 + 1e-9 is a selfmap; a constant
-    c = ratio(num, den), whose sup |c| cannot tell |c| = 1 apart, is one when |c| < 1.
+    construction, so a refined sup within 1 + 1e-9 is a selfmap; a constant,
+    whose sup |phi(0)| cannot tell |phi(0)| = 1 apart, is one when |phi(0)| < 1.
     """
     if s._diag is not None:
         return s._diag
@@ -408,10 +409,9 @@ def validate_selfmap(s: Symbol) -> SelfmapDiagnostics:
     best = _golden_max(modulus, t - h, t + h, 1e-10)
     sup = max(float(v.max()), float(best.max()))
     j = int(np.argmax(v[:, 0]))
-    c = ratio(*_same_length(s.num, s.den))
     object.__setattr__(s, "_diag", SelfmapDiagnostics(
         boundary_sup=sup, sup_theta=2.0 * np.pi * j / K, grid_size=K, grid_sup=float(v[j, 0]),
-        is_selfmap=sup <= 1.0 + SELFMAP_TOL if c is None else abs(c) < 1.0))
+        is_selfmap=abs(s.value_at_zero()) < 1.0 if s.is_constant else sup <= 1.0 + SELFMAP_TOL))
     return s._diag
 
 
@@ -518,11 +518,6 @@ def sym_add(f: Symbol, g: Symbol) -> Symbol:
     return Symbol(num, npp.polymul(f.den, g.den))
 
 
-def sym_sub(f: Symbol, g: Symbol) -> Symbol:
-    num = npp.polysub(npp.polymul(f.num, g.den), npp.polymul(g.num, f.den))
-    return Symbol(num, npp.polymul(f.den, g.den))
-
-
 def sym_mul(f: Symbol, g: Symbol) -> Symbol:
     return Symbol(npp.polymul(f.num, g.num), npp.polymul(f.den, g.den))
 
@@ -582,7 +577,8 @@ _TOKEN = re.compile(r"""\s*(?:   # one token per match, leading whitespace inclu
   | (?P<op>[-+*/^@(),])
   | (?P<bad>\S))""", re.VERBOSE)
 _LEVELS = ("@", "+-", "*/")   # binary operators, loosest first; all left assoc
-_BINARY = {"@": compose, "+": sym_add, "-": sym_sub, "*": sym_mul, "/": sym_div}
+_BINARY = {"@": compose, "+": sym_add, "-": lambda f, g: sym_add(f, sym_neg(g)),
+           "*": sym_mul, "/": sym_div}
 _CALLS = {"alpha": alpha, "const": constant, "blaschke": lambda *pts: blaschke(pts)}
 _Token = namedtuple("_Token", "kind value pos")
 
@@ -673,7 +669,7 @@ class _Parser:
         s = self.expr()
         if not s.is_constant:
             self.fail("argument must be a constant", t)
-        return complex(s.num[0])
+        return s.value_at_zero()
 
     def const_args(self, many: bool) -> list[complex]:
         """'(' constant (',' constant)* ')'; one constant unless many."""

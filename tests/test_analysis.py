@@ -240,6 +240,24 @@ def test_pullback_random_blaschke_products():
         assert inner_pullback_check(s, f).residual <= 1e-8
 
 
+@pytest.mark.parametrize("text", ["alpha(0.999)", "z^600*alpha(0.95)"])
+def test_pullback_holds_near_the_circle_and_at_high_degree(text):
+    # a fixed 1024-point grid left a residual of 4.48 for alpha(0.999);
+    # p_norm's grid ladder follows the composite's degree and decay
+    res = inner_pullback_check(parse_symbol(text), [1.0, 1.0])
+    assert res.residual <= 1e-12
+
+
+def test_pullback_closed_form_matches_poisson_quadrature():
+    # sum f_j conj(f_k) m(j - k) against the Poisson-weighted mean of |f|^2
+    rng = np.random.default_rng(5)
+    f = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    p = 0.5
+    w = np.exp(2j * np.pi * np.arange(1 << 20) / (1 << 20))
+    quad = np.mean(np.abs(np.polynomial.polynomial.polyval(w, f)) ** 2 * ((w + p) / (w - p)).real)
+    assert inner_pullback_check(alpha(p), f).rhs == pytest.approx(quad, rel=1e-12)
+
+
 def test_pullback_rejects_non_inner():
     with pytest.raises(PreconditionError):
         inner_pullback_check(PHI12, [1.0, 1.0])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hardyop
-from hardyop import boundary, comp_matrix, compop, parse_symbol
+from hardyop import boundary, cli, comp_matrix, compop, parse_symbol
 from hardyop.cli import json_dumps, main
 
 
@@ -37,6 +37,7 @@ def test_exit_code_on_invalid_selfmap(capsys):
     ["norm", "const(1i)"], ["distance", "const(1)", "z"], ["distance", "z", "const(-1)"],
     ["nrange", "const(1)"], ["psolve", "const(1)"],
     ["norm", "(1+0.5*z)/(1+0.5*z)", "--weighted"], ["distance", "z", "(1+0.5*z)/(1+0.5*z)"],
+    ["norm", "const((1i-0.5i*z)/(1-0.5*z))"],
 ], ids=" ".join)
 def test_unimodular_constant_is_not_a_selfmap(capsys, args):
     # a constant maps the disk into itself only when |c| < 1, also one
@@ -51,6 +52,39 @@ def test_disguised_constant_inside_the_disk_is_accepted(tmp_path):
                          tmp_path)
     assert code == 0
     assert doc["values"][-1] == pytest.approx(1 / math.sqrt(3), abs=1e-12)
+
+
+DISGUISED = "(0.5+0.25*z)/(1+0.5*z)"  # the constant 0.5 written as num/den
+
+
+def test_disguised_constant_gets_the_constant_targets(tmp_path):
+    # one constancy rule: num = c den is a constant for every recognizer
+    _, doc = run_json(["norm", DISGUISED, "-N", "4,16"], tmp_path)
+    assert doc["target"] == 1.1547005383792517
+    _, doc = run_json(["distance", DISGUISED, "const(0.3)", "-N", "4,16"], tmp_path)
+    assert (doc["target"], doc["params"]["target_label"]) == (0.28159058180955504, "const_const")
+    code, doc = run_json(["nrange", DISGUISED, "-N", "16,32", "--grid", "64"], tmp_path)
+    assert code == 0 and doc["target_ellipse"] is not None and all(doc["contained"])
+
+
+@pytest.mark.parametrize("call", ["alpha", "const"])
+def test_disguised_constant_is_a_call_argument(call):
+    assert str(parse_symbol(f"{call}({DISGUISED})")) == str(parse_symbol(f"{call}(0.5)"))
+
+
+SOLVER_ERRORS = {"ConvergenceError", "BracketError", "InconsistencyError", "SolverInternalError"}
+
+
+@pytest.mark.parametrize("cls", hardyop.HardyOpError.__subclasses__(), ids=lambda c: c.__name__)
+def test_every_package_error_has_its_exit_code(monkeypatch, capsys, cls):
+    def fail(args):
+        raise cls("boom", 0) if cls is hardyop.ParseError else cls("boom")
+
+    monkeypatch.setattr(cli, "cmd_norm", fail)
+    err_code = 3 if cls.__name__ in SOLVER_ERRORS else 2
+    assert main(["norm", "z"]) == err_code
+    err = capsys.readouterr().err
+    assert err.startswith("solver error:" if err_code == 3 else "input error:")
 
 
 @pytest.mark.parametrize("symbol", ["0.5 + 0.3*z", "const(0.5)"])
@@ -71,6 +105,7 @@ def test_exit_code_on_parse_error(capsys):
     "z^1e300", "z^200000",           # exponents far above the degree cap
     "1e200*1e200*z", "9e99^9",       # products that overflow to inf
     "1/(2-z)^4000",                  # inf coefficients reaching the pole check
+    "alpha((1+0.5*z)/(1+0.5*z))",    # a unimodular constant in disguise
 ], ids=lambda s: s if len(s) < 24 else "deep-nesting")
 def test_malformed_symbol_is_input_error(capsys, symbol):
     assert main(["norm", symbol, "-N", "4"]) == 2

@@ -88,6 +88,18 @@ def test_compop_takes_no_fft():
     assert uses == []
 
 
+def test_analysis_samples_no_circle():
+    # one boundary quadrature: every boundary integral in analysis goes
+    # through hardy.p_norm's grid ladder, never a grid of its own
+    names = {"circle_values", "circle_grid"}
+    tree = ast.parse((SRC / "hardyop" / "analysis.py").read_text())
+    uses = [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr in names)
+            or (isinstance(node, ast.Name) and node.id in names)
+            or (isinstance(node, ast.alias) and node.name in names)]
+    assert uses == []
+
+
 @pytest.mark.parametrize("module", ["symbolic", "hardy", "compop", "closedform", "numrange",
                                     "analysis"])
 def test_numeric_modules_do_no_io(module):

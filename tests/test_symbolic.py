@@ -414,7 +414,7 @@ def test_validate_finds_highest_of_many_close_peaks(text):
 def test_disguised_constant_is_a_selfmap_iff_inside_the_disk(text, is_selfmap):
     # num = c den: the boundary sup |c| cannot tell |c| = 1 apart
     s = parse_symbol(text)
-    assert not s.is_constant
+    assert s.is_constant and not s.is_polynomial
     assert validate_selfmap(s).is_selfmap is is_selfmap
 
 
