@@ -14,7 +14,7 @@ import numpy as np
 
 from .compop import comp_matrix, const_matrix, norm_schedule, op_norm
 from .errors import BracketError, ConvergenceError, InconsistencyError, PreconditionError
-from .hardy import h2_inner, h2_norm, inner_multiple, is_inner, p_norm, powers
+from .hardy import h2_inner, h2_norm, inner_multiple, is_inner, p_norm, powers, pullback_h2
 from .symbolic import (
     MAX_DEGREE,
     Symbol,
@@ -273,7 +273,7 @@ def iterate_sweep(s: Symbol, n_max: int, N: int) -> IterateSweepReport:
 
 @dataclass(frozen=True)
 class PullbackCheck:
-    lhs: float       # ||f o phi||_2^2 by p_norm's quadrature
+    lhs: float       # mean of |f o phi|^2 on p_norm's grid ladder
     rhs: float       # mean of |f|^2 weighted by the Poisson kernel at phi(0), in closed form
     residual: float
 
@@ -286,7 +286,7 @@ def inner_pullback_check(s: Symbol, f_coeffs) -> PullbackCheck:
     if not is_inner(s).is_inner:
         raise PreconditionError("the pull-back identity needs an inner symbol")
     f = Symbol(f_coeffs)
-    lhs = p_norm(compose(f, s), 2, tol=QUAD_TOL).value ** 2
+    lhs = pullback_h2(s, f.num, tol=QUAD_TOL).value
     n = np.subtract.outer(np.arange(f.num.size), np.arange(f.num.size))
     m = unit_powers(s.value_at_zero(), f.num.size)[np.abs(n)]
     rhs = float((f.num @ np.where(n >= 0, m, np.conj(m)) @ np.conj(f.num)).real)

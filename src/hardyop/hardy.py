@@ -15,6 +15,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npp
 
 from .errors import PreconditionError
 from .symbolic import (
@@ -96,15 +97,25 @@ def kernel_distance(p1: complex, p2: complex) -> float:
 # p-norms
 
 
-def _grid_mean_pow(s: Symbol, p: float, K: int, scale: float) -> float:
-    """Mean of (|phi| / scale)^p over the K-point grid, in interleaved blocks
-    of at most BLOCK points."""
+def _grid_mean(s: Symbol, K: int, g) -> float:
+    """Mean of g(phi) over the K-point grid, in interleaved blocks of at most
+    BLOCK points."""
     B = min(K, BLOCK)
     total = 0.0
     for j in range(K // B):
-        vals = np.abs(circle_values(s, B, shift=2.0 * np.pi * j / K)) / scale
-        total += float(np.sum(vals ** p))
+        total += float(np.sum(g(circle_values(s, B, shift=2.0 * np.pi * j / K))))
     return total / K
+
+
+def _grid_ladder(value_at, K: int, tol: float) -> PNormResult:
+    """value_at(K) on grids doubling from K until two successive values agree
+    within tol, or the last one at MAX_GRID with its refinement delta."""
+    value, delta = value_at(K), math.inf
+    while K < MAX_GRID and delta > tol:
+        K *= 2
+        prev, value = value, value_at(K)
+        delta = abs(value - prev)
+    return PNormResult(value=value, grid_size=K, est_error=delta)
 
 
 def p_norm(s: Symbol, p: float, tol: float = 1e-10) -> PNormResult:
@@ -112,9 +123,8 @@ def p_norm(s: Symbol, p: float, tol: float = 1e-10) -> PNormResult:
 
     p = inf reads the refined sup cached by validate_selfmap (est_error: its
     gap to the largest grid sample).  Finite p: sup * (mean (|phi|/sup)^p)^(1/p),
-    which cannot underflow, by trapezoid quadrature on grids doubling from the
-    symbol's grid_size until two successive values agree within tol; at the
-    2^20 grid the last estimate is returned with its refinement delta.
+    which cannot underflow, by trapezoid quadrature on the grid ladder from the
+    symbol's grid_size.
     """
     if not p >= 2:  # NaN too
         raise PreconditionError(f"p must be >= 2 (or inf), got {p}")
@@ -124,12 +134,16 @@ def p_norm(s: Symbol, p: float, tol: float = 1e-10) -> PNormResult:
         return PNormResult(value=sup, grid_size=K, est_error=abs(sup - d.grid_sup))
     if sup == 0.0:
         return PNormResult(value=0.0, grid_size=K, est_error=0.0)
-    value, delta = sup * _grid_mean_pow(s, p, K, sup) ** (1.0 / p), math.inf
-    while K < MAX_GRID and delta > tol:
-        K *= 2
-        prev, value = value, sup * _grid_mean_pow(s, p, K, sup) ** (1.0 / p)
-        delta = abs(value - prev)
-    return PNormResult(value=value, grid_size=K, est_error=delta)
+    return _grid_ladder(
+        lambda K: sup * _grid_mean(s, K, lambda v: (np.abs(v) / sup) ** p) ** (1.0 / p), K, tol)
+
+
+def pullback_h2(s: Symbol, f: CoeffVec, tol: float = 1e-10) -> PNormResult:
+    """Mean of |f o phi|^2 on the circle for a polynomial f, on the grid ladder
+    from phi's grid_size.  f is applied to phi's boundary values, so no composite
+    symbol meets the degree cap or the pole check of den^deg(f)."""
+    return _grid_ladder(lambda K: _grid_mean(s, K, lambda v: np.abs(npp.polyval(v, f)) ** 2),
+                        validate_selfmap(s).grid_size, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -119,8 +119,13 @@ class Symbol:
 
     @property
     def is_constant(self) -> bool:
-        """Whether num = c den for a scalar c, by ratio's coefficient test."""
-        return ratio(*_same_length(self.num, self.den)) is not None
+        """Whether num = c den for a scalar c, by ratio's test; for |c| < 1 the
+        residual must also be at most COEFF_TOL (1 - |c|)^2, since near the circle
+        tiny perturbations move ||C_phi|| off the constant's closed form."""
+        P, Q = _same_length(self.num, self.den)
+        c = ratio(P, Q)
+        return c is not None and (abs(c) >= 1 or bool(
+            np.max(np.abs(P - c * Q)) <= COEFF_TOL * (1 - abs(c)) ** 2))
 
     def __call__(self, z):
         """Evaluate num(z)/den(z); accepts scalars or arrays."""
@@ -518,6 +523,11 @@ def sym_add(f: Symbol, g: Symbol) -> Symbol:
     return Symbol(num, npp.polymul(f.den, g.den))
 
 
+def sym_sub(f: Symbol, g: Symbol) -> Symbol:
+    num = npp.polysub(npp.polymul(f.num, g.den), npp.polymul(g.num, f.den))
+    return Symbol(num, npp.polymul(f.den, g.den))
+
+
 def sym_mul(f: Symbol, g: Symbol) -> Symbol:
     return Symbol(npp.polymul(f.num, g.num), npp.polymul(f.den, g.den))
 
@@ -577,8 +587,7 @@ _TOKEN = re.compile(r"""\s*(?:   # one token per match, leading whitespace inclu
   | (?P<op>[-+*/^@(),])
   | (?P<bad>\S))""", re.VERBOSE)
 _LEVELS = ("@", "+-", "*/")   # binary operators, loosest first; all left assoc
-_BINARY = {"@": compose, "+": sym_add, "-": lambda f, g: sym_add(f, sym_neg(g)),
-           "*": sym_mul, "/": sym_div}
+_BINARY = {"@": compose, "+": sym_add, "-": sym_sub, "*": sym_mul, "/": sym_div}
 _CALLS = {"alpha": alpha, "const": constant, "blaschke": lambda *pts: blaschke(pts)}
 _Token = namedtuple("_Token", "kind value pos")
 

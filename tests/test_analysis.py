@@ -248,6 +248,15 @@ def test_pullback_holds_near_the_circle_and_at_high_degree(text):
     assert res.residual <= 1e-12
 
 
+@pytest.mark.parametrize("text, degree", [("alpha(0.99)", 10), ("alpha(0.999)", 40),
+                                          ("z^600*alpha(0.95)", 7)])
+def test_pullback_takes_f_of_any_degree(text, degree):
+    # f o phi as a symbol would have the pole (1 - conj(p) z)^deg(f), whose
+    # root solve wanders into the disk, or a degree above the cap (7 * 601)
+    f = np.ones(degree + 1)
+    assert inner_pullback_check(parse_symbol(text), f).residual <= 1e-12
+
+
 def test_pullback_closed_form_matches_poisson_quadrature():
     # sum f_j conj(f_k) m(j - k) against the Poisson-weighted mean of |f|^2
     rng = np.random.default_rng(5)

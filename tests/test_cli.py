@@ -72,6 +72,18 @@ def test_disguised_constant_is_a_call_argument(call):
     assert str(parse_symbol(f"{call}({DISGUISED})")) == str(parse_symbol(f"{call}(0.5)"))
 
 
+NEAR_UNIMODULAR = "0.99999999995+0.00000000005*z"  # 5e-11 off the constant 0.99999999995
+
+
+def test_near_unimodular_symbol_gets_no_constant_target(tmp_path):
+    # Cowen's affine formula gives ||C_phi|| = 1.414e5 here; the constant's
+    # closed form 1/sqrt(1 - |c|^2) would report 1.0e5
+    _, doc = run_json(["norm", NEAR_UNIMODULAR, "-N", "4,16"], tmp_path)
+    assert doc["target"] is None
+    _, doc = run_json(["distance", NEAR_UNIMODULAR, "const(0.3)", "-N", "4,16"], tmp_path)
+    assert doc["target"] is None
+
+
 SOLVER_ERRORS = (hardyop.ConvergenceError, hardyop.BracketError, hardyop.InconsistencyError,
                  hardyop.SolverInternalError)
 

@@ -418,6 +418,19 @@ def test_disguised_constant_is_a_selfmap_iff_inside_the_disk(text, is_selfmap):
     assert validate_selfmap(s).is_selfmap is is_selfmap
 
 
+@pytest.mark.parametrize("text, is_constant, is_selfmap", [
+    ("0.5+0.00000000001*z", True, True),       # residual 1e-11 <= COEFF_TOL (1 - 0.5)^2
+    ("0.5+0.00000000003*z", False, True),
+    ("0.99999999995+0.00000000005*z", False, True),  # sup exactly 1, norm 1.414e5
+    ("const(0.99999999995)", True, True),      # a bare constant has residual 0
+    ("1+0.00000000005*z", True, False),        # |c| = 1: COEFF_TOL decides, as for the verdict
+])
+def test_constancy_tolerance_shrinks_toward_the_circle(text, is_constant, is_selfmap):
+    s = parse_symbol(text)
+    assert s.is_constant is is_constant
+    assert validate_selfmap(s).is_selfmap is is_selfmap
+
+
 def test_rejected_symbol_reports_its_excess():
     # a sup just over 1 must not print as 1
     with pytest.raises(NotSelfmapError, match=r"boundary sup = 1\.00000005"):
