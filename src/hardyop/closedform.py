@@ -253,7 +253,7 @@ def recognize_distance_target(a: Symbol, b: Symbol) -> DistanceTarget | None:
         return DistanceTarget(const_distance(a.value_at_zero(), b.value_at_zero()), "const_const")
     # scalar multiples of one inner function fixing the origin
     c = ratio(*cross_products(a, b))
-    if c is not None and fixes_origin(b):
+    if c is not None and not b.is_constant and fixes_origin(b):  # ratio is loose for b near 0
         ok, mu = inner_multiple(b)
         if ok:
             lam = c * mu

@@ -247,6 +247,9 @@ def test_recognize_distance_patterns():
     assert hit.value == 1.0
 
     assert recognize_distance_target(parse_symbol("(z+z^2)/2"), parse_symbol("z^2")) is None
+    # b = const(1e-13) fixes the origin, but the cross-product ratio against
+    # it fits any a; the true distance here is no rotation value
+    assert recognize_distance_target(parse_symbol("0.3+0.5*z"), constant(1e-13)) is None
 
 
 def test_recognize_alpha_composed_pair():
