@@ -15,7 +15,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, UnitDiskPoleError
 from .hardy import h2_inner, h2_norm, inner_multiple, is_inner, kernel_distance, powers
 from .symbolic import (Symbol, alpha, compose, cross_products, fixes_origin, ratio, require_selfmap,
                        taylor_close)
@@ -30,6 +30,14 @@ def _require_disk(p: complex, name: str = "p") -> complex:
     if not abs(p) < 1:  # NaN too
         raise PreconditionError(f"{name} must lie in the open unit disk, got |{name}|={abs(p):.6g}")
     return p
+
+
+def _automorphism(p: complex) -> Symbol | None:
+    """alpha(p), or None when construction rejects its pole: then no symbol is alpha(p)."""
+    try:
+        return alpha(p)
+    except UnitDiskPoleError:
+        return None
 
 
 def norm_bounds(phi0: complex) -> tuple[float, float]:
@@ -265,9 +273,8 @@ def recognize_distance_target(a: Symbol, b: Symbol) -> DistanceTarget | None:
             continue
         ref = outer if fixes_origin(inner_sym) else inner_sym
         p = ref.value_at_zero()
-        if abs(p) >= 1 or fixes_origin(ref):
-            continue
-        if taylor_close(compose(alpha(p), inner_sym), outer):
+        auto = None if fixes_origin(ref) else _automorphism(p)
+        if auto is not None and taylor_close(compose(auto, inner_sym), outer):
             return DistanceTarget(inner_alpha_distance(p), "automorphism_pair")
     # inner symbol vs constant
     for f, g in ((a, b), (b, a)):
@@ -328,9 +335,8 @@ def recognize_opnorm_target(s: Symbol) -> float | None:
 def recognize_ellipse(s: Symbol) -> EllipseDisk | None:
     """Known numerical-range ellipse for constant and automorphic symbols."""
     require_selfmap(s)
-    if s.is_constant:
-        return const_ellipse(s.value_at_zero())
     p = s.value_at_zero()
-    if abs(p) < 1 and taylor_close(s, alpha(p)):
-        return alpha_ellipse(p)
-    return None
+    if s.is_constant:
+        return const_ellipse(p)
+    auto = _automorphism(p)
+    return alpha_ellipse(p) if auto is not None and taylor_close(s, auto) else None

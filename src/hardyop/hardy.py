@@ -4,8 +4,8 @@ closed-form distance between reproducing kernels.
 
 All boundary integrals use the normalized measure dm = dtheta / 2pi, so the
 uniform trapezoid rule on a periodic grid reduces to the grid mean.  Every
-grid is sampled by symbolic.circle_values and starts at the symbol's
-grid_size; the sup norm is the refined sup cached by validate_selfmap.
+grid starts at the symbol's grid_size.  p_norm reads grids of at most BLOCK
+points from symbolic.boundary_moduli; the rest are sampled by circle_values.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .symbolic import (
     COEFF_TOL,
     CoeffVec,
     Symbol,
+    boundary_moduli,
     circle_values,
     modulus_products,
     ratio,
@@ -124,7 +125,7 @@ def p_norm(s: Symbol, p: float, tol: float = 1e-10) -> PNormResult:
     p = inf reads the refined sup cached by validate_selfmap (est_error: its
     gap to the largest grid sample).  Finite p: sup * (mean (|phi|/sup)^p)^(1/p),
     which cannot underflow, by trapezoid quadrature on the grid ladder from the
-    symbol's grid_size.
+    symbol's grid_size; rungs of at most BLOCK points read boundary_moduli.
     """
     if not p >= 2:  # NaN too
         raise PreconditionError(f"p must be >= 2 (or inf), got {p}")
@@ -134,8 +135,9 @@ def p_norm(s: Symbol, p: float, tol: float = 1e-10) -> PNormResult:
         return PNormResult(value=sup, grid_size=K, est_error=abs(sup - d.grid_sup))
     if sup == 0.0:
         return PNormResult(value=0.0, grid_size=K, est_error=0.0)
-    return _grid_ladder(
-        lambda K: sup * _grid_mean(s, K, lambda v: (np.abs(v) / sup) ** p) ** (1.0 / p), K, tol)
+    return _grid_ladder(lambda K: sup * (
+        float(np.sum((boundary_moduli(s, K) / sup) ** p)) / K if K <= BLOCK
+        else _grid_mean(s, K, lambda v: (np.abs(v) / sup) ** p)) ** (1.0 / p), K, tol)
 
 
 def pullback_h2(s: Symbol, f: CoeffVec, tol: float = 1e-10) -> PNormResult:

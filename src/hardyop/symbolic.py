@@ -98,6 +98,8 @@ class Symbol:
         object.__setattr__(self, "num", _writeprotect(num))
         object.__setattr__(self, "den", _writeprotect(den))
         object.__setattr__(self, "_diag", None)
+        object.__setattr__(self, "_modulus_products", None)
+        object.__setattr__(self, "_moduli", {})
 
     # -- structure ---------------------------------------------------------
 
@@ -264,6 +266,13 @@ def circle_values(s: Symbol, K: int, shift: float = 0.0) -> np.ndarray:
     return folded_ifft(s.num) / folded_ifft(s.den)
 
 
+def boundary_moduli(s: Symbol, K: int) -> np.ndarray:
+    """|phi| on the unshifted K-point grid, read-only; stored on the symbol per K."""
+    if K not in s._moduli:
+        s._moduli[K] = _writeprotect(np.abs(circle_values(s, K)))
+    return s._moduli[K]
+
+
 def _golden_max(f, a, b, xtol: float):
     """Golden-section maximization of f on [a, b], elementwise over arrays of
     equal-width intervals; returns the best values."""
@@ -398,7 +407,8 @@ def validate_selfmap(s: Symbol) -> SelfmapDiagnostics:
     R, h = SUP_OVERSAMPLE, 2.0 * np.pi / (K * SUP_OVERSAMPLE)
     w = np.empty(K * R + 2)  # w[m + 1] = |phi(e^{i h m})|, wrapped at both ends
     v = w[1:-1].reshape(K, R)
-    for k in range(R):
+    v[:, 0] = boundary_moduli(s, K)
+    for k in range(1, R):
         v[:, k] = np.abs(circle_values(s, K, shift=h * k))
     w[0], w[-1] = w[-2], w[1]
     m = np.flatnonzero((w[1:-1] >= w[:-2]) & (w[1:-1] >= w[2:]))
@@ -439,11 +449,13 @@ def modulus_products(s: Symbol) -> tuple[CoeffVec, CoeffVec]:
     """z^deg(den) num refl(num) and z^deg(num) den refl(den), zero-padded to one
     length, where refl(q) = z^deg(q) conj(q(1/conj z)) has the conjugate-reversed
     coefficients.  On the circle they are z^(deg num + deg den) times |num|^2
-    and |den|^2.
+    and |den|^2.  Computed once and stored on the symbol, read-only.
     """
-    pn = npp.polymul(s.num, np.conj(s.num[::-1]))
-    pd = npp.polymul(s.den, np.conj(s.den[::-1]))
-    return _same_length(np.pad(pn, (s.den_degree, 0)), np.pad(pd, (s.num_degree, 0)))
+    if s._modulus_products is None:
+        pn = np.pad(npp.polymul(s.num, np.conj(s.num[::-1])), (s.den_degree, 0))
+        pd = np.pad(npp.polymul(s.den, np.conj(s.den[::-1])), (s.num_degree, 0))
+        object.__setattr__(s, "_modulus_products", tuple(map(_writeprotect, _same_length(pn, pd))))
+    return s._modulus_products
 
 
 def ratio(P: CoeffVec, Q: CoeffVec) -> complex | None:

@@ -84,6 +84,15 @@ def test_near_unimodular_symbol_gets_no_constant_target(tmp_path):
     assert doc["target"] is None
 
 
+def test_no_automorphism_has_a_pole_within_the_margin(tmp_path):
+    # alpha(phi(0)) would have its pole 1/conj(phi(0)) within POLE_MARGIN of the
+    # circle, which construction rejects: the recognizers find no target
+    code, doc = run_json(["nrange", NEAR_UNIMODULAR, "-N", "8", "--grid", "16"], tmp_path)
+    assert code == 0 and doc["target_ellipse"] is None
+    code, doc = run_json(["distance", NEAR_UNIMODULAR, "z", "-N", "8,16"], tmp_path)
+    assert code == 0 and doc["target"] is None
+
+
 SOLVER_ERRORS = (hardyop.ConvergenceError, hardyop.BracketError, hardyop.InconsistencyError,
                  hardyop.SolverInternalError)
 

@@ -19,8 +19,10 @@ from hardyop import (
     p_norm,
     parse_symbol,
     taylor,
+    validate_selfmap,
 )
-from hardyop.hardy import powers
+from hardyop import hardy
+from hardyop.hardy import powers, pullback_h2
 
 PHI23 = parse_symbol("(z^2+z^3)/2")
 
@@ -145,6 +147,34 @@ def test_p_norm_degree_4095_symbol(p):
                      "+ (-0.023460-0.246881i)*z^4095")
     vals = np.abs(circle_values(s, 4096 * p))
     assert abs(p_norm(s, p).value - np.mean(vals ** p) ** (1 / p)) <= 1e-10
+
+
+def _sampled_p_norm(s, p):
+    """p_norm's ladder with every grid sampled by circle_values, nothing stored."""
+    d = validate_selfmap(s)
+    sup = d.boundary_sup
+    return hardy._grid_ladder(
+        lambda K: sup * hardy._grid_mean(s, K, lambda v: (np.abs(v) / sup) ** p) ** (1 / p),
+        d.grid_size, 1e-10).value
+
+
+@pytest.mark.parametrize("text", ["0.5 + 0.2*z^3 + 0.2*z^4096", "(z+z^2)/2"])
+def test_stored_moduli_leave_every_value_unchanged(text):
+    # descending p fills the store with the longest ladder first; a fresh
+    # symbol takes ascending p, and the sampled path stores nothing
+    s, fresh, sampled = (parse_symbol(text) for _ in range(3))
+    f = [0.5, -1.0, 0.25j]
+    pullback = pullback_h2(fresh, f).value
+    down = {p: p_norm(s, p).value for p in (8, 4, 3, 2)}
+    up = {p: p_norm(fresh, p).value for p in (2, 3, 4, 8)}
+    assert down == up == {p: _sampled_p_norm(sampled, p) for p in (2, 3, 4, 8)}
+    assert pullback_h2(s, f).value == pullback == pullback_h2(sampled, f).value
+
+
+def test_p_norm_ladder_past_block_stores_no_larger_grid():
+    s = parse_symbol("0.5 + 0.2*z^3 + 0.2*z^4096")
+    assert p_norm(s, 8).grid_size > hardy.BLOCK
+    assert sorted(s._moduli) == [hardy.BLOCK]
 
 
 def test_p_norm_rejects_small_p():

@@ -29,7 +29,7 @@ from hardyop import (
     taylor_close,
     validate_selfmap,
 )
-from hardyop.symbolic import require_selfmap, rotation_real
+from hardyop.symbolic import boundary_moduli, modulus_products, require_selfmap, rotation_real
 
 
 def geometric_division_oracle(p: float, N: int) -> np.ndarray:
@@ -440,6 +440,25 @@ def test_rejected_symbol_reports_its_excess():
 def test_diagnostics_cached():
     s = alpha(0.25)
     assert validate_selfmap(s) is validate_selfmap(s)
+
+
+@pytest.mark.parametrize("stored", [modulus_products, lambda s: (boundary_moduli(s, 64),)],
+                         ids=["modulus_products", "boundary_moduli"])
+def test_boundary_facts_stored_read_only(stored):
+    s = parse_symbol("(z+z^2)/2")
+    first = stored(s)
+    assert all(a is b for a, b in zip(first, stored(s)))
+    for a in first:
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_selfmap_scan_shares_the_stored_unshifted_grid():
+    s = parse_symbol("0.5 + 0.2*z^3 + 0.2*z^700")
+    d = validate_selfmap(s)
+    a = boundary_moduli(s, d.grid_size)
+    assert np.array_equal(a, np.abs(circle_values(s, d.grid_size)))
+    assert d.grid_sup == a.max() and d.sup_theta == 2 * np.pi * np.argmax(a) / d.grid_size
 
 
 # ---------------------------------------------------------------------------
