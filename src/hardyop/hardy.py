@@ -4,8 +4,9 @@ closed-form distance between reproducing kernels.
 
 All boundary integrals use the normalized measure dm = dtheta / 2pi, so the
 uniform trapezoid rule on a periodic grid reduces to the grid mean.  Every
-grid starts at the symbol's grid_size.  p_norm reads grids of at most BLOCK
-points from symbolic.boundary_moduli; the rest are sampled by circle_values.
+grid starts at the symbol's grid_size.  p_norm reads its unshifted blocks of
+at most BLOCK points from symbolic.boundary_moduli; the shifted blocks of
+larger grids are sampled by circle_values.
 """
 
 from __future__ import annotations
@@ -98,13 +99,14 @@ def kernel_distance(p1: complex, p2: complex) -> float:
 # p-norms
 
 
-def _grid_mean(s: Symbol, K: int, g) -> float:
-    """Mean of g(phi) over the K-point grid, in interleaved blocks of at most
-    BLOCK points."""
+def _grid_mean(integrand, K: int) -> float:
+    """Mean of an integrand over the K-point grid, in interleaved blocks of at
+    most BLOCK points; integrand(B, shift) gives its values on the B-point grid
+    turned by shift, the unshifted block first."""
     B = min(K, BLOCK)
     total = 0.0
     for j in range(K // B):
-        total += float(np.sum(g(circle_values(s, B, shift=2.0 * np.pi * j / K))))
+        total += float(np.sum(integrand(B, 2.0 * np.pi * j / K)))
     return total / K
 
 
@@ -125,7 +127,7 @@ def p_norm(s: Symbol, p: float, tol: float = 1e-10) -> PNormResult:
     p = inf reads the refined sup cached by validate_selfmap (est_error: its
     gap to the largest grid sample).  Finite p: sup * (mean (|phi|/sup)^p)^(1/p),
     which cannot underflow, by trapezoid quadrature on the grid ladder from the
-    symbol's grid_size; rungs of at most BLOCK points read boundary_moduli.
+    symbol's grid_size; each rung's unshifted block reads boundary_moduli.
     """
     if not p >= 2:  # NaN too
         raise PreconditionError(f"p must be >= 2 (or inf), got {p}")
@@ -135,17 +137,21 @@ def p_norm(s: Symbol, p: float, tol: float = 1e-10) -> PNormResult:
         return PNormResult(value=sup, grid_size=K, est_error=abs(sup - d.grid_sup))
     if sup == 0.0:
         return PNormResult(value=0.0, grid_size=K, est_error=0.0)
-    return _grid_ladder(lambda K: sup * (
-        float(np.sum((boundary_moduli(s, K) / sup) ** p)) / K if K <= BLOCK
-        else _grid_mean(s, K, lambda v: (np.abs(v) / sup) ** p)) ** (1.0 / p), K, tol)
+
+    def integrand(B: int, shift: float) -> np.ndarray:
+        m = boundary_moduli(s, B) if shift == 0.0 else np.abs(circle_values(s, B, shift))
+        return (m / sup) ** p
+
+    return _grid_ladder(lambda K: sup * _grid_mean(integrand, K) ** (1.0 / p), K, tol)
 
 
 def pullback_h2(s: Symbol, f: CoeffVec, tol: float = 1e-10) -> PNormResult:
     """Mean of |f o phi|^2 on the circle for a polynomial f, on the grid ladder
     from phi's grid_size.  f is applied to phi's boundary values, so no composite
     symbol meets the degree cap or the pole check of den^deg(f)."""
-    return _grid_ladder(lambda K: _grid_mean(s, K, lambda v: np.abs(npp.polyval(v, f)) ** 2),
-                        validate_selfmap(s).grid_size, tol)
+    return _grid_ladder(lambda K: _grid_mean(
+        lambda B, shift: np.abs(npp.polyval(circle_values(s, B, shift), f)) ** 2, K),
+        validate_selfmap(s).grid_size, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ and serves as the independent reference for it.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +71,10 @@ class _SupportSweep:
     tests.  Where a pair fails, one dense eigh at that angle supplies both
     extreme pairs; their two vectors and, from the same decomposition, their
     first-order derivatives in theta join the basis (re-orthonormalized by
-    QR), so that the basis also serves the nearby angles.  dense_solves
-    counts those solves.
+    QR), so that the basis also serves the nearby angles.  A Ritz pair
+    interpolates the eigenvector curve between angles the basis has solved far
+    better than it extrapolates past them, so callers visit their angles
+    coarse to fine.  dense_solves counts those solves.
     """
 
     def __init__(self, M: np.ndarray):
@@ -190,13 +193,29 @@ def _radius(sweep: _SupportSweep, h: np.ndarray, pts: np.ndarray,
     return best, evals
 
 
+def _coarse_to_fine(n: int) -> list[int]:
+    """range(n) coarse to fine: both ends, then the midpoint of every gap left,
+    level by level (n = 17: 0, 16, 8, 4, 12, 2, 6, 10, 14, 1, 3, ...)."""
+    order, gaps = [0, n - 1][:n], deque([(0, n - 1)])
+    while gaps:
+        a, b = gaps.popleft()
+        if b - a > 1:
+            m = (a + b) // 2
+            order.append(m)
+            gaps += [(a, m), (m, b)]
+    return order
+
+
 def boundary(A, grid: int = 720) -> NRBoundary:
     """Support-function boundary of the numerical range of a compression.
 
     For each grid angle the top eigenpair of H(theta), the Hermitian part of
     e^{-i theta} A, gives the support value and a boundary point (the Rayleigh
     quotient of the eigenvector), each certified within 1e-12 max(1, |h|) by
-    one subspace sweep (_SupportSweep).  An even grid is solved at half cost:
+    one subspace sweep (_SupportSweep).  The solved angles are visited coarse
+    to fine (_coarse_to_fine): the two ends of the solved arc, then midpoints
+    level by level, so each later Ritz pair interpolates between solved
+    angles.  An even grid is solved at half cost:
     H(theta + pi) = -H(theta), so the top pair at theta + pi is the bottom
     pair at theta.  A real A on a grid divisible by 4 solves only theta in
     [0, pi/2] and mirrors the rest: H(-theta) = conj(H(theta)), so
@@ -221,7 +240,7 @@ def boundary(A, grid: int = 720) -> NRBoundary:
     pts = np.empty(grid, dtype=complex)
     half = grid // 2 if grid % 2 == 0 else grid
     mirror = np.isrealobj(M) and grid % 4 == 0
-    for j in range(grid // 4 + 1 if mirror else half):
+    for j in _coarse_to_fine(grid // 4 + 1 if mirror else half):
         top, low = sweep.extremes(thetas[j], half != grid)
         h[j], pts[j] = top
         if low is not None:

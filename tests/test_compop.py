@@ -78,6 +78,16 @@ def test_comp_matrix_columns_are_truncated_powers():
         col = np.convolve(col, t)[:N]
 
 
+@pytest.mark.parametrize("n", [64, 128])
+def test_lacunary_step_leading_block_stays_within_rounding(n):
+    # the one exception to bitwise nesting: the step of 0.3 + 0.2 z + 0.3 z^200
+    # trims to 2 terms below N = 201 and keeps all 201 above, so the two builds
+    # convolve differently (6.9e-18 apart when measured)
+    s = parse_symbol("0.3 + 0.2*z + 0.3*z^200")
+    big = comp_matrix(s, 4 * n).leading(n).entries
+    assert np.max(np.abs(big - comp_matrix(s, n).entries)) <= 1e-16
+
+
 def test_fft_and_direct_columns_agree():
     # alpha(0.8)'s series keeps m = 321 coefficients above eps^2: a step of 321
     # terms at N=512, one cut to N at N=128; real coefficients stay float64 and

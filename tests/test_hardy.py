@@ -154,7 +154,8 @@ def _sampled_p_norm(s, p):
     d = validate_selfmap(s)
     sup = d.boundary_sup
     return hardy._grid_ladder(
-        lambda K: sup * hardy._grid_mean(s, K, lambda v: (np.abs(v) / sup) ** p) ** (1 / p),
+        lambda K: sup * hardy._grid_mean(
+            lambda B, shift: (np.abs(circle_values(s, B, shift)) / sup) ** p, K) ** (1 / p),
         d.grid_size, 1e-10).value
 
 
@@ -175,6 +176,27 @@ def test_p_norm_ladder_past_block_stores_no_larger_grid():
     s = parse_symbol("0.5 + 0.2*z^3 + 0.2*z^4096")
     assert p_norm(s, 8).grid_size > hardy.BLOCK
     assert sorted(s._moduli) == [hardy.BLOCK]
+
+
+def test_p_norm_past_block_samples_only_the_shifted_block(monkeypatch):
+    # the unshifted block of a 2-block rung is the BLOCK grid validate_selfmap
+    # stored; the values are bitwise those of sampling every block
+    s, sampled = parse_symbol("0.5*z + 0.4*z^4096"), parse_symbol("0.5*z + 0.4*z^4096")
+    validate_selfmap(s)
+    shifts, sample = [], hardy.circle_values
+
+    def recorded(s, K, shift=0.0):
+        shifts.append(shift)
+        return sample(s, K, shift)
+
+    monkeypatch.setattr(hardy, "circle_values", recorded)
+    values = {p: p_norm(s, p) for p in (2, 3, 4, 8)}
+    assert all(r.grid_size > hardy.BLOCK for r in values.values())
+    assert shifts and 0.0 not in shifts
+    assert sorted(s._moduli) == [hardy.BLOCK]
+    monkeypatch.undo()
+    assert {p: r.value for p, r in values.items()} == {
+        p: _sampled_p_norm(sampled, p) for p in (2, 3, 4, 8)}
 
 
 def test_p_norm_rejects_small_p():

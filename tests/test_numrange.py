@@ -17,7 +17,7 @@ from hardyop import (
     sample_w,
 )
 from hardyop.cli import _emit_boundary_csv
-from hardyop.numrange import _certified
+from hardyop.numrange import _certified, _coarse_to_fine
 
 
 def test_sample_w_identity():
@@ -197,10 +197,36 @@ def test_dense_solves_counts_full_size_eigh(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     nr = boundary(M, grid=720)
     assert nr.dense_solves == sum(full_size)
-    # 181 solved angles and the slope search's few radius evaluations, each
-    # dense solve adding two eigenvectors and their derivatives to the basis
-    assert 1 <= nr.dense_solves <= 12
+    # 181 solved angles, visited coarse to fine, and the slope search's few
+    # radius evaluations, each dense solve adding two eigenvectors and their
+    # derivatives to the basis
+    assert 1 <= nr.dense_solves <= 5
     assert boundary(M, grid=720).dense_solves == nr.dense_solves
+
+
+def test_rotated_automorphism_support_matches_dense_eigvalsh():
+    # the swept matrix is real and unitarily similar to the compression's
+    # complex entries: 17 solved angles, each within the certificate's eps of a
+    # dense eigvalsh of the entries
+    A = comp_matrix(alpha(0.3 + 0.4j), 128)
+    M = A.entries
+    nr = boundary(A, grid=64)
+    assert nr.dense_solves <= 5
+    for t, v in zip(nr.thetas, nr.support_vals):
+        B = np.exp(-1j * t) * M
+        ref = np.linalg.eigvalsh((B + B.conj().T) / 2.0)[-1]
+        assert abs(v - ref) <= 1e-12 * max(1.0, abs(v))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 181])
+def test_coarse_to_fine_visits_every_angle_once(n):
+    order = _coarse_to_fine(n)
+    assert sorted(order) == list(range(n))
+    assert order[:2] == [0, n - 1][:n]
+
+
+def test_coarse_to_fine_bisects_level_by_level():
+    assert _coarse_to_fine(17) == [0, 16, 8, 4, 12, 2, 6, 10, 14, 1, 3, 5, 7, 9, 11, 13, 15]
 
 
 def dense_radius(M, nr):
