@@ -16,7 +16,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
 
 from .errors import PreconditionError
 from .symbolic import (
@@ -26,6 +25,8 @@ from .symbolic import (
     boundary_moduli,
     circle_values,
     modulus_products,
+    poly_eval,
+    poly_product,
     ratio,
     validate_selfmap,
 )
@@ -63,21 +64,15 @@ def h2_inner(f: CoeffVec, g: CoeffVec) -> complex:
 
 def powers(c: CoeffVec, n_max: int, length: int) -> Iterator[CoeffVec]:
     """Yield c, c^2, ..., c^n_max, each truncated to its first `length`
-    coefficients.  Coefficient j of c^n reads only coefficients 0..j of
-    c^(n-1), so truncating every step leaves the kept coefficients exact.
-    Each step adds one shifted multiple of c^(n-1) per nonzero term of c, so
-    a sparse c (0.5 z + 0.5 z^4096) costs O(length) per power, not O(length^2).
+    coefficients by symbolic.poly_product.  Coefficient j of c^n reads only
+    coefficients 0..j of c^(n-1), so truncating every step leaves the kept
+    coefficients exact.  The product adds one shifted copy of one factor per
+    nonzero term of the sparser one, so a sparse c (0.5 z + 0.5 z^4096)
+    costs O(length) per power, not O(length^2).
     """
-    c = np.asarray(c, dtype=complex)
-    terms = [(j, c[j]) for j in np.flatnonzero(c)]
     p = np.ones(1, dtype=complex)
     for _ in range(n_max):
-        q = np.zeros(min(p.size + c.size - 1, length), dtype=complex)
-        for j, cj in terms:
-            m = min(p.size, q.size - j)
-            if m > 0:
-                q[j:j + m] += cj * p[:m]
-        p = q
+        p = poly_product(c, p, length)
         yield p
 
 
@@ -150,7 +145,7 @@ def pullback_h2(s: Symbol, f: CoeffVec, tol: float = 1e-10) -> PNormResult:
     from phi's grid_size.  f is applied to phi's boundary values, so no composite
     symbol meets the degree cap or the pole check of den^deg(f)."""
     return _grid_ladder(lambda K: _grid_mean(
-        lambda B, shift: np.abs(npp.polyval(circle_values(s, B, shift), f)) ** 2, K),
+        lambda B, shift: np.abs(poly_eval(f, circle_values(s, B, shift))) ** 2, K),
         validate_selfmap(s).grid_size, tol)
 
 

@@ -39,6 +39,7 @@ SUP_PEAKS = 16              # sup scan: local maxima refined
 FIXED_POINT_TOL = 1e-12     # fixed_point: |phi(z) - z| (Newton) or orbit step
 COEFF_TOL = 1e-10           # coefficient identities: max residual (ratio: times max(1, |c|))
 ORIGIN_TOL = 1e-12          # |phi(0)| <= ORIGIN_TOL counts as fixing the origin
+TAYLOR_BLOCK = 64           # taylor: coefficients per block of the series division
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -130,8 +131,9 @@ class Symbol:
             np.max(np.abs(P - c * Q)) <= COEFF_TOL * (1 - abs(c)) ** 2))
 
     def __call__(self, z):
-        """Evaluate num(z)/den(z); accepts scalars or arrays."""
-        return npp.polyval(z, self.num) / npp.polyval(z, self.den)
+        """Evaluate num(z)/den(z) by poly_eval's Horner rule over the nonzero
+        terms; accepts scalars or arrays."""
+        return poly_eval(self.num, z) / poly_eval(self.den, z)
 
     def value_at_zero(self) -> complex:
         return complex(self.num[0])  # den(0) == 1 after normalization
@@ -211,9 +213,71 @@ def blaschke(points, lead_power: int = 0) -> Symbol:
     den = np.ones(1, dtype=complex)
     for p in points:
         a = alpha(p)
-        num = npp.polymul(num, a.num)
-        den = npp.polymul(den, a.den)
+        num = poly_product(num, a.num)
+        den = poly_product(den, a.den)
     return Symbol(num, den)
+
+
+# ---------------------------------------------------------------------------
+# coefficient kernels
+
+
+def poly_product(a: CoeffVec, b: CoeffVec, length: int | None = None) -> CoeffVec:
+    """Coefficients of the product a b, truncated to `length` if given.
+
+    Adds one shifted multiple of one factor per nonzero term of the sparser
+    factor (the shorter, then the first, on a tie): c0 + c1 z^4000 times its
+    reflection costs two vector additions, where np.convolve does 16 million
+    multiply-adds.  When the sparser factor has no zero coefficient there is
+    no term to skip, and the product is one np.convolve: 3.4 us against
+    about 10 us term by term for two complex linear factors, and the 183 DSL
+    texts of operator-sweep and symbol-kernels seed 3 parse in 92 ms, against
+    92-110 ms term by term alone and 98-100 ms with npp.polymul (2-core
+    x86-64).  Coefficient j reads coefficients 0..j of each factor only, so
+    the kept coefficients of a truncated product are exact.  With real
+    coefficients, a term-wise output coefficient that receives at most two
+    terms is the rounded sum of two rounded products, whichever factor is
+    the sparser, and for 0.4 + 0.5 z^4000 times its reflection it equals
+    np.convolve's bitwise; complex products, and the fused multiply-adds of
+    a BLAS dot product, carry no such guarantee.  Overflow gives inf without
+    a warning, as in np.convolve; Symbol rejects it.
+    """
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    terms, other = np.count_nonzero(a), np.count_nonzero(b)
+    if (terms, a.size) > (other, b.size):
+        a, b, terms = b, a, other
+    size = a.size + b.size - 1 if length is None else min(length, a.size + b.size - 1)
+    if terms == a.size:  # no zero coefficient to skip
+        return np.convolve(a, b)[:size]
+    out = np.zeros(size, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in np.flatnonzero(a).tolist():
+            if j >= size:
+                break
+            m = min(b.size, size - j)
+            out[j:j + m] += a[j] * b[:m]
+    return out
+
+
+def poly_eval(c: CoeffVec, z):
+    """c(z) for a scalar or an array z, by Horner's rule over the nonzero
+    terms: p = c_k + p z^gap, from the highest term down, then times z^k for
+    the lowest term's degree k.  On a dense polynomial every gap is 1 and
+    this is npp.polyval's arithmetic exactly; c0 + c1 z^4000 costs one
+    power of z, not 4000 Horner steps.
+    """
+    c = np.asarray(c)
+    nz = np.flatnonzero(c).tolist()
+    if not nz:  # the zero polynomial, possibly with no coefficients
+        return c.dtype.type(0) + z * 0
+    p = c[nz[-1]] + z * 0
+    zg, gap = z, 1  # zg = z^gap
+    for k, above in zip(nz[-2::-1], nz[:0:-1]):
+        if above - k != gap:
+            gap = above - k
+            zg = z ** gap
+        p = c[k] + p * zg
+    return p * z ** nz[0] if nz[0] else p
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +285,19 @@ def blaschke(points, lead_power: int = 0) -> Symbol:
 
 
 def taylor(s: Symbol, N: int) -> CoeffVec:
-    """First N Taylor coefficients of num/den by truncated series division.
+    """First N Taylor coefficients of num/den by blocked series division.
 
-    Exact for polynomial symbols once N exceeds the degree.
+    The first TAYLOR_BLOCK coefficients r of 1/den come from the sequential
+    recurrence; every block of TAYLOR_BLOCK coefficients is then r times the
+    block of num less the carry of the coefficients before it, two
+    np.convolve calls: the carry is the 'valid' convolution of den with the
+    previous deg(den) coefficients, beside the block's own, still zero.
+    Blocks start at multiples of TAYLOR_BLOCK whatever N is, so taylor(s, n)
+    is bitwise a prefix of taylor(s, N) for n <= N.  64 was the fastest of
+    16, 32, 64, 128 and 256 on taylor(s, 2048) of six rational symbols of
+    degree 1 to 101 (2-core x86-64, OpenBLAS): 0.66-0.79 ms, against
+    6.2-6.9 ms for the recurrence alone.  Exact for polynomial symbols once N
+    exceeds the degree.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -233,16 +307,20 @@ def taylor(s: Symbol, N: int) -> CoeffVec:
         m = min(N, num.size)
         out[:m] = num[:m]
         return out
-    c = np.zeros(N, dtype=complex)
-    dd = den.size - 1
-    dtail = den[1:]
-    for k in range(N):
-        acc = num[k] if k < num.size else 0.0
+    B, dd = TAYLOR_BLOCK, den.size - 1
+    n = -(-N // B) * B
+    r = np.zeros(B, dtype=complex)  # 1/den, by the recurrence (den[0] == 1)
+    r[0] = 1.0
+    for k in range(1, B):
         j = min(k, dd)
-        if j:
-            acc -= np.dot(dtail[:j], c[k - j:k][::-1])
-        c[k] = acc  # den[0] == 1
-    return c
+        r[k] = -np.dot(den[1:j + 1], r[k - j:k][::-1])
+    top = np.zeros(n, dtype=complex)
+    top[:min(n, num.size)] = num[:n]
+    c = np.zeros(dd + n, dtype=complex)  # c[dd + k] = coefficient k
+    for k in range(0, n, B):
+        carry = np.convolve(c[k:k + dd + B], den, "valid")
+        c[dd + k:dd + k + B] = np.convolve(r, top[k:k + B] - carry)[:B]
+    return c[dd:dd + N].copy()
 
 
 def circle_grid(K: int) -> np.ndarray:
@@ -254,16 +332,19 @@ def circle_values(s: Symbol, K: int, shift: float = 0.0) -> np.ndarray:
     """Values of the symbol at e^{i(shift + 2 pi k/K)}, k = 0..K-1.
 
     z^K is constant on these points, so num and den each fold modulo K into
-    one inverse FFT; the 1/K factors cancel in the ratio.
+    one unnormalized inverse FFT.  A polynomial's denominator is 1 and takes
+    none, which halves the cost of sampling it.  On power-of-two grids the
+    values equal the ratio of the 1/K-normalized transforms bitwise.
     """
     if K < 1:
         raise ValueError("circle grid must have at least one point")
 
     def folded_ifft(c: CoeffVec) -> np.ndarray:
         c = c * np.exp(1j * shift * np.arange(c.size))
-        return np.fft.ifft(np.pad(c, (0, -c.size % K)).reshape(-1, K).sum(axis=0))
+        return np.fft.ifft(np.pad(c, (0, -c.size % K)).reshape(-1, K).sum(axis=0), norm="forward")
 
-    return folded_ifft(s.num) / folded_ifft(s.den)
+    values = folded_ifft(s.num)
+    return values if s.is_polynomial else values / folded_ifft(s.den)
 
 
 def boundary_moduli(s: Symbol, K: int) -> np.ndarray:
@@ -304,16 +385,16 @@ def compose(f: Symbol, g: Symbol) -> Symbol:
     a_pows = [np.ones(1, dtype=complex)]
     b_pows = [np.ones(1, dtype=complex)]
     for _ in range(D):
-        a_pows.append(npp.polymul(a_pows[-1], g.num))
-        b_pows.append(npp.polymul(b_pows[-1], g.den))
-    num = np.zeros(1, dtype=complex)
-    den = np.zeros(1, dtype=complex)
+        a_pows.append(poly_product(a_pows[-1], g.num))
+        b_pows.append(poly_product(b_pows[-1], g.den))
+    num = np.zeros(D * g.degree + 1, dtype=complex)
+    den = np.zeros(D * g.degree + 1, dtype=complex)
     for k in range(D + 1):
-        basis = npp.polymul(a_pows[k], b_pows[D - k])
+        basis = poly_product(a_pows[k], b_pows[D - k])
         if k < f.num.size and f.num[k] != 0:
-            num = npp.polyadd(num, f.num[k] * basis)
+            num[:basis.size] += f.num[k] * basis
         if k < f.den.size and f.den[k] != 0:
-            den = npp.polyadd(den, f.den[k] * basis)
+            den[:basis.size] += f.den[k] * basis
     return Symbol(num, den)
 
 
@@ -334,21 +415,22 @@ def iterate(s: Symbol, n: int) -> Symbol:
         power = compose(power, power)
 
 
-def _derivative_at(s: Symbol, z: complex) -> complex:
-    nz, dz = npp.polyval(z, s.num), npp.polyval(z, s.den)
-    dn, dd = npp.polyval(z, npp.polyder(s.num)), npp.polyval(z, npp.polyder(s.den))
-    return (dn * dz - nz * dd) / dz**2
-
-
 def fixed_point(s: Symbol) -> complex:
     """Interior fixed point of a selfmap, to a residual of FIXED_POINT_TOL.
 
     Damped Newton from the origin (at most 200 steps, halving steps that leave
     the disk or fail to reduce the residual), with a forward-orbit fallback of
     at most 100000 steps; the orbit converges whenever a non-automorphic
-    selfmap has an interior fixed point.
+    selfmap has an interior fixed point.  The coefficients of num' and den'
+    are formed once per call, in one vector product each.
     """
     require_selfmap(s)
+    dnum, dden = (np.arange(1, c.size) * c[1:] for c in (s.num, s.den))
+
+    def slope(z: complex) -> complex:  # phi'(z) - 1
+        nz, dz = poly_eval(s.num, z), poly_eval(s.den, z)
+        return (poly_eval(dnum, z) * dz - nz * poly_eval(dden, z)) / dz**2 - 1.0
+
     z = 0.0 + 0.0j
     gz = complex(s(z)) - z
     for _ in range(200):
@@ -356,7 +438,7 @@ def fixed_point(s: Symbol) -> complex:
             if abs(z) < 1.0 - 1e-12:
                 return z
             break
-        gp = _derivative_at(s, z) - 1.0
+        gp = slope(z)
         if abs(gp) < 1e-14:
             break
         step = gz / gp
@@ -442,7 +524,7 @@ def _same_length(p: CoeffVec, q: CoeffVec) -> tuple[CoeffVec, CoeffVec]:
 
 def cross_products(f: Symbol, g: Symbol) -> tuple[CoeffVec, CoeffVec]:
     """f.num g.den and g.num f.den, zero-padded to one length."""
-    return _same_length(npp.polymul(f.num, g.den), npp.polymul(g.num, f.den))
+    return _same_length(poly_product(f.num, g.den), poly_product(g.num, f.den))
 
 
 def modulus_products(s: Symbol) -> tuple[CoeffVec, CoeffVec]:
@@ -452,8 +534,8 @@ def modulus_products(s: Symbol) -> tuple[CoeffVec, CoeffVec]:
     and |den|^2.  Computed once and stored on the symbol, read-only.
     """
     if s._modulus_products is None:
-        pn = np.pad(npp.polymul(s.num, np.conj(s.num[::-1])), (s.den_degree, 0))
-        pd = np.pad(npp.polymul(s.den, np.conj(s.den[::-1])), (s.num_degree, 0))
+        pn = np.pad(poly_product(s.num, np.conj(s.num[::-1])), (s.den_degree, 0))
+        pd = np.pad(poly_product(s.den, np.conj(s.den[::-1])), (s.num_degree, 0))
         object.__setattr__(s, "_modulus_products", tuple(map(_writeprotect, _same_length(pn, pd))))
     return s._modulus_products
 
@@ -531,21 +613,21 @@ def taylor_close(f: Symbol, g: Symbol, tol: float = COEFF_TOL) -> bool:
 
 
 def sym_add(f: Symbol, g: Symbol) -> Symbol:
-    num = npp.polyadd(npp.polymul(f.num, g.den), npp.polymul(g.num, f.den))
-    return Symbol(num, npp.polymul(f.den, g.den))
+    num = npp.polyadd(poly_product(f.num, g.den), poly_product(g.num, f.den))
+    return Symbol(num, poly_product(f.den, g.den))
 
 
 def sym_sub(f: Symbol, g: Symbol) -> Symbol:
-    num = npp.polysub(npp.polymul(f.num, g.den), npp.polymul(g.num, f.den))
-    return Symbol(num, npp.polymul(f.den, g.den))
+    num = npp.polysub(poly_product(f.num, g.den), poly_product(g.num, f.den))
+    return Symbol(num, poly_product(f.den, g.den))
 
 
 def sym_mul(f: Symbol, g: Symbol) -> Symbol:
-    return Symbol(npp.polymul(f.num, g.num), npp.polymul(f.den, g.den))
+    return Symbol(poly_product(f.num, g.num), poly_product(f.den, g.den))
 
 
 def sym_div(f: Symbol, g: Symbol) -> Symbol:
-    return Symbol(npp.polymul(f.num, g.den), npp.polymul(f.den, g.num))
+    return Symbol(poly_product(f.num, g.den), poly_product(f.den, g.num))
 
 
 def _poly_pow(c: CoeffVec, k: int) -> CoeffVec:
@@ -558,8 +640,8 @@ def _poly_pow(c: CoeffVec, k: int) -> CoeffVec:
         out[-1] = 1.0
         return out
     half = _poly_pow(c, k // 2)
-    sq = npp.polymul(half, half)
-    return npp.polymul(sq, c) if k & 1 else sq
+    sq = poly_product(half, half)
+    return poly_product(sq, c) if k & 1 else sq
 
 
 def sym_pow(f: Symbol, k: int) -> Symbol:

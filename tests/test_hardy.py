@@ -23,6 +23,7 @@ from hardyop import (
 )
 from hardyop import hardy
 from hardyop.hardy import powers, pullback_h2
+from hardyop.symbolic import poly_product
 
 PHI23 = parse_symbol("(z^2+z^3)/2")
 
@@ -57,15 +58,28 @@ def test_h2_inner_power_overlap_oracle():
 @pytest.mark.parametrize("c", [
     [0.5, 0, 0, 0.25j, 0, -0.1],      # sparse, nonzero constant term
     [0, 0.3, 0.2 - 0.1j, 0.1, 0.05],  # dense, vanishing at 0
+    [0.2, 0.3, 0.2 - 0.1j, 0.1],      # no zero coefficient: one convolution
 ])
 def test_powers_match_truncated_convolutions(c):
     c = np.array(c, dtype=complex)
+    assert np.max(np.abs(poly_product(c, c[::-1]) - np.convolve(c, c[::-1]))) <= 1e-15
     for length in (3, 12):
         ref = np.ones(1, dtype=complex)
         for p in powers(c, 5, length):
             ref = np.convolve(ref, c)[:length]
             assert p.shape == ref.shape
             assert np.max(np.abs(p - ref)) <= 1e-15
+
+
+def test_two_term_product_is_the_convolution_bitwise():
+    # 0.4 + 0.5 z^4000 times its reflection: no output coefficient has more
+    # than two terms, and the sparse product adds two shifted copies
+    c = np.zeros(4001, dtype=complex)
+    c[0], c[4000] = 0.4, 0.5
+    refl = np.conj(c[::-1])
+    full = np.convolve(c, refl)
+    assert np.array_equal(poly_product(c, refl), full)
+    assert np.array_equal(poly_product(c, refl, 4001), full[:4001])
 
 
 @settings(max_examples=30, deadline=None)

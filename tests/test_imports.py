@@ -88,6 +88,24 @@ def test_compop_takes_no_fft():
     assert uses == []
 
 
+def test_one_coefficient_product_and_one_evaluation():
+    # numpy.polynomial's polymul and polyval belong inside symbolic's shared
+    # product and evaluation only; every other product and point value goes
+    # through those two
+    names = {"polymul", "polyval"}
+    homes = {("symbolic.py", "poly_product"), ("symbolic.py", "poly_eval")}
+    uses = []
+    for path in sorted((SRC / "hardyop").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if (path.name, getattr(top, "name", None)) in homes:
+                continue
+            uses += [f"{path.name}:{node.lineno}" for node in ast.walk(top)
+                     if (isinstance(node, ast.Attribute) and node.attr in names)
+                     or (isinstance(node, ast.Name) and node.id in names)
+                     or (isinstance(node, ast.alias) and node.name in names)]
+    assert uses == []
+
+
 def test_analysis_samples_no_circle():
     # one boundary quadrature: every boundary integral in analysis goes
     # through hardy.p_norm's grid ladder, never a grid of its own

@@ -29,7 +29,13 @@ from hardyop import (
     taylor_close,
     validate_selfmap,
 )
-from hardyop.symbolic import boundary_moduli, modulus_products, require_selfmap, rotation_real
+from hardyop.symbolic import (
+    TAYLOR_BLOCK,
+    boundary_moduli,
+    modulus_products,
+    require_selfmap,
+    rotation_real,
+)
 
 
 def geometric_division_oracle(p: float, N: int) -> np.ndarray:
@@ -200,6 +206,40 @@ def test_taylor_constant():
                           np.array([0.3 + 0.2j, 0, 0, 0, 0]))
 
 
+def sequential_taylor(s: Symbol, N: int) -> np.ndarray:
+    """Reference series division, one coefficient at a time:
+    c_k = num_k - sum_{j=1..deg den} den_j c_{k-j}, since den(0) = 1."""
+    c = np.zeros(N, dtype=complex)
+    for k in range(N):
+        acc = s.num[k] if k < s.num.size else 0.0
+        j = min(k, s.den_degree)
+        if j:
+            acc -= np.dot(s.den[1:j + 1], c[k - j:k][::-1])
+        c[k] = acc
+    return c
+
+
+# a slowly decaying series, a complex Blaschke product with a leading power,
+# and a denominator of degree 100, above the block size
+DIVISION_CASES = ["alpha(0.999)", "z^2*blaschke(0.3, 0.5i, -0.6)", "0.3/(1 - 0.5*z^100)"]
+
+
+@pytest.mark.parametrize("text", DIVISION_CASES)
+def test_blocked_division_matches_the_recurrence(text):
+    s = parse_symbol(text)
+    ref = sequential_taylor(s, 2048)
+    assert np.max(np.abs(taylor(s, 2048) - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("text", DIVISION_CASES)
+def test_taylor_sections_are_bitwise_prefixes(text):
+    # the nested compression builds read a longer section's leading block
+    s = parse_symbol(text)
+    full = taylor(s, 2048)
+    for n in (1, TAYLOR_BLOCK - 1, TAYLOR_BLOCK, TAYLOR_BLOCK + 1, 1000):
+        assert np.array_equal(taylor(s, n), full[:n])
+
+
 # ---------------------------------------------------------------------------
 # boundary evaluation
 
@@ -208,6 +248,26 @@ def test_boundary_eval_examples():
     assert identity()(np.exp(1j * 0.0)) == pytest.approx(1.0)
     s = parse_symbol("(z^2+z^3)/2")
     assert s(np.exp(1j * 0.0)) == pytest.approx(1.0)
+
+
+def test_evaluation_is_polyval_on_dense_polynomials():
+    rng = np.random.default_rng(8)
+    num, den = (rng.standard_normal(9) + 1j * rng.standard_normal(9) for _ in range(2))
+    den[0] = 1.0
+    den[1:] *= 0.05  # no pole in the disk
+    z = 0.9 * np.exp(1j * np.linspace(0.0, 6.0, 25))
+    for w in (z, complex(z[3])):
+        assert np.array_equal(Symbol(num)(w), npp.polyval(w, num))
+        assert np.array_equal(Symbol(num, den)(w), npp.polyval(w, num) / npp.polyval(w, den))
+
+
+@pytest.mark.parametrize("r", [0.5, 0.99])
+def test_evaluation_of_a_sparse_polynomial(r):
+    # Horner over the two nonzero terms: one power z^4000, not 4000 steps
+    s = parse_symbol("0.3 + 0.5*z^4000")
+    z = r * np.exp(1j * np.linspace(0.0, 6.0, 25))
+    assert np.max(np.abs(s(z) - npp.polyval(z, s.num))) <= 1e-13
+    assert abs(s(complex(z[5])) - npp.polyval(z[5], s.num)) <= 1e-13
 
 
 def test_boundary_eval_automorphism_modulus():
@@ -357,6 +417,16 @@ def test_fixed_point_elliptic_automorphism():
     assert oracle == pytest.approx(2.0 - math.sqrt(3.0), abs=1e-15)
     p = fixed_point(alpha(0.5))
     assert abs(p - oracle) <= 1e-9
+
+
+def test_fixed_point_of_a_sparse_high_degree_map():
+    # Newton on the two nonzero-term Horner sums; the map contracts near its
+    # fixed point, so plain iteration from 0 is the reference
+    s = parse_symbol("0.3 + 0.2i*z + 0.4*z^3000")
+    ref = 0j
+    for _ in range(100):
+        ref = 0.3 + 0.2j * ref + 0.4 * ref**3000
+    assert abs(fixed_point(s) - ref) <= 1e-14
 
 
 def test_fixed_point_boundary_failure():
