@@ -70,7 +70,6 @@ from .numrange import (
     NRBoundary,
     boundary,
     ellipse_compare,
-    min_boundary_distance,
     polyline_hausdorff,
     sample_w,
 )

@@ -144,9 +144,7 @@ class MinimalNormReport:
     gram_z_residual: float
     eigen_residual: float
     power_overlaps: np.ndarray
-    restricted_value: float
     h2_value: float
-    dimension: int
 
 
 def _require_power_cap(s: Symbol, n_max: int) -> None:
@@ -187,9 +185,7 @@ def minimal_norm_check(s: Symbol, N: int | None = None, n_max: int = 10) -> Mini
         gram_z_residual=gram_res,
         eigen_residual=eigen_res,
         power_overlaps=overlaps,
-        restricted_value=r,
         h2_value=h2,
-        dimension=N,
     )
 
 

@@ -146,13 +146,6 @@ def _dims(text: str) -> list[int]:
     return dims
 
 
-def _positive(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hardyop",
@@ -185,8 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nrange", help="numerical range boundary of a compression")
     p.add_argument("symbol")
     p.add_argument("--grid", type=int, default=720, help="support angle count")
-    p.add_argument("--samples", type=_positive, default=200, help="random Rayleigh samples")
-    p.add_argument("--seed", type=int, default=0, help="seed for the Rayleigh samples")
     common(p, dims_default="64")
 
     p = sub.add_parser("psolve", help="exponent p with ||phi||_p = restricted norm")
@@ -258,36 +249,25 @@ def cmd_nrange(args) -> int:
     t0 = time.perf_counter()
     ellipse = closedform.recognize_ellipse(s)  # validates s first
     dims = compop.require_schedule(args.N)
-    per_dim = {"dims": dims, "radius": [], "hausdorff": [], "violation": [], "contained": []}
+    compared = {"hausdorff": "hausdorff", "violation": "max_violation",
+                "contained": "contained", "interior_margin": "interior_margin"}
+    per_dim = {"dims": dims, "radius": [], **{key: [] for key in compared}}
     dense_solves, radius_evals = [], []
-    all_contained = True
     A = compop.comp_matrix(s, dims[-1], "full")  # nested bases: slice the smaller ones
     for N in dims:
         nr = numrange.boundary(A.leading(N), grid=args.grid)
         per_dim["radius"].append(nr.radius)
         dense_solves.append(nr.dense_solves)
         radius_evals.append(nr.radius_evals)
-        if ellipse is not None:
-            cmp_ = numrange.ellipse_compare(nr, ellipse)
-            per_dim["hausdorff"].append(cmp_.hausdorff)
-            per_dim["violation"].append(cmp_.max_violation)
-            per_dim["contained"].append(cmp_.contained)
-            all_contained = all_contained and cmp_.contained
-        else:
-            per_dim["hausdorff"].append(None)
-            per_dim["violation"].append(None)
-            per_dim["contained"].append(None)
-    interior = None
-    if ellipse is not None:
-        pts = numrange.sample_w(A, count=args.samples, seed=args.seed)
-        interior = numrange.min_boundary_distance(pts, ellipse)
+        cmp_ = None if ellipse is None else numrange.ellipse_compare(nr, ellipse)
+        for key, name in compared.items():
+            per_dim[key].append(None if cmp_ is None else getattr(cmp_, name))
+    all_contained = ellipse is None or all(per_dim["contained"])
     body = {
         "command": "nrange",
-        "params": {"symbol": args.symbol, "grid": args.grid,
-                   "samples": args.samples, "seed": args.seed},
+        "params": {"symbol": args.symbol, "grid": args.grid},
         **per_dim,
         "target_ellipse": None if ellipse is None else dataclasses.asdict(ellipse),
-        "interior_min_dist": interior,
         "pass": all_contained,
         "diagnostics": {"dense_solves": dense_solves, "radius_evals": radius_evals},
         "runtime_ms": (time.perf_counter() - t0) * 1000.0,

@@ -207,12 +207,11 @@ class EllipseDisk:
         radial = np.sqrt((a * np.cos(phi)) ** 2 + (b * np.sin(phi)) ** 2)
         return c + np.exp(1j * psi) * (a**2 * np.cos(phi) + 1j * b**2 * np.sin(phi)) / radial
 
-    def boundary_points(self, ts) -> np.ndarray:
-        """Parametric boundary c + e^{i psi} (A cos t + i B sin t)."""
-        t = np.asarray(ts, dtype=float)
-        return self.center + cmath.exp(1j * self.axis_angle) * (
-            self.semi_major * np.cos(t) + 1j * self.semi_minor * np.sin(t)
-        )
+    def focal_margin(self, z) -> np.ndarray:
+        """major_len - |z - focus_a| - |z - focus_b|: positive exactly inside
+        the open disk, zero on its boundary."""
+        z = np.asarray(z, dtype=complex)
+        return self.major_len - np.abs(z - self.focus_a) - np.abs(z - self.focus_b)
 
 
 def const_ellipse(p: complex) -> EllipseDisk:

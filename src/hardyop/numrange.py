@@ -265,6 +265,7 @@ class EllipseComparison:
     contained: bool           # support never exceeds the ellipse beyond tolerance
     hausdorff: float          # sup |h_range - h_ellipse| (exact for convex sets)
     max_violation: float      # max excess of the range's support over the ellipse's
+    interior_margin: float    # min focal margin of the boundary points; > 0 inside
 
 
 def _point_segment_dist(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray) -> np.ndarray:
@@ -290,9 +291,12 @@ def polyline_hausdorff(P: np.ndarray, Q: np.ndarray) -> float:
 
 
 def ellipse_compare(nr: NRBoundary, e: EllipseDisk) -> EllipseComparison:
-    """Containment (support values at most 1e-8 above the ellipse's) and
-    Hausdorff gap between a computed numerical-range boundary and a
-    closed-form elliptical disk."""
+    """Containment (support values at most 1e-8 above the ellipse's),
+    Hausdorff gap and interior margin between a computed numerical-range
+    boundary and a closed-form elliptical disk.  The interior margin is the
+    smallest focal margin (EllipseDisk.focal_margin) over the boundary points,
+    the range's extreme points at the grid angles: positive when all of them
+    lie in the open disk."""
     he = e.support(nr.thetas)
     diff = nr.support_vals - he
     max_violation = float(diff.max())
@@ -300,12 +304,5 @@ def ellipse_compare(nr: NRBoundary, e: EllipseDisk) -> EllipseComparison:
         contained=max_violation <= 1e-8,
         hausdorff=float(np.abs(diff).max()),
         max_violation=max_violation,
+        interior_margin=float(e.focal_margin(nr.boundary_pts).min()),
     )
-
-
-def min_boundary_distance(points: np.ndarray, e: EllipseDisk) -> float:
-    """Smallest distance from the given points to 4096 ellipse boundary points."""
-    bd = e.boundary_points(circle_grid(4096))
-    pts = np.asarray(points, dtype=complex).ravel()
-    return float(np.min(np.abs(pts[:, None] - bd[None, :])))
-

@@ -10,6 +10,7 @@ closed unit disk, so every symbol extends continuously to the unit circle.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections import namedtuple
@@ -62,7 +63,6 @@ class SelfmapDiagnostics:
     """Result of validating a symbol as an analytic selfmap of the disk."""
 
     boundary_sup: float     # refined sup of |phi| on the circle
-    sup_theta: float        # angle of the largest grid sample
     is_selfmap: bool
     grid_size: int          # boundary grid, sized from the degree
     grid_sup: float         # largest grid sample
@@ -120,7 +120,7 @@ class Symbol:
     def is_polynomial(self) -> bool:
         return self.den.size == 1
 
-    @property
+    @functools.cached_property
     def is_constant(self) -> bool:
         """Whether num = c den for a scalar c, by ratio's test; for |c| < 1 the
         residual must also be at most COEFF_TOL (1 - |c|)^2, since near the circle
@@ -206,10 +206,9 @@ def alpha(p) -> Symbol:
     return Symbol(np.array([p, -1.0]), np.array([1.0, -p.conjugate()]))
 
 
-def blaschke(points, lead_power: int = 0) -> Symbol:
-    """Finite Blaschke product z^m * prod alpha(p_i)."""
-    num = np.zeros(lead_power + 1, dtype=complex)
-    num[lead_power] = 1.0
+def blaschke(points) -> Symbol:
+    """Finite Blaschke product prod alpha(p_i)."""
+    num = np.ones(1, dtype=complex)
     den = np.ones(1, dtype=complex)
     for p in points:
         a = alpha(p)
@@ -508,9 +507,8 @@ def validate_selfmap(s: Symbol) -> SelfmapDiagnostics:
 
     best = _golden_max(modulus, t - h, t + h, 1e-10)
     sup = max(float(v.max()), float(best.max()))
-    j = int(np.argmax(v[:, 0]))
     object.__setattr__(s, "_diag", SelfmapDiagnostics(
-        boundary_sup=sup, sup_theta=2.0 * np.pi * j / K, grid_size=K, grid_sup=float(v[j, 0]),
+        boundary_sup=sup, grid_size=K, grid_sup=float(v[:, 0].max()),
         is_selfmap=abs(s.value_at_zero()) < 1.0 if s.is_constant else sup <= 1.0 + SELFMAP_TOL))
     return s._diag
 

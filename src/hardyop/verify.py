@@ -128,7 +128,8 @@ def check_inner_const_convergence(c: _Checker) -> None:
     c.ok("closed-form target recognized", rep.target is not None
          and abs(rep.target - target) <= 1e-15)
     c.close("value at N=128", rep.values[-1], target, 1e-6)
-    c.ok("values nondecreasing (certified by schedule)", True)
+    for a, b in zip(rep.values, rep.values[1:]):
+        c.le("values nondecreasing", a, b + compop.MONOTONE_TOL)
     for v in rep.values:
         c.le("value <= target + 1e-9", v, target + 1e-9)
 
@@ -177,14 +178,11 @@ def check_automorphism_range_ellipse(c: _Checker) -> None:
     full = compop.comp_matrix(symbolic.alpha(0.5), 256, "full")
     gaps = {}
     for N in (64, 256):
-        A = full.leading(N)
-        nr = numrange.boundary(A, grid=720)
+        nr = numrange.boundary(full.leading(N), grid=720)
         cmp_ = numrange.ellipse_compare(nr, e)
         gaps[N] = cmp_.hausdorff
         c.le(f"containment violation at N={N}", cmp_.max_violation, 1e-8)
-        if N == 256:
-            pts = numrange.sample_w(A, count=200, seed=20)
-            c.gt("sampled points strictly interior", numrange.min_boundary_distance(pts, e), 0.0)
+        c.gt(f"boundary points strictly interior at N={N}", cmp_.interior_margin, 0.0)
     c.le("hausdorff gap at N=256", gaps[256], 0.05)
     c.gt("hausdorff gap decreasing 64 -> 256", gaps[64], gaps[256])
 

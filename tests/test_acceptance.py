@@ -11,7 +11,7 @@ README.
 
 import pytest
 
-from hardyop import verify
+from hardyop import compop, numrange, verify
 
 
 def _run(check) -> verify.CheckResult:
@@ -50,7 +50,12 @@ def test_criterion_02_rotation_distance():
 
 
 def test_criterion_03_inner_const_convergence():
-    assert _run(verify.check_inner_const_convergence).passed
+    result = _run(verify.check_inner_const_convergence)
+    assert result.passed
+    # one comparison per step of the 16..128 schedule, at the schedule's tolerance
+    steps = [a for a in result.assertions if a["label"] == "values nondecreasing"]
+    assert len(steps) == 3
+    assert all(a["target"] - a["value"] >= compop.MONOTONE_TOL - 1e-15 for a in steps)
 
 
 def test_criterion_04_automorphism_distance():
@@ -61,8 +66,23 @@ def test_criterion_05_const_range_ellipse():
     assert _run(verify.check_const_range_ellipse).passed
 
 
-def test_criterion_06_automorphism_range_ellipse():
-    assert _run(verify.check_automorphism_range_ellipse).passed
+def test_criterion_06_automorphism_range_ellipse(monkeypatch):
+    compare, margins = numrange.ellipse_compare, []
+
+    def recorded(nr, e):
+        cmp_ = compare(nr, e)
+        margins.append(cmp_.interior_margin)
+        return cmp_
+
+    monkeypatch.setattr(numrange, "ellipse_compare", recorded)
+    result = _run(verify.check_automorphism_range_ellipse)
+    assert result.passed
+    # one interior assertion per dimension, each on that dimension's margin
+    interior = [a for a in result.assertions if a["label"].startswith("boundary points")]
+    assert [a["label"] for a in interior] == [
+        f"boundary points strictly interior at N={N}" for N in (64, 256)]
+    assert [a["value"] for a in interior] == margins
+    assert min(margins) > 0
 
 
 def test_criterion_07_restricted_norms():

@@ -225,7 +225,8 @@ def test_nrange_degenerate_segment(tmp_path):
     assert doc["target_ellipse"]["focus_a"] == [-1.0, 0.0]
     assert doc["contained"] == [True]
     assert doc["hausdorff"][0] <= 1e-8
-    assert doc["interior_min_dist"] is not None
+    # the focal segment has no interior: its points read a margin of 0
+    assert doc["interior_margin"][0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_nrange_dimension_schedule_gap_shrinks(tmp_path):
@@ -246,7 +247,7 @@ def test_nrange_builds_one_compression(monkeypatch, tmp_path):
     monkeypatch.setattr(compop, "comp_matrix", counted)
     code, doc = run_json(["nrange", "alpha(0.5)", "-N", "32,64"], tmp_path)
     assert code == 0
-    assert doc["interior_min_dist"] > 0
+    assert len(doc["interior_margin"]) == 2 and min(doc["interior_margin"]) > 0
     assert built == [64]
 
 
@@ -301,10 +302,11 @@ def test_unwritable_report_path_is_an_input_error(capsys, tmp_path, args, where)
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
 @pytest.mark.parametrize("symbol", ["0.5*z", "alpha(0.5)"])
-def test_nrange_rejects_nonpositive_samples(capsys, symbol, samples):
-    # rejected when parsed, whether or not the symbol has an ellipse to sample against
+def test_nrange_has_no_samples_option(capsys, symbol, samples):
+    # the interior margin is read off the sweep's boundary points, so nrange
+    # takes no Rayleigh sample count: --samples is an unknown argument
     assert main(["nrange", symbol, "-N", "16", "--grid", "16", "--samples", samples]) == 2
-    assert "--samples" in capsys.readouterr().err
+    assert "unrecognized arguments: --samples" in capsys.readouterr().err
 
 
 def test_nrange_reports_dense_solves(tmp_path):
@@ -330,6 +332,7 @@ def test_nrange_no_target(tmp_path):
     assert code == 0
     assert doc["target_ellipse"] is None
     assert doc["hausdorff"] == [None]
+    assert doc["interior_margin"] == [None]
     assert doc["radius"][0] > 0
 
 

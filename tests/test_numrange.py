@@ -11,7 +11,6 @@ from hardyop import (
     const_ellipse,
     const_matrix,
     ellipse_compare,
-    min_boundary_distance,
     parse_symbol,
     polyline_hausdorff,
     sample_w,
@@ -305,14 +304,24 @@ def test_certificate_rejects_indefinite_and_nan():
     assert not _certified(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
-def test_min_boundary_distance_interior():
+def test_focal_margin_sign_marks_the_open_disk():
     e = alpha_ellipse(0.5)
-    A = comp_matrix(alpha(0.5), 64, "full")
-    pts = sample_w(A, 50, seed=11)
-    assert min_boundary_distance(pts, e) > 0.0
-    # the center is strictly interior at semi-minor depth
-    assert min_boundary_distance(np.array([0.0 + 0.0j]), e) == pytest.approx(
-        e.semi_minor, abs=1e-3)
+    # the center lies inside at margin major - |focal distance|; 3, 2i and
+    # 10+10i lie outside, which a distance to the boundary cannot tell
+    assert e.focal_margin(0.0) == pytest.approx(e.major_len - 2.0, abs=1e-15)
+    assert (e.focal_margin(np.array([3.0, 2.0j, 10 + 10j])) < 0).all()
+    assert abs(e.focal_margin(e.contact_points(np.linspace(0, 6, 50)))).max() <= 1e-14
+
+
+def test_interior_margin_of_the_sweeps_boundary_points():
+    # W(C_alpha) is the open ellipse: the compression's boundary points lie inside
+    nr = boundary(comp_matrix(alpha(0.5), 64, "full"), grid=720)
+    e = alpha_ellipse(0.5)
+    cmp_ = ellipse_compare(nr, e)
+    assert cmp_.interior_margin == e.focal_margin(nr.boundary_pts).min() > 0
+    # W(C_0.5) is the closed ellipse, which the N=64 compression's range touches
+    cmp_ = ellipse_compare(boundary(const_matrix(0.5, 64), grid=720), const_ellipse(0.5))
+    assert abs(cmp_.interior_margin) <= 1e-12
 
 
 def test_polyline_hausdorff_translated_square():

@@ -23,6 +23,7 @@ from hardyop import (
     fixed_point,
     format_symbol,
     identity,
+    is_inner,
     iterate,
     parse_symbol,
     taylor,
@@ -451,7 +452,6 @@ def test_validate_examples():
     d = validate_selfmap(parse_symbol("(z^2+z^3)/2"))
     assert d.is_selfmap
     assert d.boundary_sup == pytest.approx(1.0, abs=1e-12)
-    assert d.sup_theta == pytest.approx(0.0, abs=1e-12)
 
 
 def test_validate_sees_high_degree_term():
@@ -501,6 +501,18 @@ def test_constancy_tolerance_shrinks_toward_the_circle(text, is_constant, is_sel
     assert validate_selfmap(s).is_selfmap is is_selfmap
 
 
+@pytest.mark.xfail(strict=True, reason="the sampled sup of an expanded inner power exceeds "
+                   "1 + SELFMAP_TOL by rounding where |den| is small on the circle")
+@pytest.mark.parametrize("text", ["alpha(0.99)^3", "alpha(0.5)^20"])
+def test_inner_power_is_a_selfmap(text):
+    # the modulus products certify these inner (margin 7.1e-15 and 0), but the
+    # sup reads 1 + 2.0e-9 and 1 + 7.0e-7: (1 - 0.5z)^20 is 9.5e-7 at z = 1
+    # while its coefficients sum to 1.5^20
+    s = parse_symbol(text)
+    assert is_inner(s).is_inner
+    assert validate_selfmap(s).is_selfmap
+
+
 def test_rejected_symbol_reports_its_excess():
     # a sup just over 1 must not print as 1
     with pytest.raises(NotSelfmapError, match=r"boundary sup = 1\.00000005"):
@@ -528,7 +540,7 @@ def test_selfmap_scan_shares_the_stored_unshifted_grid():
     d = validate_selfmap(s)
     a = boundary_moduli(s, d.grid_size)
     assert np.array_equal(a, np.abs(circle_values(s, d.grid_size)))
-    assert d.grid_sup == a.max() and d.sup_theta == 2 * np.pi * np.argmax(a) / d.grid_size
+    assert d.grid_sup == a.max()
 
 
 # ---------------------------------------------------------------------------
