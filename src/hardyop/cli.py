@@ -1,7 +1,9 @@
 """Command-line front end: symbol DSL in, JSON/CSV reports out.
 
 Commands: norm, distance, nrange, psolve, verify.  Exit codes: 0 success,
-1 verification failure, 2 input error, 3 solver non-convergence.
+1 verification failure, 2 input error, 3 solver non-convergence.  JSON and CSV
+reports spell each float in its shortest round-trip form; JSON writes null for
+a non-finite value.
 """
 
 from __future__ import annotations
@@ -41,55 +43,25 @@ _INPUT_ERRORS = (HardyOpError, ValueError, KeyError)  # caught after _SOLVER_ERR
 
 
 # ---------------------------------------------------------------------------
-# serialization (floats printed with 17 significant digits; deterministic)
+# serialization (floats in their shortest round-trip spelling; deterministic)
 
 
-def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        return "null"
-    return f"{x:.17g}"
+def _plain(obj):
+    """obj with str keys, lists for tuples, [re, im] for complex and None for
+    non-finite floats; any other type passes through for json to accept or reject."""
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, complex):
+        return [_plain(obj.real), _plain(obj.imag)]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def json_dumps(obj) -> str:
-    out = io.StringIO()
-    _dump(obj, out)
-    return out.getvalue()
-
-
-def _dump(obj, out: io.StringIO) -> None:
-    if obj is None:
-        out.write("null")
-    elif isinstance(obj, bool):
-        out.write("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.write(str(obj))
-    elif isinstance(obj, float):
-        out.write(_fmt_float(obj))
-    elif isinstance(obj, complex):
-        _dump([obj.real, obj.imag], out)
-    elif isinstance(obj, str):
-        out.write(json.dumps(obj))
-    elif isinstance(obj, dict):
-        out.write("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.write(", ")
-            _dump(str(k), out)
-            out.write(": ")
-            _dump(v, out)
-        out.write("}")
-    elif isinstance(obj, (list, tuple)):
-        out.write("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.write(", ")
-            _dump(v, out)
-        out.write("]")
-    else:
-        try:
-            _dump(float(obj), out)
-        except (TypeError, ValueError):
-            _dump(str(obj), out)
+    return json.dumps(_plain(obj), allow_nan=False)
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -127,7 +99,7 @@ def _emit_csv(path: str, rows: list[list], header: list[str]) -> None:
 
 def _emit_boundary_csv(path: str, nr: numrange.NRBoundary) -> None:
     """Boundary polyline as CSV columns theta, support, re, im."""
-    rows = [[f"{th:.17g}", f"{h:.17g}", f"{pt.real:.17g}", f"{pt.imag:.17g}"]
+    rows = [[th, h, pt.real, pt.imag]
             for th, h, pt in zip(nr.thetas, nr.support_vals, nr.boundary_pts)]
     _emit_csv(path, rows, ["theta", "support", "re", "im"])
 
@@ -211,17 +183,11 @@ def _schedule_report(command: str, task: str, params: dict, symbols: dict, args)
     }
     if rep.target_label:
         body["params"]["target_label"] = rep.target_label
-    if args.csv:
-        rows = []
-        for i, d in enumerate(rep.dims):
-            rows.append([
-                d,
-                f"{rep.values[i]:.17g}",
-                "" if rep.target is None else f"{rep.target:.17g}",
-                "" if rep.gaps is None else f"{rep.gaps[i]:.17g}",
-            ])
-        _emit_csv(args.csv, rows, ["dim", "value", "target", "gap"])
     body["runtime_ms"] = (time.perf_counter() - t0) * 1000.0
+    if args.csv:
+        rows = [[d, rep.values[i], rep.target, None if rep.gaps is None else rep.gaps[i]]
+                for i, d in enumerate(rep.dims)]
+        _emit_csv(args.csv, rows, ["dim", "value", "target", "gap"])
     _emit(body, args)
     return EXIT_OK
 
@@ -321,7 +287,7 @@ def cmd_verify(args) -> int:
         "runtime_ms": (time.perf_counter() - t0) * 1000.0,
     }
     if args.csv:
-        rows = [[r.name, "pass" if r.passed else "FAIL", f"{r.margin:.17g}",
+        rows = [[r.name, "pass" if r.passed else "FAIL", r.margin,
                  f"{r.elapsed_ms:.3f}"] for r in results]
         _emit_csv(args.csv, rows, ["check", "status", "margin", "elapsed_ms"])
     _emit(body, args)

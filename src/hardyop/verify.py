@@ -35,24 +35,24 @@ class _Checker:
     def __init__(self):
         self.items: list[dict] = []
 
-    def close(self, label: str, value: float, target: float, tol: float):
-        err = abs(value - target)
-        self.items.append({"label": label, "ok": err <= tol, "slack": tol - err,
+    def _record(self, label: str, ok, slack: float, value: float, target: float):
+        # numpy comparisons give numpy.bool_, which no JSON writer accepts
+        self.items.append({"label": label, "ok": bool(ok), "slack": slack,
                            "value": float(value), "target": float(target)})
 
+    def close(self, label: str, value: float, target: float, tol: float):
+        err = abs(value - target)
+        self._record(label, err <= tol, tol - err, value, target)
+
     def le(self, label: str, value: float, bound: float):
-        self.items.append({"label": label, "ok": value <= bound, "slack": bound - value,
-                           "value": float(value), "target": float(bound)})
+        self._record(label, value <= bound, bound - value, value, bound)
 
     def gt(self, label: str, value: float, bound: float):
-        self.items.append({"label": label, "ok": value > bound, "slack": value - bound,
-                           "value": float(value), "target": float(bound)})
+        self._record(label, value > bound, value - bound, value, bound)
 
     def ok(self, label: str, cond: bool):
         # boolean assertions have no slack scale; don't mask numeric margins
-        self.items.append({"label": label, "ok": bool(cond),
-                           "slack": math.inf if cond else -1.0,
-                           "value": float(bool(cond)), "target": 1.0})
+        self._record(label, cond, math.inf if cond else -1.0, bool(cond), 1.0)
 
     def result(self, name: str, t0: float) -> CheckResult:
         margin = min((it["slack"] for it in self.items), default=0.0)

@@ -1,12 +1,16 @@
+import csv
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hardyop
 from hardyop import boundary, cli, comp_matrix, compop, parse_symbol
@@ -435,10 +439,33 @@ def test_verify_unknown_suite():
     assert main(["verify", "bogus"]) == 2
 
 
-def test_float_formatting_17_digits():
-    assert json_dumps({"x": 0.1}) == '{"x": 0.10000000000000001}'
-    assert json_dumps({"x": 2.0}) == '{"x": 2}'
-    assert json_dumps({"x": float("nan")}) == '{"x": null}'
-    # 17 significant digits round-trip every double
-    val = 1 / math.sqrt(0.75)
-    assert float(json.loads(json_dumps({"x": val}))["x"]) == val
+def test_float_formatting_shortest_round_trip():
+    assert json_dumps({"x": 0.1}) == '{"x": 0.1}'
+    assert json_dumps({"x": 2.0}) == '{"x": 2.0}'
+    for x in (math.nan, math.inf, -math.inf):
+        assert json_dumps({"x": x}) == '{"x": null}'
+    assert json_dumps({"z": 1 + 2j, "t": (np.float64(0.5),)}) == '{"z": [1.0, 2.0], "t": [0.5]}'
+
+
+def test_json_dumps_rejects_numpy_bool():
+    # an unknown type raises instead of being written as a number
+    with pytest.raises(TypeError):
+        json_dumps({"ok": np.bool_(True)})
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@settings(max_examples=200, deadline=None)
+def test_finite_doubles_round_trip_bitwise(tmp_path_factory, x):
+    bits = struct.pack("<d", x)
+    assert struct.pack("<d", json.loads(json_dumps({"x": x}))["x"]) == bits
+    path = tmp_path_factory.getbasetemp() / "row.csv"
+    cli._emit_csv(str(path), [[x]], ["x"])
+    with open(path, newline="") as fh:
+        assert struct.pack("<d", float(list(csv.reader(fh))[1][0])) == bits
+
+
+def test_verify_all_assertion_results_are_json_booleans(tmp_path):
+    code, doc = run_json(["verify", "all"], tmp_path)
+    assert code == 0
+    oks = [a["ok"] for check in doc["checks"] for a in check["assertions"]]
+    assert len(oks) > 80 and all(ok is True for ok in oks)
