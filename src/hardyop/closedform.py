@@ -85,7 +85,9 @@ class RotationDistance:
 def rotation_distance_bruteforce(lam: complex, mu: complex, depth: int = 1_000_000) -> float:
     """sup_n |lambda^n - mu^n| over n <= depth, by direct evaluation.
 
-    For strictly contractive scalars the scan stops once the geometric bound
+    The scan stops at the first n with |lambda^n - mu^n| <= 8 n eps: from there
+    |lambda^(n+m) - mu^(n+m)| = |lambda|^n |lambda^m - mu^m| to rounding, so the
+    sup is already found.  Strictly contractive scalars also stop once
     2 max(|lambda|,|mu|)^n falls below the best value found (exact decision).
     """
     lam, mu = complex(lam), complex(mu)
@@ -98,8 +100,9 @@ def rotation_distance_bruteforce(lam: complex, mu: complex, depth: int = 1_000_0
         n = np.arange(n0, min(n0 + chunk, depth + 1))
         vals = np.abs(abs(lam) ** n * np.exp(1j * cmath.phase(lam) * n)
                       - abs(mu) ** n * np.exp(1j * cmath.phase(mu) * n))
-        best = max(best, float(vals.max()))
-        if best >= 2.0 - 1e-15:
+        agree = np.flatnonzero(vals <= 8.0 * np.finfo(float).eps * n)  # lam^n = mu^n
+        best = max(best, float(vals[:agree[0] + 1 if agree.size else n.size].max()))
+        if agree.size or best >= 2.0 - 1e-15:
             return best
         n0 += n.size
         if r < 1.0 and 2.0 * r**n0 < best:

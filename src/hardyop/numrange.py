@@ -21,6 +21,8 @@ from .closedform import EllipseDisk
 from .compop import as_opmatrix
 from .symbolic import circle_grid
 
+CERT_TOL = 1e-12  # certificate tolerance: eps = CERT_TOL max(1, |value|)
+
 
 @dataclass(frozen=True)
 class NRBoundary:
@@ -63,7 +65,7 @@ class _SupportSweep:
     basis V shared by all angles.
 
     A Ritz pair (mu, x) is accepted when its full-space residual is at most
-    eps = 1e-12 max(1, |mu|) and a Cholesky factorization of
+    eps = CERT_TOL max(1, |mu|) and a Cholesky factorization of
     (mu + eps) I - H (top) or H - (mu - eps) I (bottom) succeeds.  A Ritz value
     is a Rayleigh quotient, so mu <= lambda_max for the top pair, and the
     factorization proves lambda_max < mu + eps: each accepted value is the
@@ -94,7 +96,7 @@ class _SupportSweep:
         """The Ritz pair's (value, boundary point) if certified, else None;
         sign is +1 for the top pair and -1 for the bottom one."""
         x, Sx, Tx = self.V @ y, self.SV @ y, self.TV @ y
-        eps = 1e-12 * max(1.0, abs(mu))
+        eps = CERT_TOL * max(1.0, abs(mu))
         if not np.linalg.norm(c * Sx + s * Tx - mu * x) <= eps:
             return None
         G = -sign * H  # sign (mu I - H) + eps I
@@ -157,7 +159,7 @@ def _radius(sweep: _SupportSweep, h: np.ndarray, pts: np.ndarray,
     step = 2.0 * np.pi / grid
     j = int(np.argmax(h))
     best = float(h[j])
-    eps = 1e-12 * max(1.0, abs(best))
+    eps = CERT_TOL * max(1.0, abs(best))
 
     def grid_slope(k: int) -> float:
         return _slope(k * step, pts[k % grid])
@@ -211,7 +213,7 @@ def boundary(A, grid: int = 720) -> NRBoundary:
 
     For each grid angle the top eigenpair of H(theta), the Hermitian part of
     e^{-i theta} A, gives the support value and a boundary point (the Rayleigh
-    quotient of the eigenvector), each certified within 1e-12 max(1, |h|) by
+    quotient of the eigenvector), each certified within CERT_TOL max(1, |h|) by
     one subspace sweep (_SupportSweep).  The solved angles are visited coarse
     to fine (_coarse_to_fine): the two ends of the solved arc, then midpoints
     level by level, so each later Ritz pair interpolates between solved

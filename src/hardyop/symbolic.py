@@ -41,7 +41,6 @@ FIXED_POINT_TOL = 1e-12     # fixed_point: |phi(z) - z| (Newton) or orbit step
 COEFF_TOL = 1e-10           # coefficient identities: max residual (ratio: times max(1, |c|))
 ORIGIN_TOL = 1e-12          # |phi(0)| <= ORIGIN_TOL counts as fixing the origin
 TAYLOR_BLOCK = 64           # taylor: coefficients per block of the series division
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def trim(c) -> CoeffVec:
@@ -356,22 +355,6 @@ def boundary_moduli(s: Symbol, K: int) -> np.ndarray:
     return s._moduli[K]
 
 
-def _golden_max(f, a, b, xtol: float):
-    """Golden-section maximization of f on [a, b], elementwise over arrays of
-    equal-width intervals; returns the best values."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while np.max(b - a) > xtol:
-        up = f1 < f2  # keep [x1, b], else [a, x2]
-        a, b = np.where(up, x1, a), np.where(up, b, x2)
-        x = np.where(up, a + _GOLDEN * (b - a), b - _GOLDEN * (b - a))
-        fx = f(x)
-        x1, f1, x2, f2 = (np.where(up, x2, x), np.where(up, f2, fx),
-                          np.where(up, x, x1), np.where(up, fx, f1))
-    return np.maximum(f1, f2)
-
-
 def compose(f: Symbol, g: Symbol) -> Symbol:
     """Rational representation of f(g(z)).
 
@@ -478,8 +461,8 @@ def validate_selfmap(s: Symbol) -> SelfmapDiagnostics:
 
     The boundary grid has the smallest power of two of at least
     max(MIN_GRID, 4 (degree + 1)) points, so no z^k with k <= degree aliases.
-    The sup scan takes SUP_OVERSAMPLE shifted copies of it; golden-section
-    search refines the SUP_PEAKS local maxima with the highest parabolic
+    The sup scan takes SUP_OVERSAMPLE shifted copies of it; nested grids through
+    Symbol.__call__ refine the SUP_PEAKS local maxima with the highest parabolic
     estimates, since the raw samples misrank the ~4096 near-equal maxima of a
     degree-4096 symbol.  Poles on or near the closed disk are rejected at
     construction, so a refined sup within 1 + 1e-9 is a selfmap; a constant,
@@ -499,13 +482,13 @@ def validate_selfmap(s: Symbol) -> SelfmapDiagnostics:
     l, c, r = w[m], w[m + 1], w[m + 2]
     est = c + (l - r) ** 2 / (8.0 * np.maximum(2.0 * c - l - r, np.finfo(float).tiny))
     t = h * m[np.argsort(est)[-SUP_PEAKS:]]
-    nn, nd = np.flatnonzero(s.num), np.flatnonzero(s.den)
-
-    def modulus(x):  # |phi(e^{ix})|, summed over the nonzero terms only
-        return np.abs((np.exp(1j * np.multiply.outer(x, nn)) @ s.num[nn])
-                      / (np.exp(1j * np.multiply.outer(x, nd)) @ s.den[nd]))
-
-    best = _golden_max(modulus, t - h, t + h, 1e-10)
+    # nested grid: 17 points across [t - h, t + h], each peak to its best (the next
+    # level's middle, so the sup never falls), h shrunk 8-fold until h <= 1e-10
+    while h > 1e-10:
+        x = t[:, None] + np.linspace(-h, h, 17)
+        best = np.abs(s(np.exp(1j * x)))
+        t = x[np.arange(t.size), np.argmax(best, axis=1)]
+        h /= 8.0
     sup = max(float(v.max()), float(best.max()))
     object.__setattr__(s, "_diag", SelfmapDiagnostics(
         boundary_sup=sup, grid_size=K, grid_sup=float(v[:, 0].max()),

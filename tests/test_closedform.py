@@ -123,6 +123,27 @@ def test_rotation_exact_branch_matches_bruteforce():
         assert abs(exact - brute) <= 1e-9
 
 
+@pytest.mark.parametrize("k", [3, 9, 99])
+def test_bruteforce_stops_after_one_period_of_an_exact_root(k):
+    # lam^n = 1 to rounding first at n = k, where the scan stops with the max
+    # over one period: the k-gon chord 2 cos(pi/2k).  The full scan to depth
+    # 1e6 drifted to sqrt(3) + 7.7e-11 for k = 3.
+    lam = cmath.exp(2j * math.pi / k)
+    n = np.arange(1, 2 * k + 1)
+    vals = np.abs(abs(lam) ** n * np.exp(1j * cmath.phase(lam) * n) - 1.0)
+    assert np.flatnonzero(vals <= 8.0 * np.finfo(float).eps * n)[0] == k - 1
+    brute = rotation_distance_bruteforce(lam, 1.0)
+    assert brute == vals[:k].max()
+    assert abs(brute - 2.0 * math.cos(math.pi / (2 * k))) <= 1e-15
+
+
+def test_bruteforce_off_a_root_scans_the_full_depth():
+    # 1e-9 turns off a cube root, no power returns to 1: the scan runs to
+    # depth 1e6, and the drifting powers pass the k-gon chord sqrt(3)
+    lam = cmath.exp(2j * math.pi * (1.0 / 3.0 + 1e-9))
+    assert rotation_distance_bruteforce(lam, 1.0) > math.sqrt(3.0) + 1e-4
+
+
 def test_rotation_rejects_outside_closed_disk():
     from hardyop import PreconditionError
 

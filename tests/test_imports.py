@@ -91,7 +91,8 @@ def test_compop_takes_no_fft():
 def test_one_coefficient_product_and_one_evaluation():
     # numpy.polynomial's polymul and polyval belong inside symbolic's shared
     # product and evaluation only; every other product and point value goes
-    # through those two
+    # through those two, and symbolic evaluates no symbol by an outer product
+    # of points and exponents
     names = {"polymul", "polyval"}
     homes = {("symbolic.py", "poly_product"), ("symbolic.py", "poly_eval")}
     uses = []
@@ -102,7 +103,10 @@ def test_one_coefficient_product_and_one_evaluation():
             uses += [f"{path.name}:{node.lineno}" for node in ast.walk(top)
                      if (isinstance(node, ast.Attribute) and node.attr in names)
                      or (isinstance(node, ast.Name) and node.id in names)
-                     or (isinstance(node, ast.alias) and node.name in names)]
+                     or (isinstance(node, ast.alias) and node.name in names)
+                     or (path.name == "symbolic.py" and isinstance(node, ast.Attribute)
+                         and node.attr == "outer" and isinstance(node.value, ast.Attribute)
+                         and node.value.attr == "multiply")]
     assert uses == []
 
 

@@ -476,6 +476,22 @@ def test_validate_finds_highest_of_many_close_peaks(text):
     assert fine - 1e-12 <= validate_selfmap(s).boundary_sup <= fine + 1e-4
 
 
+@pytest.mark.parametrize("text, exact", [
+    ("z^3000*alpha((0.639427+0.125163i))", 1.0),
+    ("z^1500*alpha(0.6)", 1.0),
+    ("0.6*z^3000*alpha(0.5)", 0.6),
+    ("0.4 + 0.5*z^4000", 0.9),
+    ("(0.3+0.2i) + (0.1-0.5i)*z^3700", abs(0.3 + 0.2j) + abs(0.1 - 0.5j)),
+])
+def test_refined_sup_matches_the_exact_sup(text, exact):
+    # |alpha| = 1 on the circle, and c0 + c1 z^n reaches |c0| + |c1|.  The
+    # refinement's points go through Symbol.__call__; an outer product of
+    # angles and exponents, x * 3001 rounded, read the first two 3.5e-12 and
+    # 1.2e-12 high
+    sup = validate_selfmap(parse_symbol(text)).boundary_sup
+    assert exact - 1e-15 <= sup <= exact + 1e-12
+
+
 @pytest.mark.parametrize("text, is_selfmap", [
     ("(1+0.5*z)/(1+0.5*z)", False),     # the constant 1
     ("(0.5+0.25*z)/(1+0.5*z)", True),   # the constant 0.5
