@@ -19,7 +19,6 @@ import numpy as np
 
 from .closedform import EllipseDisk
 from .compop import as_opmatrix
-from .symbolic import circle_grid
 
 CERT_TOL = 1e-12  # certificate tolerance: eps = CERT_TOL max(1, |value|)
 
@@ -60,27 +59,26 @@ def _certified(G: np.ndarray) -> bool:
 
 
 class _SupportSweep:
-    """Certified extreme eigenpairs of H(theta) = cos(theta) S + sin(theta) T,
-    the Hermitian part of e^{-i theta} M, by Rayleigh-Ritz on one growing
-    basis V shared by all angles.
+    """Certified top eigenpairs of aS + bT, the Hermitian part of (a - ib) M
+    for S = (M + M^H)/2 and T = (M - M^H)/2i, by Rayleigh-Ritz on one growing
+    basis V shared by all angles.  The sweep holds S and T, not M.
 
     A Ritz pair (mu, x) is accepted when its full-space residual is at most
     eps = CERT_TOL max(1, |mu|) and a Cholesky factorization of
-    (mu + eps) I - H (top) or H - (mu - eps) I (bottom) succeeds.  A Ritz value
-    is a Rayleigh quotient, so mu <= lambda_max for the top pair, and the
-    factorization proves lambda_max < mu + eps: each accepted value is the
-    extreme eigenvalue within eps (likewise for the bottom).  A NaN fails both
-    tests.  Where a pair fails, one dense eigh at that angle supplies both
-    extreme pairs; their two vectors and, from the same decomposition, their
-    first-order derivatives in theta join the basis (re-orthonormalized by
-    QR), so that the basis also serves the nearby angles.  A Ritz pair
-    interpolates the eigenvector curve between angles the basis has solved far
-    better than it extrapolates past them, so callers visit their angles
-    coarse to fine.  dense_solves counts those solves.
+    (mu + eps) I - (aS + bT), formed from S and T, succeeds.  A Ritz value is
+    a Rayleigh quotient, so mu <= lambda_max, and the factorization proves
+    lambda_max < mu + eps: each accepted value is the top eigenvalue within
+    eps.  A NaN fails both tests.  Where a pair fails, one dense eigh of
+    H(theta) = cos(theta) S + sin(theta) T supplies the top pairs of H and -H;
+    their two vectors and, from the same decomposition, their first-order
+    derivatives in theta join the basis (re-orthonormalized by QR), so that
+    the basis also serves the nearby angles.  A Ritz pair interpolates the
+    eigenvector curve between angles the basis has solved far better than it
+    extrapolates past them, so callers visit their angles coarse to fine.
+    dense_solves counts those solves.
     """
 
     def __init__(self, M: np.ndarray):
-        self.M = M
         Mh = M.conj().T
         self.S = (M + Mh) / 2.0
         self.T = (M - Mh) / 2.0j
@@ -92,48 +90,49 @@ class _SupportSweep:
         self.SV, self.TV = self.S @ self.V, self.T @ self.V
         self.PS, self.PT = self.V.conj().T @ self.SV, self.V.conj().T @ self.TV
 
-    def _accept(self, H, c: float, s: float, mu: float, y: np.ndarray, sign: int):
-        """The Ritz pair's (value, boundary point) if certified, else None;
-        sign is +1 for the top pair and -1 for the bottom one."""
+    def _accept(self, a: float, b: float, mu: float, y: np.ndarray):
+        """(mu, boundary point) if the Ritz pair is a certified top pair of aS + bT."""
         x, Sx, Tx = self.V @ y, self.SV @ y, self.TV @ y
         eps = CERT_TOL * max(1.0, abs(mu))
-        if not np.linalg.norm(c * Sx + s * Tx - mu * x) <= eps:
+        if not np.linalg.norm(a * Sx + b * Tx - mu * x) <= eps:
             return None
-        G = -sign * H  # sign (mu I - H) + eps I
-        G[np.diag_indices_from(G)] += sign * mu + eps
+        G = -a * self.S - b * self.T
+        G[np.diag_indices_from(G)] += mu + eps
         if not _certified(G):
             return None
-        return mu, complex((x.conj() @ Sx).real, (x.conj() @ Tx).real)
+        return mu, _point(x, Sx, Tx)
 
-    def extremes(self, theta: float, bottom: bool):
-        """(top, bottom) pairs (lambda, x^H M x) of H(theta); bottom is None
-        unless asked for."""
+    def extremes(self, theta: float, opposite: bool):
+        """Top pairs (h, boundary point) of H(theta) and, if opposite, of
+        H(theta + pi) = -H(theta), with a, b = -cos, -sin (else None)."""
         c, s = float(np.cos(theta)), float(np.sin(theta))
-        H = c * self.S + s * self.T
         if self.V.shape[1]:
             mus, Y = np.linalg.eigh(c * self.PS + s * self.PT)
-            top = self._accept(H, c, s, mus[-1], Y[:, -1], 1)
-            if top is not None:
-                if not bottom:
-                    return top, None
-                low = self._accept(H, c, s, mus[0], Y[:, 0], -1)
-                if low is not None:
-                    return top, low
-        vals, vecs = np.linalg.eigh(H)
+            top = self._accept(c, s, mus[-1], Y[:, -1])
+            opp = self._accept(-c, -s, -mus[0], Y[:, 0]) if opposite and top is not None else None
+            if top is not None and (opp is not None or not opposite):
+                return top, opp
+        vals, vecs = np.linalg.eigh(c * self.S + s * self.T)
         self.dense_solves += 1
         ends = vecs[:, [-1, 0]]
+        SE, TE = self.S @ ends, self.T @ ends
         # x_i' = sum_k (x_k^H H' x_i) / (lambda_i - lambda_k) x_k with
         # H' = -sin(theta) S + cos(theta) T; terms with a zero or non-finite
         # gap (k = i among them) are dropped
         gaps = vals[[-1, 0]][None, :] - vals[:, None]
         keep = (gaps != 0) & np.isfinite(gaps)
-        coef = vecs.conj().T @ (c * (self.T @ ends) - s * (self.S @ ends))
+        coef = vecs.conj().T @ (c * TE - s * SE)
         coef[keep] /= gaps[keep]
         coef[~keep] = 0.0
         self.V = np.linalg.qr(np.hstack([self.V, ends, vecs @ coef]))[0]
         self._project()
-        pts = np.einsum("ij,ij->j", ends.conj(), self.M @ ends)
-        return (vals[-1], pts[0]), (vals[0], pts[1]) if bottom else None
+        top, opp = (_point(x, Sx, Tx) for x, Sx, Tx in zip(ends.T, SE.T, TE.T))
+        return (vals[-1], top), (-vals[0], opp) if opposite else None
+
+
+def _point(x: np.ndarray, Sx: np.ndarray, Tx: np.ndarray) -> complex:
+    """The boundary point x^H M x = x^H S x + i x^H T x of a unit vector x."""
+    return complex((x.conj() @ Sx).real, (x.conj() @ Tx).real)
 
 
 def _slope(theta: float, pt: complex) -> float:
@@ -217,36 +216,36 @@ def boundary(A, grid: int = 720) -> NRBoundary:
     one subspace sweep (_SupportSweep).  The solved angles are visited coarse
     to fine (_coarse_to_fine): the two ends of the solved arc, then midpoints
     level by level, so each later Ritz pair interpolates between solved
-    angles.  An even grid is solved at half cost:
-    H(theta + pi) = -H(theta), so the top pair at theta + pi is the bottom
-    pair at theta.  A real A on a grid divisible by 4 solves only theta in
-    [0, pi/2] and mirrors the rest: H(-theta) = conj(H(theta)), so
-    h(-theta) = h(theta) and the boundary point at -theta is the conjugate of
-    that at theta.  An OpMatrix without phases, or with col = conj(row) (as
-    for s(z) = conj(mu) psi(mu z) with psi real), is unitarily similar to its
+    angles.  An even grid is solved at half cost: the sweep gives the pair at
+    theta + pi as the top pair of H(theta + pi) = -H(theta), stored as it is.
+    A real A on a grid divisible by 4 solves only theta in [0, pi/2] and
+    mirrors the rest: H(-theta) = conj(H(theta)), so h(-theta) = h(theta) and
+    the boundary point at -theta is the conjugate of that at theta.  An
+    OpMatrix without phases, or with col = conj(row) (as for
+    s(z) = conj(mu) psi(mu z) with psi real), is unitarily similar to its
     stored matrix, so that matrix is swept, mirrored the same way when real;
     other phases are multiplied into the entries first.  The numerical radius
     is the largest certified value seen by a slope search around the grid
-    maximum (_radius): the slopes
-    h'(theta) = Im(e^{-i theta} p(theta)) come free with the boundary points,
-    and each search step is one more certified top value, so the radius is a
-    certified lower bound of the compression's numerical radius.
+    maximum (_radius): the slopes h'(theta) = Im(e^{-i theta} p(theta)) come
+    free with the boundary points, and each search step is one more
+    certified top value, so the radius is a certified lower bound of the
+    compression's numerical radius.
     """
     if grid < 16:
         raise ValueError("grid must be >= 16")
     A = as_opmatrix(A)
     M = A.matrix if A.row is None or np.array_equal(A.col, A.row.conj()) else A.entries
     sweep = _SupportSweep(M)
-    thetas = circle_grid(grid)
+    thetas = 2.0 * np.pi * np.arange(grid) / grid
     h = np.empty(grid)
     pts = np.empty(grid, dtype=complex)
     half = grid // 2 if grid % 2 == 0 else grid
     mirror = np.isrealobj(M) and grid % 4 == 0
     for j in _coarse_to_fine(grid // 4 + 1 if mirror else half):
-        top, low = sweep.extremes(thetas[j], half != grid)
+        top, opposite = sweep.extremes(thetas[j], half != grid)
         h[j], pts[j] = top
-        if low is not None:
-            h[j + half], pts[j + half] = -low[0], low[1]
+        if opposite is not None:
+            h[j + half], pts[j + half] = opposite
     if mirror:
         k = np.arange(1, grid // 4)
         h[half - k] = h[half + k]

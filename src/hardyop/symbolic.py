@@ -324,11 +324,6 @@ def taylor(s: Symbol, N: int) -> CoeffVec:
     return c[dd:dd + N].copy()
 
 
-def circle_grid(K: int) -> np.ndarray:
-    """K equispaced angles 2 pi k / K, k = 0..K-1, on the unit circle."""
-    return 2.0 * np.pi * np.arange(K) / K
-
-
 def circle_values(s: Symbol, K: int, shift: float = 0.0) -> np.ndarray:
     """Values of the symbol at e^{i(shift + 2 pi k/K)}, k = 0..K-1.
 

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from hardyop import (
     sample_w,
 )
 from hardyop.cli import _emit_boundary_csv
-from hardyop.numrange import _certified, _coarse_to_fine
+from hardyop.numrange import CERT_TOL, _certified, _coarse_to_fine, _SupportSweep
 
 
 def test_sample_w_identity():
@@ -259,6 +262,38 @@ def nonnormal_complex(N):
     c *= 0.9 / np.abs(c).sum()  # sup |phi| <= 0.9 on the disk
     text = " + ".join(f"({v.real:.6f}{v.imag:+.6f}i)*z^{k}" for k, v in enumerate(c))
     return comp_matrix(parse_symbol(text), N, "full").entries
+
+
+def test_opposite_pair_is_the_top_pair_of_the_negated_pencil():
+    # the pair at theta + pi is the top pair of -H(theta), whose value is
+    # -lambda_min(H(theta)); angles in sequence take dense and Ritz pairs alike
+    M = nonnormal_complex(96)
+    sweep = _SupportSweep(M)
+    thetas = np.linspace(0.0, np.pi, 13)
+    for theta in thetas:
+        B = np.exp(-1j * theta) * M
+        low = np.linalg.eigvalsh((B + B.conj().T) / 2.0)[0]
+        _, (h, _) = sweep.extremes(theta, True)
+        assert abs(h + low) <= CERT_TOL * max(1.0, abs(h))
+    assert 1 <= sweep.dense_solves < thetas.size
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts minor page faults as Linux getrusage reports them")
+def test_first_boundary_of_a_process_takes_few_page_faults():
+    # the sweep forms aS + bT only where a certificate or a dense eigh reads
+    # it; one H(theta) per angle shared by two negated copies took about
+    # 205,000 minor faults on this boundary, against about 8,000 now
+    code = ("import resource\n"
+            "from hardyop import alpha, boundary, comp_matrix\n"
+            "A = comp_matrix(alpha(0.5), 256)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "boundary(A, grid=720)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=src).stdout
+    assert int(out) < 50_000
 
 
 RADIUS_CASES = {
