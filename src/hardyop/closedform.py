@@ -89,11 +89,17 @@ def rotation_distance_bruteforce(lam: complex, mu: complex, depth: int = 1_000_0
     |lambda^(n+m) - mu^(n+m)| = |lambda|^n |lambda^m - mu^m| to rounding, so the
     sup is already found.  Strictly contractive scalars also stop once
     2 max(|lambda|,|mu|)^n falls below the best value found (exact decision).
+    It also stops once the best value reaches 2 - 1e-15, within rounding of
+    the bound 2.  The powers are scanned in chunks of 64, doubling up to
+    32768, so a rule that holds early stops the scan after tens of powers, not
+    a full chunk.  The value at each n does not depend on the chunks; the
+    2 - 1e-15 exit does, since it reads the best value at a chunk's end, so
+    it can stop on a prefix shorter than a larger chunk would have scanned.
     """
     lam, mu = complex(lam), complex(mu)
     best = 0.0
     r = max(abs(lam), abs(mu))
-    chunk = 1 << 15
+    chunk = 64
     n0 = 1
     while n0 <= depth:
         # powers from the absolute exponent: x^n = |x|^n e^{i n arg x}
@@ -107,6 +113,7 @@ def rotation_distance_bruteforce(lam: complex, mu: complex, depth: int = 1_000_0
         n0 += n.size
         if r < 1.0 and 2.0 * r**n0 < best:
             return best
+        chunk = min(2 * chunk, 1 << 15)
     return best
 
 

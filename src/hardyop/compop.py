@@ -92,55 +92,83 @@ def _real_taylor(s: Symbol, N: int) -> np.ndarray:
     return t if t.imag.any() else t.real.copy()
 
 
-def _power_columns(first: np.ndarray, step: np.ndarray, count: int, length: int) -> np.ndarray:
-    """Columns first, first*step, first*step^2, ... under truncated convolution
-    by np.convolve, float64 when first and step are real.  The step drops its
-    coefficients below eps^2 times its largest and its trailing zeros; the
-    step z is exact too, each entry being x*1 + y*0.  A longer build's leading
-    block is bitwise the shorter build unless their steps trim to different
-    lengths (a lacunary step with terms past the shorter length).  Entries
-    below eps^2 times the largest of the first column (so below eps^2 ||M||)
-    become 0 as formed, keeping out subnormals, on which LAPACK runs several
-    times slower; a zero column ends the build.  The output is column-major,
-    so each column write is contiguous and the zero columns after the build
-    ends are never touched."""
-    real = np.isrealobj(first) and np.isrealobj(step)
+def _powers(first: np.ndarray, step: np.ndarray, length: int):
+    """Yields first, first*step, first*step^2, ... under truncated convolution
+    by np.convolve, float64 when first and step are real, up to the first zero
+    column.  The step drops its coefficients below eps^2 times its largest and
+    its trailing zeros; the step z is exact too, each entry being x*1 + y*0.
+    A longer build's leading block is bitwise the shorter build unless their
+    steps trim to different lengths (a lacunary step with terms past the
+    shorter length).  Entries below eps^2 times the largest of the first
+    column (so below eps^2 ||M||) become 0 as formed, keeping out subnormals,
+    on which LAPACK runs several times slower."""
     tiny = np.finfo(float).eps ** 2
-    out = np.zeros((length, count), dtype=float if real else complex, order="F")
-    col = np.zeros(length, dtype=out.dtype)
+    col = np.zeros(length, dtype=np.result_type(first, step))
     col[:min(first.size, length)] = first[:length]
     floor = tiny * np.abs(col).max()
-    col[np.abs(col) < floor] = 0
-    out[:, 0] = col
     step = np.where(np.abs(step) < tiny * np.abs(step).max(), 0, step)
     step = step[:np.flatnonzero(step).max(initial=0) + 1]
-    for k in range(1, count):
-        col = np.convolve(col, step)[:length]
+    while True:
         col[np.abs(col) < floor] = 0
         if not col.any():
-            break
-        out[:, k] = col
-    return out
+            return
+        yield col
+        col = np.convolve(col, step)[:length]
 
 
-def _compression(w: Symbol, s: Symbol, N: int, shift: int, basis: str) -> OpMatrix:
-    """Compression of T_{w,s} f = w * (f o s) over the degrees shift..N+shift-1:
-    column k holds taylor(w * s^k).  When s(z) = lam psi(mu z) with psi real
-    (rotation_real) and w(z) = lam_w psi_w(mu z) with the same mu, the real
-    columns of psi_w psi^k are stored with the phases row = mu^d over the row
-    degrees d and col = lam_w lam^k."""
+def _build(w: Symbol, s: Symbol, N: int, shift: int):
+    """(first, step, phases) of the compression of T_{w,s} f = w * (f o s)
+    over the degrees shift..N+shift-1: column k holds taylor(w * s^k), the
+    power columns of first = taylor(w) by step = taylor(s).  When s(z) =
+    lam psi(mu z) with psi real (rotation_real) and w(z) = lam_w psi_w(mu z)
+    with the same mu, the columns are the real ones of psi_w psi^k, and
+    phases is (row, col) with row = mu^d over the row degrees d and col =
+    lam_w lam^k; else phases is ()."""
     if N < 2:
         raise PreconditionError("compression dimension must be >= 2")
     require_selfmap(s)
     rot = rotation_real(s)  # psi is a selfmap too: |psi(w)| = |s(conj(mu) w)|
     rot_w = None if rot is None else rotation_real(w, rot[1])
+    phases = ()
     if rot_w is not None:
         (lam, mu, s), (lam_w, _, w) = rot, rot_w
-    cols = _power_columns(_real_taylor(w, N + shift), _real_taylor(s, N + shift),
-                          N, N + shift)[shift:]
-    if rot_w is None:
-        return OpMatrix(cols, basis)
-    return OpMatrix(cols, basis, unit_powers(mu, N + shift)[shift:], lam_w * unit_powers(lam, N))
+        phases = unit_powers(mu, N + shift)[shift:], lam_w * unit_powers(lam, N)
+    return _real_taylor(w, N + shift), _real_taylor(s, N + shift), phases
+
+
+def _compression(w: Symbol, s: Symbol, N: int, shift: int, basis: str) -> OpMatrix:
+    """The compression of _build with its phases, stored column-major, so
+    each column write is contiguous and the zero columns after the build
+    ends are never touched."""
+    first, step, phases = _build(w, s, N, shift)
+    out = np.zeros((N + shift, N), dtype=np.result_type(first, step), order="F")
+    for k, col in zip(range(N), _powers(first, step, N + shift)):
+        out[:, k] = col
+    return OpMatrix(out[shift:], basis, *phases)
+
+
+def _difference(a: Symbol, b: Symbol, N: int) -> OpMatrix:
+    """comp_matrix(a, N) - comp_matrix(b, N), with both power sequences run
+    in one column loop: each column of entries, phases applied as
+    OpMatrix.entries applies them (to zeros once its build has ended), is
+    subtracted as it is formed, so the difference is the only N x N array.
+    Bitwise the same up to the column where both builds have ended, and
+    zero after it (where the subtraction could give -0)."""
+    seqs = []
+    for s in (a, b):
+        first, step, phases = _build(constant(1.0), s, N, 0)
+        seqs.append((_powers(first, step, N), np.zeros(N, np.result_type(first, step)), phases))
+    out = np.zeros((N, N), order="F",
+                   dtype=np.result_type(*(x for _, zero, phases in seqs for x in (zero, *phases))))
+    for k in range(N):
+        cols = [next(powers, None) for powers, _, _ in seqs]
+        if cols[0] is None and cols[1] is None:
+            break
+        x, y = (zero if col is None else col for col, (_, zero, _) in zip(cols, seqs))
+        x, y = (c * phases[1][k] * phases[0] if phases else c
+                for c, (_, _, phases) in zip((x, y), seqs))
+        out[:, k] = x - y
+    return OpMatrix(out, "full")
 
 
 def comp_matrix(s: Symbol, N: int, basis: str = "full") -> OpMatrix:
@@ -169,22 +197,38 @@ def weighted_matrix(w: Symbol, s: Symbol, N: int) -> OpMatrix:
 # largest singular value
 
 
+def _gram(A) -> np.ndarray:
+    """The Gram matrix M^H M of a compression on its column support M_K, up
+    to the last nonzero column K: Gram([M_K 0]) is diag(Gram(M_K), 0), with
+    the same top eigenvalue, and a contraction's flushed build has K set by
+    sup|phi|, not by N.  An OpMatrix gives its stored matrix, since its phases
+    keep the singular values.  A real Gram is numpy's syrk product, exactly
+    symmetric, so its transpose is the same matrix in the column-major order
+    LAPACK reads, with no transposing copy; a complex one is not exactly
+    Hermitian and stays as formed."""
+    M = as_opmatrix(A).matrix
+    M = M[:, :np.flatnonzero(M.any(axis=0)).max(initial=0) + 1]
+    G = M.conj().T @ M
+    return G.T if np.isrealobj(G) else G
+
+
+def _top_sv(G: np.ndarray) -> float:
+    """The square root of the top eigenvalue of a Gram matrix, by one dense
+    LAPACK eigensolve."""
+    return float(np.sqrt(max(np.linalg.eigvalsh(G)[-1], 0.0)))
+
+
 def op_norm(A) -> float:
     """Largest singular value of a compression: the square root of the top
-    eigenvalue of the Gram matrix M^H M, by one dense LAPACK eigensolve, for
-    real and complex M alike.  An OpMatrix is solved on its stored matrix,
-    since its phases keep the singular values.  The Gram is formed on the
-    column support M_K, up to the last nonzero column K: Gram([M_K 0]) is
-    diag(Gram(M_K), 0), with the same top eigenvalue, and a contraction's
-    flushed build has K set by sup|phi|, not by N.
+    eigenvalue of its Gram matrix (_gram), by one dense LAPACK eigensolve, for
+    real and complex M alike.  Callers that own the build pass it to _gram
+    and drop it before _top_sv, whose input LAPACK copies.
 
     Compressions of slow-gap operators (automorphisms, non-inner symbols
     touching the circle) have clustered top singular values, where power
     iteration needs thousands of steps; a dense solve costs the same at any gap.
     """
-    M = as_opmatrix(A).matrix
-    M = M[:, :np.flatnonzero(M.any(axis=0)).max(initial=0) + 1]
-    return float(np.sqrt(max(np.linalg.eigvalsh(M.conj().T @ M)[-1], 0.0)))
+    return _top_sv(_gram(A))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +237,7 @@ def op_norm(A) -> float:
 
 def distance(a: Symbol, b: Symbol, N: int) -> float:
     """Compression of ||C_a - C_b||; a monotone-in-N lower bound of the norm."""
-    return op_norm(comp_matrix(a, N, "full") - comp_matrix(b, N, "full"))
+    return _top_sv(_gram(_difference(a, b, N)))
 
 
 def _restriction(s: Symbol, N: int) -> OpMatrix:
@@ -207,7 +251,7 @@ def _restriction(s: Symbol, N: int) -> OpMatrix:
 def restricted_norm(s: Symbol, N: int) -> float:
     """Compression of the norm of C_s restricted to zH^2, for s fixing 0; also
     that of ||C_s - C_0||, whose full-basis matrix adds a zero row and column."""
-    return op_norm(_restriction(s, N))
+    return _top_sv(_gram(_restriction(s, N)))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +275,7 @@ _TASKS = ("distance", "restricted", "weighted", "opnorm")
 def _task_matrix(task: str, params: dict, N: int) -> OpMatrix:
     """The task's compression at dimension N."""
     if task == "distance":
-        return comp_matrix(params["a"], N) - comp_matrix(params["b"], N)
+        return _difference(params["a"], params["b"], N)
     if task == "restricted":
         return _restriction(params["s"], N)
     if task == "weighted":
@@ -269,15 +313,20 @@ def norm_schedule(task: str, params: dict, dims: Sequence[int]) -> ConvergenceRe
     """Run one extremal task over a strictly increasing dimension schedule.
 
     One compression is built at the largest dimension, and each value is the
-    norm of its leading N x N block.  Attaches a closed-form target when the
-    inputs match a known formula, and certifies that values are nondecreasing
-    and never exceed the target beyond solver tolerance; a violation signals a
-    solver bug, not bad input.
+    norm of its leading N x N block.  The build is dropped once the largest
+    block's Gram is formed, so at most two full-size arrays are held at once
+    (plus numpy's conjugate copy while a complex Gram is formed).  Attaches a
+    closed-form target when the inputs match a known formula, and certifies
+    that values are nondecreasing and never exceed the target beyond solver
+    tolerance; a violation signals a solver bug, not bad input.
     """
     dims = require_schedule(dims)
     # the build validates the inputs, before any closed form reads them
     A = _task_matrix(task, params, dims[-1])
-    values = tuple(op_norm(A.leading(N)) for N in dims)
+    values = [_top_sv(_gram(A.leading(N))) for N in dims[:-1]]
+    G = _gram(A)
+    del A  # the build goes before the largest eigensolve, whose input LAPACK copies
+    values = (*values, _top_sv(G))
     target, label = _task_target(task, params)
     for a, b in zip(values, values[1:]):
         if b < a - MONOTONE_TOL:

@@ -96,8 +96,9 @@ class _SupportSweep:
         eps = CERT_TOL * max(1.0, abs(mu))
         if not np.linalg.norm(a * Sx + b * Tx - mu * x) <= eps:
             return None
-        G = -a * self.S - b * self.T
-        G[np.diag_indices_from(G)] += mu + eps
+        G = self.T * -b
+        G -= a * self.S
+        G.flat[::G.shape[0] + 1] += mu + eps
         if not _certified(G):
             return None
         return mu, _point(x, Sx, Tx)

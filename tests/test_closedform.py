@@ -137,6 +137,30 @@ def test_bruteforce_stops_after_one_period_of_an_exact_root(k):
     assert abs(brute - 2.0 * math.cos(math.pi / (2 * k))) <= 1e-15
 
 
+def _scan_max(lam, mu, depth):
+    # the brute force's formula over every n <= depth, in one array
+    n = np.arange(1, depth + 1)
+    return float(np.abs(abs(lam) ** n * np.exp(1j * cmath.phase(lam) * n)
+                        - abs(mu) ** n * np.exp(1j * cmath.phase(mu) * n)).max())
+
+
+def test_bruteforce_early_exits_return_the_full_scan_max():
+    # the contraction and agreement rules stop the growing-chunk scan after
+    # tens of powers; both are exact, so the value is bitwise the max over
+    # every n <= depth.  Root ratios take |lam| = |mu| < 1, where the powers
+    # past one period are smaller, not equal to rounding.
+    rng = np.random.default_rng(32)
+    for _ in range(40):
+        r1, r2 = rng.uniform(0.3, 0.999, 2)
+        lam = r1 * cmath.exp(2j * math.pi * rng.uniform())
+        mu = r2 * cmath.exp(2j * math.pi * rng.uniform())
+        assert rotation_distance_bruteforce(lam, mu, 100_000) == _scan_max(lam, mu, 100_000)
+        k = int(rng.integers(2, 100))
+        r = rng.uniform(0.5, 0.999)
+        lam = r * cmath.exp(2j * math.pi * int(rng.integers(1, k)) / k)
+        assert rotation_distance_bruteforce(lam, r, 100_000) == _scan_max(lam, r, 100_000)
+
+
 def test_bruteforce_off_a_root_scans_the_full_depth():
     # 1e-9 turns off a cube root, no power returns to 1: the scan runs to
     # depth 1e6, and the drifting powers pass the k-gon chord sqrt(3)

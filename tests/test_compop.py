@@ -1,4 +1,8 @@
 import math
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -302,6 +306,16 @@ def test_escalation_matches_dense_svd(p):
         assert op_norm(M) == pytest.approx(oracle, rel=1e-13)
 
 
+@pytest.mark.parametrize("s", [alpha(0.5), alpha(0.3 + 0.4j), PHI12],
+                         ids=["real", "rotated", "contraction"])
+def test_real_gram_is_exactly_symmetric(s):
+    # numpy's syrk product: its transpose, the column-major order LAPACK
+    # reads, is the same matrix
+    G = compop._gram(comp_matrix(s, 128))
+    assert G.dtype == np.float64 and G.flags.f_contiguous
+    assert np.array_equal(G, G.T)
+
+
 # ---------------------------------------------------------------------------
 # distances / restrictions
 
@@ -478,17 +492,19 @@ def test_schedule_slices_match_per_dimension_builds(case, monkeypatch):
     # one build at the largest dimension sliced to the smaller ones
     task, params = SLICED_CASES[case]
     dims = [16, 64, 520]
+    # every build runs one power sequence per symbol; the h20 one forms the
+    # degree-0 row too, and drops it
     builds = []
-    power_columns = compop._power_columns
+    powers = compop._powers
 
-    def counted(first, step, count, length):
-        builds.append(count)
-        return power_columns(first, step, count, length)
+    def counted(first, step, length):
+        builds.append(length)
+        return powers(first, step, length)
 
-    monkeypatch.setattr(compop, "_power_columns", counted)
+    monkeypatch.setattr(compop, "_powers", counted)
     rep = norm_schedule(task, params, dims)
     symbols = 2 if task == "distance" else 1
-    assert builds == [dims[-1]] * symbols
+    assert builds == [dims[-1] + (task == "restricted")] * symbols
     monkeypatch.undo()
     for N, v in zip(dims, rep.values):
         assert abs(v - per_dimension(task, params, N)) <= 1e-12
@@ -496,6 +512,72 @@ def test_schedule_slices_match_per_dimension_builds(case, monkeypatch):
     A = compop._task_matrix(task, params, 16)
     assert (A.row is not None) == (case.endswith("-rotated") and task != "distance")
     assert (A.col is None) == (A.row is None)
+
+
+DIFFERENCES = {
+    "real": (alpha(0.5), identity()),
+    "rotated-rotated": (alpha(0.3 + 0.4j), parse_symbol("0.5i*z")),
+    "rotated-real": (parse_symbol("0.5i*z"), parse_symbol("0.3*z^2")),
+    "real-rotated": (parse_symbol("0.3*z^2"), alpha(0.3 + 0.4j)),
+    "complex-constant": (CPLX, constant(0.2j)),
+    "contractions": (parse_symbol("0.5*blaschke(0.3, 0.4i)"), parse_symbol("z/2 + 0.25")),
+}
+
+
+@pytest.mark.parametrize("case", list(DIFFERENCES))
+def test_difference_in_one_column_loop_matches_the_subtraction(case):
+    # both power sequences in one loop: the entries of the matrix difference,
+    # bitwise, signs of zeros included, up to the last column where either
+    # build is nonzero, and zero after it
+    a, b = DIFFERENCES[case]
+    N = 300
+    ref = (comp_matrix(a, N) - comp_matrix(b, N)).entries
+    got = compop._difference(a, b, N).entries
+    K = max(np.flatnonzero(comp_matrix(s, N).matrix.any(axis=0)).max() for s in (a, b)) + 1
+    assert got.dtype == ref.dtype and got.flags.f_contiguous
+    assert np.ascontiguousarray(got[:, :K]).tobytes() == np.ascontiguousarray(ref[:, :K]).tobytes()
+    assert not got[:, K:].any()
+
+
+def test_distance_schedule_holds_two_arrays():
+    # the difference is formed in one column loop, and the build is dropped
+    # before the largest eigensolve: the traced peak is the difference plus
+    # its Gram at N = 512, not three arrays
+    params = {"a": alpha(0.5), "b": identity()}
+    norm_schedule("distance", params, [16, 32])
+    tracemalloc.start()
+    try:
+        norm_schedule("distance", params, [256, 512])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 8 * 512**2
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the peak resident size from /proc/self/status")
+def test_distance_schedule_resident_rise_stays_below_three_arrays():
+    # a fresh process, after a small schedule has set up the BLAS buffers.
+    # Holding the N = 1024 difference, its Gram and LAPACK's copy of the Gram
+    # at once raises the peak resident size by about 3.5 x 8N^2; dropping
+    # the build before the eigensolve, by about 2.5 x 8N^2.  VmHWM is the
+    # peak of the process's own memory; ru_maxrss would start at the
+    # resident size of the process that spawned it, which under pytest
+    # hides the rise.
+    code = ("def peak():\n"
+            "    for line in open('/proc/self/status'):\n"
+            "        if line.startswith('VmHWM:'):\n"
+            "            return int(line.split()[1])\n"
+            "from hardyop import alpha, identity, norm_schedule\n"
+            "params = {'a': alpha(0.5), 'b': identity()}\n"
+            "norm_schedule('distance', params, [16, 32])\n"
+            "before = peak()\n"
+            "norm_schedule('distance', params, [512, 1024])\n"
+            "print(peak() - before)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=src).stdout
+    assert int(out) * 1024 <= 3 * 8 * 1024**2
 
 
 ROTATED = {

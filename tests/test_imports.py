@@ -113,7 +113,7 @@ def test_one_coefficient_product_and_one_evaluation():
 def test_analysis_samples_no_circle():
     # one boundary quadrature: every boundary integral in analysis goes
     # through hardy.p_norm's grid ladder, never a grid of its own
-    names = {"circle_values", "circle_grid"}
+    names = {"circle_values", "boundary_moduli"}
     tree = ast.parse((SRC / "hardyop" / "analysis.py").read_text())
     uses = [node.lineno for node in ast.walk(tree)
             if (isinstance(node, ast.Attribute) and node.attr in names)
