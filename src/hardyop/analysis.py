@@ -232,34 +232,26 @@ def iterate_sweep(s: Symbol, n_max: int, N: int) -> IterateSweepReport:
     if is_inner(s).is_inner:
         raise PreconditionError("iterate sweep needs a non-inner symbol")
     p = fixed_point(s)
-    cp = const_matrix(p, N)
-    ns, d_fixed, norms, d_origin, gaps = [], [], [], [], []
-    first_strict = None
+    cp = const_matrix(p, N).entries
+    d_fixed, norms, d_origin, gaps = [], [], [], []
     current = s
     for n in range(1, n_max + 1):
         if n > 1:
             current = compose(s, current)
         A = comp_matrix(current, N, "full")
-        dist_p = op_norm(A - cp)
-        nrm = op_norm(A)
+        d_fixed.append(op_norm(A.entries - cp))
+        norms.append(op_norm(A))
         q = current.value_at_zero()
-        dist_q = op_norm(A - const_matrix(q, N))
-        gap = nrm - dist_q
-        ns.append(n)
-        d_fixed.append(dist_p)
-        norms.append(nrm)
-        d_origin.append(dist_q)
-        gaps.append(gap)
-        if first_strict is None and gap > 1e-6:
-            first_strict = n
+        d_origin.append(op_norm(A.entries - const_matrix(q, N).entries))
+        gaps.append(norms[-1] - d_origin[-1])
     return IterateSweepReport(
         fixed_pt=p,
-        ns=tuple(ns),
+        ns=tuple(range(1, n_max + 1)),
         dist_to_fixed=tuple(d_fixed),
         op_norms=tuple(norms),
         dist_to_origin_const=tuple(d_origin),
         strict_gaps=tuple(gaps),
-        first_strict_n=first_strict,
+        first_strict_n=next((n for n, gap in enumerate(gaps, 1) if gap > 1e-6), None),
     )
 
 

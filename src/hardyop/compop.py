@@ -10,6 +10,7 @@ schedule runner certifies both properties on every run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -29,14 +30,10 @@ class OpMatrix:
     matrix with optional unit phases: entries = matrix * col * row[:, None],
     that is D_row matrix D_col.  The matrix is float64 for real and rotated
     real symbols (comp_matrix), complex128 otherwise; row and col are None
-    when there are no phases.
-
-    basis "full" uses {1, z, ..., z^(N-1)}; basis "h20" uses {z, ..., z^N}
-    (the subspace of functions vanishing at the origin).
+    when there are no phases, else both 1-D of length dim.
     """
 
     matrix: np.ndarray
-    basis: str
     row: np.ndarray | None = None
     col: np.ndarray | None = None
 
@@ -44,8 +41,9 @@ class OpMatrix:
         m = np.asarray(self.matrix, dtype=float if np.isrealobj(self.matrix) else complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("OpMatrix matrix must be a square 2-D array")
-        if self.basis not in ("full", "h20"):
-            raise ValueError(f"unknown basis {self.basis!r}")
+        shapes = [np.shape(p) for p in (self.row, self.col) if p is not None]
+        if shapes not in ([], [m.shape[:1]] * 2):  # no phases, or both of length dim
+            raise ValueError("OpMatrix phases must be none, or row and col both 1-D of length dim")
         # read-only views: no copy, and the caller's own arrays keep their flags
         for name, a in (("matrix", m), ("row", self.row), ("col", self.col)):
             if a is not None:
@@ -73,17 +71,12 @@ class OpMatrix:
         if not 2 <= N <= self.dim:
             raise PreconditionError(f"compression dimension must lie in [2, {self.dim}], got {N}")
         phases = () if self.row is None else (self.row[:N], self.col[:N])
-        return OpMatrix(self.matrix[:N, :N], self.basis, *phases)
-
-    def __sub__(self, other: "OpMatrix") -> "OpMatrix":
-        if self.basis != other.basis or self.dim != other.dim:
-            raise ValueError("matrix difference needs matching basis and dimension")
-        return OpMatrix(self.entries - other.entries, self.basis)
+        return OpMatrix(self.matrix[:N, :N], *phases)
 
 
 def as_opmatrix(A) -> OpMatrix:
-    """A itself, or a square array as a full-basis OpMatrix with no phases."""
-    return A if isinstance(A, OpMatrix) else OpMatrix(A, "full")
+    """A itself, or a square array as an OpMatrix with no phases."""
+    return A if isinstance(A, OpMatrix) else OpMatrix(A)
 
 
 def _real_taylor(s: Symbol, N: int) -> np.ndarray:
@@ -136,7 +129,7 @@ def _build(w: Symbol, s: Symbol, N: int, shift: int):
     return _real_taylor(w, N + shift), _real_taylor(s, N + shift), phases
 
 
-def _compression(w: Symbol, s: Symbol, N: int, shift: int, basis: str) -> OpMatrix:
+def _compression(w: Symbol, s: Symbol, N: int, shift: int) -> OpMatrix:
     """The compression of _build with its phases, stored column-major, so
     each column write is contiguous and the zero columns after the build
     ends are never touched."""
@@ -144,31 +137,29 @@ def _compression(w: Symbol, s: Symbol, N: int, shift: int, basis: str) -> OpMatr
     out = np.zeros((N + shift, N), dtype=np.result_type(first, step), order="F")
     for k, col in zip(range(N), _powers(first, step, N + shift)):
         out[:, k] = col
-    return OpMatrix(out[shift:], basis, *phases)
+    return OpMatrix(out[shift:], *phases)
 
 
 def _difference(a: Symbol, b: Symbol, N: int) -> OpMatrix:
-    """comp_matrix(a, N) - comp_matrix(b, N), with both power sequences run
-    in one column loop: each column of entries, phases applied as
-    OpMatrix.entries applies them (to zeros once its build has ended), is
-    subtracted as it is formed, so the difference is the only N x N array.
-    Bitwise the same up to the column where both builds have ended, and
-    zero after it (where the subtraction could give -0)."""
-    seqs = []
-    for s in (a, b):
-        first, step, phases = _build(constant(1.0), s, N, 0)
-        seqs.append((_powers(first, step, N), np.zeros(N, np.result_type(first, step)), phases))
-    out = np.zeros((N, N), order="F",
-                   dtype=np.result_type(*(x for _, zero, phases in seqs for x in (zero, *phases))))
-    for k in range(N):
-        cols = [next(powers, None) for powers, _, _ in seqs]
-        if cols[0] is None and cols[1] is None:
-            break
-        x, y = (zero if col is None else col for col, (_, zero, _) in zip(cols, seqs))
-        x, y = (c * phases[1][k] * phases[0] if phases else c
-                for c, (_, _, phases) in zip((x, y), seqs))
-        out[:, k] = x - y
-    return OpMatrix(out, "full")
+    """comp_matrix(a, N).entries - comp_matrix(b, N).entries in two passes
+    over one column-major array, the only N x N one: a's columns are written,
+    then b's are subtracted as they are formed, phases applied as
+    OpMatrix.entries applies them, also to the zero columns after a phased
+    build ends (zeros of either sign) up to the other build's end.  Bitwise
+    the same up to the column where both builds have ended, 0 after it."""
+    (first, step, phases), (first_b, step_b, phases_b) = (
+        _build(constant(1.0), s, N, 0) for s in (a, b))
+    dtype = np.result_type(first, step, *phases, first_b, step_b, *phases_b)
+    out = np.zeros((N, N), dtype=dtype, order="F")
+    for end, col in zip(range(1, N + 1), _powers(first, step, N)):
+        out[:, end - 1] = col * phases[1][end - 1] * phases[0] if phases else col
+    zero = np.zeros(N)
+    for k, col in zip(range(N), chain(_powers(first_b, step_b, N),
+                                      repeat(zero, end if phases_b else 0))):
+        if k >= end and phases:
+            out[:, k] = zero * phases[1][k] * phases[0]
+        out[:, k] -= col * phases_b[1][k] * phases_b[0] if phases_b else col
+    return OpMatrix(out)
 
 
 def comp_matrix(s: Symbol, N: int, basis: str = "full") -> OpMatrix:
@@ -176,9 +167,11 @@ def comp_matrix(s: Symbol, N: int, basis: str = "full") -> OpMatrix:
     or with w = s less row 0 (h20).  full: column k holds the first N Taylor
     coefficients of s^k (column 0 is e_0, the constant function); h20: column
     k (k = 1..N) holds coefficients 1..N of s^k."""
+    if basis not in ("full", "h20"):
+        raise ValueError(f"unknown basis {basis!r}")
     if basis == "h20":
-        return _compression(s, s, N, 1, basis)
-    return _compression(constant(1.0), s, N, 0, basis)
+        return _compression(s, s, N, 1)
+    return _compression(constant(1.0), s, N, 0)
 
 
 def const_matrix(p: complex, N: int) -> OpMatrix:
@@ -190,7 +183,7 @@ def weighted_matrix(w: Symbol, s: Symbol, N: int) -> OpMatrix:
     """Compression of f -> w * (f o s): column k = taylor(w * s^k, N), for
     N >= 2.  A real matrix with phases (see _compression) when s(z) =
     lam psi(mu z) and w(z) = lam_w psi_w(mu z) with the same mu."""
-    return _compression(w, s, N, 0, "full")
+    return _compression(w, s, N, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@ from hardyop import (
     PreconditionError,
     alpha,
     blaschke,
+    compose,
+    constant,
+    distance,
     h2_norm,
     inner_pullback_check,
     iterate_sweep,
@@ -204,6 +207,22 @@ def test_iterate_sweep_origin_fixing_below_one():
     rep = iterate_sweep(PHI12, 3, 128)
     assert abs(rep.fixed_pt) <= 1e-12
     assert all(d < 1.0 for d in rep.dist_to_origin_const)
+
+
+@pytest.mark.parametrize("N", [16, 64])
+@pytest.mark.parametrize("text", ["z/2 + 0.25", "(z+z^2)/2", "0.5*blaschke(0.3, 0.4i)",
+                                  "(0.3+0.4i)*z + 0.2i*z^2", "0.3i + 0.5*z", "0.6*alpha(0.5)"])
+def test_iterate_sweep_distances_are_compression_distances(text, N):
+    # one build per iterate, and each distance is its entries less the
+    # constant's: bitwise the values of distance(), phases included
+    s = parse_symbol(text)
+    rep = iterate_sweep(s, 4, N)
+    current = s
+    for n, to_fixed, to_origin in zip(rep.ns, rep.dist_to_fixed, rep.dist_to_origin_const):
+        if n > 1:
+            current = compose(s, current)
+        assert to_fixed == distance(current, constant(rep.fixed_pt), N)
+        assert to_origin == distance(current, constant(current.value_at_zero()), N)
 
 
 # ---------------------------------------------------------------------------

@@ -161,18 +161,26 @@ def test_weighted_equals_restricted_for_origin_fixing():
 
 def test_opmatrix_shares_callers_array():
     a = np.arange(16.0).reshape(4, 4)
-    M = OpMatrix(a, "full")
+    M = OpMatrix(a)
     assert np.shares_memory(M.entries, a)
     assert not M.entries.flags.writeable
     assert a.flags.writeable
     a[0, 0] = 1.0
 
 
-def test_opmatrix_basis_mismatch():
-    A = comp_matrix(parse_symbol("z^2"), 4, "full")
-    B = comp_matrix(parse_symbol("z^2"), 4, "h20")
+@pytest.mark.parametrize("phases", [
+    ("full",),
+    (np.ones(4),),
+    (np.ones(4), np.ones(3)),
+    (np.ones(3), np.ones(4)),
+    (np.ones((4, 1)), np.ones(4)),
+    (None, np.ones(4)),
+], ids=["stale-basis", "row-only", "short-col", "short-row", "2-d-row", "col-only"])
+def test_opmatrix_rejects_phases_unless_both_of_length_dim(phases):
+    # a stale OpMatrix(m, "full") would store "full" as the row phases and
+    # fail later, inside entries
     with pytest.raises(ValueError):
-        _ = A - B
+        OpMatrix(np.eye(4), *phases)
 
 
 FLUSH_CASES = {
@@ -237,7 +245,7 @@ def test_inner_symbol_has_full_column_support():
     lambda: const_matrix(0.5, 64),
     lambda: weighted_matrix(PHI12, PHI23, 64),
     lambda: weighted_matrix(alpha(0.3 + 0.4j), alpha(0.3 + 0.4j), 64),
-    lambda: comp_matrix(alpha(0.5), 64) - comp_matrix(identity(), 64),
+    lambda: compop._difference(alpha(0.5), identity(), 64),
 ], ids=["real", "h20-shift", "rotated", "complex-h20", "const", "weighted", "weighted-rotated",
         "difference"])
 def test_compressions_are_column_major(build):
@@ -481,7 +489,8 @@ def per_dimension(task, params, N):
     if task == "opnorm":
         return op_norm(comp_matrix(params["s"], N, "full"))
     if task == "distance":
-        return op_norm(comp_matrix(params["a"], N, "full") - comp_matrix(params["b"], N, "full"))
+        return op_norm(comp_matrix(params["a"], N, "full").entries
+                       - comp_matrix(params["b"], N, "full").entries)
     if task == "restricted":
         return op_norm(comp_matrix(params["s"], N, "h20"))
     return op_norm(weighted_matrix(params["w"], params["s"], N))
@@ -517,6 +526,7 @@ def test_schedule_slices_match_per_dimension_builds(case, monkeypatch):
 DIFFERENCES = {
     "real": (alpha(0.5), identity()),
     "rotated-rotated": (alpha(0.3 + 0.4j), parse_symbol("0.5i*z")),
+    "rotated-ends-first": (parse_symbol("0.5i*z"), alpha(0.3 + 0.4j)),
     "rotated-real": (parse_symbol("0.5i*z"), parse_symbol("0.3*z^2")),
     "real-rotated": (parse_symbol("0.3*z^2"), alpha(0.3 + 0.4j)),
     "complex-constant": (CPLX, constant(0.2j)),
@@ -526,12 +536,13 @@ DIFFERENCES = {
 
 @pytest.mark.parametrize("case", list(DIFFERENCES))
 def test_difference_in_one_column_loop_matches_the_subtraction(case):
-    # both power sequences in one loop: the entries of the matrix difference,
-    # bitwise, signs of zeros included, up to the last column where either
-    # build is nonzero, and zero after it
+    # a's columns written, then b's subtracted: the entries of the matrix
+    # difference, bitwise, signs of zeros included (a phased build's zero
+    # columns carry signed zeros), up to the last column where either build
+    # is nonzero, and zero after it
     a, b = DIFFERENCES[case]
     N = 300
-    ref = (comp_matrix(a, N) - comp_matrix(b, N)).entries
+    ref = comp_matrix(a, N).entries - comp_matrix(b, N).entries
     got = compop._difference(a, b, N).entries
     K = max(np.flatnonzero(comp_matrix(s, N).matrix.any(axis=0)).max() for s in (a, b)) + 1
     assert got.dtype == ref.dtype and got.flags.f_contiguous
@@ -648,7 +659,7 @@ def test_leading_block_keeps_the_core():
     assert np.array_equal(B.entries, A.entries[:16, :16])
     assert np.array_equal(B.matrix, A.matrix[:16, :16])
     assert np.array_equal(B.row, A.row[:16]) and np.array_equal(B.col, A.col[:16])
-    assert (A - A).row is None
+    assert compop._difference(ROT, ROT, 64).row is None
 
 
 def test_rotated_compression_stores_one_real_matrix():

@@ -19,17 +19,18 @@ def forty_digits():
         yield
 
 
-def alpha_distance(p: float, N: int):
-    """||P_N (C_alpha(p) - I) P_N|| for real p: column k of C_alpha holds the
-    first N Taylor coefficients of alpha^k, alpha = (p - z)/(1 - p z)."""
-    p = mp.mpf(p)
-    a = [p] + [(p * p - 1) * p ** (n - 1) for n in range(1, N)]
+def alpha_distance(p, N: int, lam=1):
+    """||P_N (C_alpha(p) - C_{lam z}) P_N||: column k of C_alpha holds the
+    first N Taylor coefficients of alpha^k, alpha = (p - z)/(1 - conj(p) z),
+    and column k of C_{lam z} is lam^k e_k."""
+    p, lam = mp.mpmathify(p), mp.mpmathify(lam)  # the doubles the DSL reads
+    a = [p] + [(p * mp.conj(p) - 1) * mp.conj(p) ** (n - 1) for n in range(1, N)]
     M, power = mp.matrix(N, N), [mp.mpf(1)] + [mp.mpf(0)] * (N - 1)
     for k in range(N):
         for n in range(N):
-            M[n, k] = power[n] - (n == k)
+            M[n, k] = power[n] - (lam ** k if n == k else 0)
         power = [mp.fsum(power[i] * a[n - i] for i in range(n + 1)) for n in range(N)]
-    return mp.sqrt(max(mp.eigsy(M.T * M, eigvals_only=True)))
+    return mp.sqrt(max(mp.eighe(M.H * M, eigvals_only=True)))
 
 
 def poly_norm(coeffs: dict, p: int):
@@ -54,6 +55,19 @@ def test_alpha_half_distance_to_forty_digits(N):
     assert mp.nstr(ref, 20) == ALPHA_HALF[N]
     got = compop.distance(parse_symbol("alpha(0.5)"), parse_symbol("z"), N)
     assert abs(got - ref) <= 1e-15
+
+
+# ROADMAP item 5's phased difference, alpha((0.3+0.4i)) against 0.5i*z; distance()
+# read 1.4e-15 and 7.0e-16 from them
+PHASED = {16: "1.7422591403033612656", 32: "1.7471785920122306566"}
+
+
+@pytest.mark.parametrize("N", sorted(PHASED))
+def test_phased_distance_to_forty_digits(N):
+    ref = alpha_distance(0.3 + 0.4j, N, lam=0.5j)
+    assert mp.nstr(ref, 20) == PHASED[N]
+    got = compop.distance(parse_symbol("alpha((0.3+0.4i))"), parse_symbol("0.5i*z"), N)
+    assert abs(got - ref) <= 8 * 2.0**-52 * ref
 
 
 NORMS = [
