@@ -31,7 +31,7 @@ class NRBoundary:
     support_vals: np.ndarray  # h(theta) = lambda_max(Re(e^{-i theta} A))
     boundary_pts: np.ndarray  # Rayleigh quotients of the top eigenvectors
     radius: float             # largest certified h: grid max, slope-search refined
-    dense_solves: int         # full-size eigh calls, radius search included
+    dense_solves: int         # dense steps (eigvalsh, shifted solves), radius search included
     radius_evals: int         # certified evaluations made by the radius search
 
 
@@ -68,22 +68,28 @@ class _SupportSweep:
     (mu + eps) I - (aS + bT), formed from S and T, succeeds.  A Ritz value is
     a Rayleigh quotient, so mu <= lambda_max, and the factorization proves
     lambda_max < mu + eps: each accepted value is the top eigenvalue within
-    eps.  A NaN fails both tests.  Where a pair fails, one dense eigh of
-    H(theta) = cos(theta) S + sin(theta) T supplies the top pairs of H and -H;
-    their two vectors and, from the same decomposition, their first-order
-    derivatives in theta join the basis (re-orthonormalized by QR), so that
-    the basis also serves the nearby angles.  A Ritz pair interpolates the
-    eigenvector curve between angles the basis has solved far better than it
-    extrapolates past them, so callers visit their angles coarse to fine.
-    dense_solves counts those solves.
+    eps.  A NaN fails both tests.  Where a pair fails, one dense step at
+    H(theta) = cos(theta) S + sin(theta) T supplies the top pairs of H and -H:
+    eigvalsh gives the extreme eigenvalues, and inverse iteration with shifts
+    eps beyond them gives their two vectors and their first-order derivatives
+    in theta, with no eigenvector matrix.  Vectors and derivatives join the
+    basis (re-orthonormalized by QR), so that the basis also serves the nearby
+    angles.  A Ritz pair interpolates the eigenvector curve between angles the
+    basis has solved far better than it extrapolates past them, so callers
+    visit their angles coarse to fine.  dense_solves counts the dense steps.
     """
 
     def __init__(self, M: np.ndarray):
         Mh = M.conj().T
-        self.S = (M + Mh) / 2.0
-        self.T = (M - Mh) / 2.0j
-        self.V = np.zeros((M.shape[0], 0), dtype=complex)
-        self._project()
+        self.S = M + Mh  # formed in place, with no N x N temporaries
+        self.S /= 2.0
+        self.T = np.subtract(M, Mh, dtype=complex)
+        self.T /= 2.0j
+        self.V = np.zeros((M.shape[0], 0), dtype=complex)  # projected at the first dense step
+        # the inverse iteration's fixed start: a chirp, with none of the
+        # symmetries (constant, reflected, alternating) that make a structured
+        # matrix's eigenvector orthogonal to a simpler start
+        self._start = np.exp(1j * np.arange(M.shape[0]) ** 2.0)
         self.dense_solves = 0
 
     def _project(self) -> None:
@@ -113,22 +119,40 @@ class _SupportSweep:
             opp = self._accept(-c, -s, -mus[0], Y[:, 0]) if opposite and top is not None else None
             if top is not None and (opp is not None or not opposite):
                 return top, opp
-        vals, vecs = np.linalg.eigh(c * self.S + s * self.T)
+        # -H, then sigma_top I - H and sigma_bot I - H, in one (2, N, N) block:
+        # glibc raises its mmap and trim thresholds to the largest mmapped block
+        # freed, and a 2N^2 block keeps every later certificate's 2N^2 transient
+        # (Cholesky copy and factor) on the heap.  Two N x N systems in sequence
+        # left the thresholds at N^2, and each certificate was trimmed and
+        # faulted in again (about 173,500 minor faults on a 720-angle N=256
+        # boundary, against about 2,560 with the block)
+        K = np.empty((2,) + self.S.shape, dtype=complex)
+        np.multiply(self.T, -s, out=K[0])
+        K[0] -= np.multiply(self.S, c, out=K[1])  # -H
+        lo, hi = -np.linalg.eigvalsh(K[0])[[-1, 0]]
         self.dense_solves += 1
-        ends = vecs[:, [-1, 0]]
-        SE, TE = self.S @ ends, self.T @ ends
-        # x_i' = sum_k (x_k^H H' x_i) / (lambda_i - lambda_k) x_k with
-        # H' = -sin(theta) S + cos(theta) T; terms with a zero or non-finite
-        # gap (k = i among them) are dropped
-        gaps = vals[[-1, 0]][None, :] - vals[:, None]
-        keep = (gaps != 0) & np.isfinite(gaps)
-        coef = vecs.conj().T @ (c * TE - s * SE)
-        coef[keep] /= gaps[keep]
-        coef[~keep] = 0.0
-        self.V = np.linalg.qr(np.hstack([self.V, ends, vecs @ coef]))[0]
+        K[1] = K[0]
+        K.reshape(2, -1)[:, ::K.shape[1] + 1] += [[hi + CERT_TOL * max(1.0, abs(hi))],
+                                                  [lo - CERT_TOL * max(1.0, abs(lo))]]
+        # inverse iteration (Parlett, The Symmetric Eigenvalue Problem, 1998):
+        # sigma lies eps beyond lambda, so one solve from the fixed start gives
+        # x within O(eps/gap), and a second refines x and gives the derivative
+        # x' = (lambda I - H)^+ H'x, H' = -sin(theta) S + cos(theta) T, as
+        # (sigma I - H)^{-1} (I - xx^H) H'x less its x component, within
+        # O(eps/gap) of it; gap is lambda's distance to the rest of the spectrum
+        X = np.linalg.solve(K, self._start[None, :, None])[:, :, 0].T
+        X /= np.linalg.norm(X, axis=0)
+        W = c * (self.T @ X) - s * (self.S @ X)
+        W -= X * np.einsum("ij,ij->j", X.conj(), W)
+        Y = np.linalg.solve(K, np.stack([X.T, W.T], axis=2))
+        ends = Y[:, :, 0].T / np.linalg.norm(Y[:, :, 0], axis=1)
+        D = Y[:, :, 1].T
+        D -= ends * np.einsum("ij,ij->j", ends.conj(), D)
+        self.V = np.linalg.qr(np.hstack([self.V, ends, D]))[0]
         self._project()
+        SE, TE = self.S @ ends, self.T @ ends
         top, opp = (_point(x, Sx, Tx) for x, Sx, Tx in zip(ends.T, SE.T, TE.T))
-        return (vals[-1], top), (-vals[0], opp) if opposite else None
+        return (hi, top), (-lo, opp) if opposite else None
 
 
 def _point(x: np.ndarray, Sx: np.ndarray, Tx: np.ndarray) -> complex:

@@ -286,19 +286,26 @@ def poly_eval(c: CoeffVec, z):
 
 
 def taylor(s: Symbol, N: int) -> CoeffVec:
-    """First N Taylor coefficients of num/den by blocked series division.
+    """First N Taylor coefficients of num/den by blocked series division, with
+    one pass of iterative refinement.
 
     The first TAYLOR_BLOCK coefficients r of 1/den come from the sequential
     recurrence; every block of TAYLOR_BLOCK coefficients is then r times the
     block of num less the carry of the coefficients before it, two
     np.convolve calls: the carry is the 'valid' convolution of den with the
-    previous deg(den) coefficients, beside the block's own, still zero.
-    Blocks start at multiples of TAYLOR_BLOCK whatever N is, so taylor(s, n)
-    is bitwise a prefix of taylor(s, N) for n <= N.  64 was the fastest of
-    16, 32, 64, 128 and 256 on taylor(s, 2048) of six rational symbols of
-    degree 1 to 101 (2-core x86-64, OpenBLAS): 0.66-0.79 ms, against
-    6.2-6.9 ms for the recurrence alone.  Exact for polynomial symbols once N
-    exceeds the degree.
+    previous deg(den) coefficients, beside the block's own, still zero.  The
+    blocked division's error grows with r, which is large for clustered poles,
+    so the residual num - den c is divided the same way and added: at N=2048
+    the largest coefficient error of alpha(0.9)^5 falls from 8.8e-9 to 3.5e-12,
+    of alpha(0.7)^10 from 1.0e-6 to 1.0e-10 and of alpha(0.5)^20 from 3.4e-3 to
+    8.9e-9, against powers of taylor(alpha(p), N) formed by np.convolve.
+    Blocks start at multiples of TAYLOR_BLOCK whatever N is, and the residual's
+    coefficient k reads only coefficients up to k, so taylor(s, n) is bitwise
+    a prefix of taylor(s, N) for n <= N.  64 was the fastest of 16, 32, 64,
+    128 and 256 on taylor(s, 2048) of six rational symbols of degree 1 to 101
+    (2-core x86-64, OpenBLAS): 0.66-0.79 ms for one pass, against 6.2-6.9 ms
+    for the recurrence alone.  Exact for polynomial symbols once N exceeds the
+    degree.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -315,13 +322,19 @@ def taylor(s: Symbol, N: int) -> CoeffVec:
     for k in range(1, B):
         j = min(k, dd)
         r[k] = -np.dot(den[1:j + 1], r[k - j:k][::-1])
+
+    def divide(top: np.ndarray) -> np.ndarray:
+        c = np.zeros(dd + n, dtype=complex)  # c[dd + k] = coefficient k of top/den
+        for k in range(0, n, B):
+            carry = np.convolve(c[k:k + dd + B], den, "valid")
+            c[dd + k:dd + k + B] = np.convolve(r, top[k:k + B] - carry)[:B]
+        return c
+
     top = np.zeros(n, dtype=complex)
     top[:min(n, num.size)] = num[:n]
-    c = np.zeros(dd + n, dtype=complex)  # c[dd + k] = coefficient k
-    for k in range(0, n, B):
-        carry = np.convolve(c[k:k + dd + B], den, "valid")
-        c[dd + k:dd + k + B] = np.convolve(r, top[k:k + B] - carry)[:B]
-    return c[dd:dd + N].copy()
+    c = divide(top)
+    fix = divide(top - np.convolve(c, den, "valid"))
+    return c[dd:dd + N] + fix[dd:dd + N]
 
 
 def circle_values(s: Symbol, K: int, shift: float = 0.0) -> np.ndarray:

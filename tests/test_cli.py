@@ -167,12 +167,14 @@ def test_exit_code_on_lapack_failure(monkeypatch, capsys, symbol, solver):
     assert "solver error" in capsys.readouterr().err
 
 
-def test_nrange_exit_code_on_eigh_failure(monkeypatch, capsys):
-    # a failed Cholesky only means "not certified"; a failed eigh is an error
+@pytest.mark.parametrize("solver", ["eigh", "eigvalsh", "solve"])
+def test_nrange_exit_code_on_solver_failure(monkeypatch, capsys, solver):
+    # a failed Cholesky only means "not certified"; a failed Ritz eigh, dense
+    # eigvalsh or shifted solve is an error
     def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("eigh did not converge")
+        raise np.linalg.LinAlgError(f"{solver} did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(np.linalg, solver, fail)
     assert main(["nrange", "alpha(0.5)", "-N", "16", "--grid", "16"]) == 3
     assert "solver error" in capsys.readouterr().err
 

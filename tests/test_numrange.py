@@ -129,13 +129,22 @@ def support_error(M, nr):
 
 
 def test_boundary_above_old_dense_cut():
-    # the certified sweep runs at every dimension, N > 512 included
-    M = comp_matrix(alpha(0.5), 513, "full").entries
+    # the certified sweep runs at every dimension, N > 512 included; on a
+    # 16-angle grid each of the 5 solved angles (mirrored half) takes a dense
+    # step, whose values come from eigvalsh and whose points come from the
+    # shifted solves' vectors
+    M = comp_matrix(alpha(0.5), 520, "full").entries
     nr = boundary(M, grid=16)
+    assert nr.dense_solves == 5
     for theta, h in zip(nr.thetas, nr.support_vals):
         B = np.exp(-1j * theta) * M
         top = np.linalg.eigvalsh((B + B.conj().T) / 2.0)[-1]
-        assert h == pytest.approx(top, abs=1e-12)
+        assert abs(h - top) <= CERT_TOL
+    for j in range(5):  # the solved angles and their opposites, one eigh each
+        B = np.exp(-1j * nr.thetas[j]) * M
+        V = np.linalg.eigh((B + B.conj().T) / 2.0)[1][:, [-1, 0]]
+        for k, v in zip((j, j + 8), V.T):
+            assert abs(nr.boundary_pts[k] - v.conj() @ (M @ v)) <= 1e-10
     assert ellipse_compare(nr, alpha_ellipse(0.5)).contained
 
 
@@ -187,23 +196,39 @@ def test_boundary_points_match_dense_eigenvectors():
         assert abs(pt - v.conj() @ (M @ v)) <= 1e-10
 
 
-def test_dense_solves_counts_full_size_eigh(monkeypatch):
+def test_dense_solves_counts_full_size_eigvalsh(monkeypatch):
     M = comp_matrix(alpha(0.5), 64, "full").entries
     full_size = []
-    eigh = np.linalg.eigh
+    eigvalsh = np.linalg.eigvalsh
 
     def counted(a, *args, **kwargs):
         full_size.append(a.shape[0] == 64)
-        return eigh(a, *args, **kwargs)
+        return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     nr = boundary(M, grid=720)
     assert nr.dense_solves == sum(full_size)
     # 181 solved angles, visited coarse to fine, and the slope search's few
-    # radius evaluations, each dense solve adding two eigenvectors and their
+    # radius evaluations, each dense step adding two eigenvectors and their
     # derivatives to the basis
     assert 1 <= nr.dense_solves <= 5
     assert boundary(M, grid=720).dense_solves == nr.dense_solves
+
+
+def test_sweep_runs_no_full_size_eigh(monkeypatch):
+    # the dense step reads eigenvalues from eigvalsh and vectors from shifted
+    # solves; the only eigh left is the Ritz solve on the basis
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    nr = boundary(nonnormal_complex(96), grid=45)
+    assert nr.dense_solves >= 1
+    assert sizes and max(sizes) < 96
 
 
 def test_rotated_automorphism_support_matches_dense_eigvalsh():
@@ -294,6 +319,28 @@ def test_first_boundary_of_a_process_takes_few_page_faults():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, cwd=src).stdout
     assert int(out) < 50_000
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the peak resident set (VmHWM) from /proc/self/status")
+def test_large_boundary_peak_memory():
+    # the dense step holds S, T, the (2, N, N) shifted stack and one LAPACK
+    # copy; a full eigh with its eigenvector matrix and workspace read a rise
+    # of 8.1 x 16N^2, the shifted solves 5.6.  VmHWM, not ru_maxrss, which
+    # carries over across exec
+    code = ("from hardyop import alpha, boundary, comp_matrix\n"
+            "def hwm():\n"
+            "    for line in open('/proc/self/status'):\n"
+            "        if line.startswith('VmHWM:'):\n"
+            "            return int(line.split()[1]) * 1024\n"
+            "A = comp_matrix(alpha(0.5), 520)\n"
+            "before = hwm()\n"
+            "boundary(A, grid=16)\n"
+            "print((hwm() - before) / (16 * 520 ** 2))\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=src).stdout
+    assert float(out) <= 6.5
 
 
 RADIUS_CASES = {

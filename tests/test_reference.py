@@ -6,7 +6,7 @@ import struct
 
 import pytest
 
-from hardyop import compop, p_norm, parse_symbol
+from hardyop import compop, p_norm, parse_symbol, taylor
 from hardyop.cli import json_dumps
 
 mpmath = pytest.importorskip("mpmath")
@@ -68,6 +68,31 @@ def test_phased_distance_to_forty_digits(N):
     assert mp.nstr(ref, 20) == PHASED[N]
     got = compop.distance(parse_symbol("alpha((0.3+0.4i))"), parse_symbol("0.5i*z"), N)
     assert abs(got - ref) <= 8 * 2.0**-52 * ref
+
+
+def series(text: str, N: int):
+    """First N Taylor coefficients of a symbol's stored num/den, divided in
+    mpmath by the recurrence c_n = num_n - sum_j den_j c_{n-j} (den_0 = 1)."""
+    s = parse_symbol(text)
+    num, den = ([mp.mpc(complex(x)) for x in c] for c in (s.num, s.den))
+    c = []
+    for n in range(N):
+        acc = num[n] if n < len(num) else mp.mpf(0)
+        c.append(acc - mp.fsum(den[j] * c[n - j] for j in range(1, min(n, len(den) - 1) + 1)))
+    return c
+
+
+# ROADMAP items 10 and 17's Taylor columns at N=512: a quintuple pole at 1/0.9
+# (taylor read 3.8e-12 from it, 8.8e-9 before its refinement pass) and a slowly
+# decaying series (6.7e-18)
+SERIES = {"alpha(0.9)^5": 1e-11, "alpha(0.99)": 1e-16}
+
+
+@pytest.mark.parametrize("text", sorted(SERIES))
+def test_taylor_column_to_forty_digits(text):
+    ref = series(text, 512)
+    got = taylor(parse_symbol(text), 512)
+    assert max(abs(complex(g) - r) for g, r in zip(got, ref)) <= SERIES[text]
 
 
 NORMS = [
