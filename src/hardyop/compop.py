@@ -22,6 +22,7 @@ from .symbolic import (Symbol, constant, require_origin_fixed, require_selfmap, 
 
 MONOTONE_TOL = 1e-9            # certificate slack for nondecreasing values
 TARGET_TOL = 1e-9              # certificate slack for value <= target
+_SLAB = 128                    # columns per Gram slab (_gram)
 
 
 @dataclass(frozen=True)
@@ -190,32 +191,44 @@ def weighted_matrix(w: Symbol, s: Symbol, N: int) -> OpMatrix:
 # largest singular value
 
 
-def _gram(A) -> np.ndarray:
-    """The Gram matrix M^H M of a compression on its column support M_K, up
-    to the last nonzero column K: Gram([M_K 0]) is diag(Gram(M_K), 0), with
-    the same top eigenvalue, and a contraction's flushed build has K set by
-    sup|phi|, not by N.  An OpMatrix gives its stored matrix, since its phases
-    keep the singular values.  A real Gram is numpy's syrk product, exactly
-    symmetric, so its transpose is the same matrix in the column-major order
-    LAPACK reads, with no transposing copy; a complex one is not exactly
-    Hermitian and stays as formed."""
+def _gram(A, in_place: bool = False) -> np.ndarray:
+    """A K x K column-major array whose lower triangle, the one eigvalsh
+    reads, is that of M^H M for real M and of conj(M^H M), with the same
+    eigenvalues, for complex M.  M is the stored matrix (an OpMatrix's phases
+    keep the singular values) up to its last nonzero column K:
+    Gram([M_K 0]) is diag(Gram(M_K), 0), and a contraction's flushed build
+    has K set by sup|phi|, not by N.  Slab J, the _SLAB columns from j, writes
+    the transpose of M[:, J]^H M[:, j:] into rows j: of column block J, so
+    only a slab is conjugated.  It reads only columns j and later and writes
+    nowhere past the start of build column j + _SLAB, so in_place forms the
+    array in the first K^2 entries of the build's own column-major buffer,
+    overwriting the build: only for one compop made for this norm.
+    Otherwise the array is fresh and M is never written."""
     M = as_opmatrix(A).matrix
-    M = M[:, :np.flatnonzero(M.any(axis=0)).max(initial=0) + 1]
-    G = M.conj().T @ M
-    return G.T if np.isrealobj(G) else G
+    K = np.flatnonzero(M.any(axis=0)).max(initial=0) + 1
+    M = M[:, :K]
+    if in_place:  # the build's owner, column-major: its transpose flattens as a view
+        G = M.base.T.reshape(-1)[:K * K].reshape(K, K).T
+    else:
+        G = np.empty((K, K), dtype=M.dtype, order="F")
+    for j in range(0, K, _SLAB):
+        J = slice(j, j + _SLAB)
+        G[j:, J] = (M[:, J].conj().T @ M[:, j:]).T
+    return G
 
 
 def _top_sv(G: np.ndarray) -> float:
     """The square root of the top eigenvalue of a Gram matrix, by one dense
-    LAPACK eigensolve."""
+    LAPACK eigensolve of its lower triangle."""
     return float(np.sqrt(max(np.linalg.eigvalsh(G)[-1], 0.0)))
 
 
 def op_norm(A) -> float:
     """Largest singular value of a compression: the square root of the top
     eigenvalue of its Gram matrix (_gram), by one dense LAPACK eigensolve, for
-    real and complex M alike.  Callers that own the build pass it to _gram
-    and drop it before _top_sv, whose input LAPACK copies.
+    real and complex M alike.  The Gram is a fresh array: A, the caller's,
+    is never written.  Norms of builds compop makes itself form the Gram in
+    place of the build instead.
 
     Compressions of slow-gap operators (automorphisms, non-inner symbols
     touching the circle) have clustered top singular values, where power
@@ -230,7 +243,7 @@ def op_norm(A) -> float:
 
 def distance(a: Symbol, b: Symbol, N: int) -> float:
     """Compression of ||C_a - C_b||; a monotone-in-N lower bound of the norm."""
-    return _top_sv(_gram(_difference(a, b, N)))
+    return _top_sv(_gram(_difference(a, b, N), in_place=True))
 
 
 def _restriction(s: Symbol, N: int) -> OpMatrix:
@@ -244,7 +257,7 @@ def _restriction(s: Symbol, N: int) -> OpMatrix:
 def restricted_norm(s: Symbol, N: int) -> float:
     """Compression of the norm of C_s restricted to zH^2, for s fixing 0; also
     that of ||C_s - C_0||, whose full-basis matrix adds a zero row and column."""
-    return _top_sv(_gram(_restriction(s, N)))
+    return _top_sv(_gram(_restriction(s, N), in_place=True))
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +319,10 @@ def norm_schedule(task: str, params: dict, dims: Sequence[int]) -> ConvergenceRe
     """Run one extremal task over a strictly increasing dimension schedule.
 
     One compression is built at the largest dimension, and each value is the
-    norm of its leading N x N block.  The build is dropped once the largest
-    block's Gram is formed, so at most two full-size arrays are held at once
-    (plus numpy's conjugate copy while a complex Gram is formed).  Attaches a
+    norm of its leading N x N block.  The leading blocks' Grams are fresh
+    arrays; the largest Gram is formed in place of the build once they are
+    solved, so one full-size array is held while it is formed and two during
+    its eigensolve (LAPACK's copy), for real and complex builds alike.  Attaches a
     closed-form target when the inputs match a known formula, and certifies
     that values are nondecreasing and never exceed the target beyond solver
     tolerance; a violation signals a solver bug, not bad input.
@@ -317,9 +331,7 @@ def norm_schedule(task: str, params: dict, dims: Sequence[int]) -> ConvergenceRe
     # the build validates the inputs, before any closed form reads them
     A = _task_matrix(task, params, dims[-1])
     values = [_top_sv(_gram(A.leading(N))) for N in dims[:-1]]
-    G = _gram(A)
-    del A  # the build goes before the largest eigensolve, whose input LAPACK copies
-    values = (*values, _top_sv(G))
+    values = (*values, _top_sv(_gram(A, in_place=True)))  # overwrites A: solve it last
     target, label = _task_target(task, params)
     for a, b in zip(values, values[1:]):
         if b < a - MONOTONE_TOL:

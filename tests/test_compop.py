@@ -314,14 +314,43 @@ def test_escalation_matches_dense_svd(p):
         assert op_norm(M) == pytest.approx(oracle, rel=1e-13)
 
 
-@pytest.mark.parametrize("s", [alpha(0.5), alpha(0.3 + 0.4j), PHI12],
-                         ids=["real", "rotated", "contraction"])
-def test_real_gram_is_exactly_symmetric(s):
-    # numpy's syrk product: its transpose, the column-major order LAPACK
-    # reads, is the same matrix
-    G = compop._gram(comp_matrix(s, 128))
-    assert G.dtype == np.float64 and G.flags.f_contiguous
-    assert np.array_equal(G, G.T)
+@pytest.mark.parametrize("s", [alpha(0.5), alpha(0.3 + 0.4j), PHI12, SLOW_CPLX],
+                         ids=["real", "rotated", "contraction", "complex"])
+def test_gram_lower_triangle_is_the_product(s):
+    # N = 300 spans three slabs.  Fresh or in place of the build, the Gram is
+    # column-major and its lower triangle is that of M^H M (conjugated for
+    # complex M), the only triangle eigvalsh reads: the upper one differs
+    # between the two outputs, the top eigenvalue does not
+    A, build = comp_matrix(s, 300), comp_matrix(s, 300)
+    M = A.matrix
+    K = np.flatnonzero(M.any(axis=0)).max() + 1
+    ref = np.tril(M[:, :K].conj().T @ M[:, :K]).conj()
+    bound = 4 * np.finfo(float).eps * np.linalg.norm(M, 2) ** 2
+    fresh, own = compop._gram(A), compop._gram(build, in_place=True)
+    assert np.shares_memory(own, build.matrix)
+    for G in (fresh, own):
+        assert G.dtype == M.dtype and G.shape == (K, K) and G.flags.f_contiguous
+        assert np.max(np.abs(np.tril(G) - ref)) <= bound
+    assert np.linalg.eigvalsh(fresh)[-1] == np.linalg.eigvalsh(own)[-1]
+
+
+@pytest.mark.parametrize("s", [alpha(0.5), alpha(0.3 + 0.4j), SLOW_CPLX],
+                         ids=["real", "rotated", "complex"])
+def test_norms_leave_callers_arrays_unchanged(s):
+    # only a build compop makes for one norm takes its Gram in place: a
+    # caller's writeable array, its leading blocks (as a schedule solves its
+    # own) and its phases are read only, past one slab too
+    A = comp_matrix(s, 300)
+    X = A.matrix.copy(order="F")
+    phases = () if A.row is None else (A.row.copy(), A.col.copy())
+    before = [a.tobytes() for a in (X, *phases)]
+    assert X.flags.writeable and X.dtype == (np.complex128 if s is SLOW_CPLX else np.float64)
+    op_norm(X)
+    op_norm(OpMatrix(X, *phases))
+    for N in (200, 300):
+        op_norm(OpMatrix(X, *phases).leading(N))
+    boundary(OpMatrix(X, *phases), grid=16)
+    assert [a.tobytes() for a in (X, *phases)] == before
 
 
 # ---------------------------------------------------------------------------
@@ -550,11 +579,20 @@ def test_difference_in_one_column_loop_matches_the_subtraction(case):
     assert not got[:, K:].any()
 
 
-def test_distance_schedule_holds_two_arrays():
-    # the difference is formed in one column loop, and the build is dropped
-    # before the largest eigensolve: the traced peak is the difference plus
-    # its Gram at N = 512, not three arrays
-    params = {"a": alpha(0.5), "b": identity()}
+# the distance schedules to z: symbol, bytes per entry, traced-peak bound at
+# N = 512, and N and bound of the resident rise; bounds in arrays of N^2 entries
+SCHEDULE_MEMORY = {"real": ("alpha(0.5)", 8, 1.6, 1024, 2.45),
+                   "complex": ("blaschke(0.8, 0.3i)", 16, 2.0, 512, 3.0)}
+
+
+@pytest.mark.parametrize("case", list(SCHEDULE_MEMORY))
+def test_distance_schedule_forms_its_gram_in_place(case):
+    # the difference is formed in one column loop and its Gram in place of
+    # it, a slab at a time: the traced peak is about 1.4 (real) and 1.5
+    # (complex) arrays, against 2.0 with a separate Gram array and, for
+    # complex M, 3.0 with numpy's conjugate copy too
+    text, size, bound, _, _ = SCHEDULE_MEMORY[case]
+    params = {"a": parse_symbol(text), "b": identity()}
     norm_schedule("distance", params, [16, 32])
     tracemalloc.start()
     try:
@@ -562,33 +600,35 @@ def test_distance_schedule_holds_two_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * 8 * 512**2
+    assert peak <= bound * size * 512**2
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads the peak resident size from /proc/self/status")
-def test_distance_schedule_resident_rise_stays_below_three_arrays():
+@pytest.mark.parametrize("case", list(SCHEDULE_MEMORY))
+def test_distance_schedule_resident_rise_is_the_build_and_one_copy(case):
     # a fresh process, after a small schedule has set up the BLAS buffers.
-    # Holding the N = 1024 difference, its Gram and LAPACK's copy of the Gram
-    # at once raises the peak resident size by about 3.5 x 8N^2; dropping
-    # the build before the eigensolve, by about 2.5 x 8N^2.  VmHWM is the
-    # peak of the process's own memory; ru_maxrss would start at the
-    # resident size of the process that spawned it, which under pytest
-    # hides the rise.
+    # With the Gram formed in place of the build, the largest eigensolve
+    # holds the build and LAPACK's copy of the Gram: the peak resident size
+    # rises by about 2.3 arrays (real, N = 1024) and 2.6 (complex, N = 512),
+    # against 2.5 and 3.75 with a separate Gram array.  VmHWM is the peak of
+    # the process's own memory; ru_maxrss would start at the resident size
+    # of the process that spawned it, which under pytest hides the rise.
+    text, size, _, N, bound = SCHEDULE_MEMORY[case]
     code = ("def peak():\n"
             "    for line in open('/proc/self/status'):\n"
             "        if line.startswith('VmHWM:'):\n"
             "            return int(line.split()[1])\n"
-            "from hardyop import alpha, identity, norm_schedule\n"
-            "params = {'a': alpha(0.5), 'b': identity()}\n"
+            "from hardyop import identity, norm_schedule, parse_symbol\n"
+            f"params = {{'a': parse_symbol({text!r}), 'b': identity()}}\n"
             "norm_schedule('distance', params, [16, 32])\n"
             "before = peak()\n"
-            "norm_schedule('distance', params, [512, 1024])\n"
+            f"norm_schedule('distance', params, [{N // 2}, {N}])\n"
             "print(peak() - before)\n")
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, cwd=src).stdout
-    assert int(out) * 1024 <= 3 * 8 * 1024**2
+    assert int(out) * 1024 <= bound * size * N**2
 
 
 ROTATED = {
