@@ -70,7 +70,6 @@ from .numrange import (
     NRBoundary,
     boundary,
     ellipse_compare,
-    polyline_hausdorff,
     sample_w,
 )
 from .symbolic import (

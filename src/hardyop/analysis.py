@@ -170,7 +170,8 @@ def minimal_norm_check(s: Symbol, N: int | None = None, n_max: int = 10) -> Mini
     # exact coefficients for polynomials, a 4096-term Taylor section otherwise
     base = s.num if s.is_polynomial else taylor(s, 4096)
     h2 = h2_norm(base)
-    M = comp_matrix(s, N, "h20").entries
+    A = comp_matrix(s, N, "h20")
+    M = A.entries
     e_z = np.zeros(N, dtype=complex)
     e_z[0] = 1.0
     w = M.conj().T @ (M @ e_z)
@@ -179,7 +180,7 @@ def minimal_norm_check(s: Symbol, N: int | None = None, n_max: int = 10) -> Mini
     eigen_res = float(np.linalg.norm(w - lam * e_z))
     overlaps = np.array([h2_inner(base, p) for p in
                          islice(powers(base, n_max, base.size), 1, None)], dtype=complex)
-    r = op_norm(M)
+    r = op_norm(A)  # on the stored matrix, as restricted_norm solves it
     return MinimalNormReport(
         h2_gap=abs(r - h2),
         gram_z_residual=gram_res,

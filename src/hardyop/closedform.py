@@ -206,17 +206,6 @@ class EllipseDisk:
         radial = np.sqrt((a * np.cos(phi)) ** 2 + (b * np.sin(phi)) ** 2)
         return (np.conj(c) * np.exp(1j * th)).real + radial
 
-    def contact_points(self, thetas) -> np.ndarray:
-        """Boundary points attaining the support in each direction."""
-        th = np.asarray(thetas, dtype=float)
-        c, psi = self.center, self.axis_angle
-        a, b = self.semi_major, self.semi_minor
-        phi = th - psi
-        if b == 0.0:
-            return c + cmath.exp(1j * psi) * a * np.sign(np.cos(phi))
-        radial = np.sqrt((a * np.cos(phi)) ** 2 + (b * np.sin(phi)) ** 2)
-        return c + np.exp(1j * psi) * (a**2 * np.cos(phi) + 1j * b**2 * np.sin(phi)) / radial
-
     def focal_margin(self, z) -> np.ndarray:
         """major_len - |z - focus_a| - |z - focus_b|: positive exactly inside
         the open disk, zero on its boundary."""

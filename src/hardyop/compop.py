@@ -10,7 +10,6 @@ schedule runner certifies both properties on every run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -145,20 +144,15 @@ def _difference(a: Symbol, b: Symbol, N: int) -> OpMatrix:
     """comp_matrix(a, N).entries - comp_matrix(b, N).entries in two passes
     over one column-major array, the only N x N one: a's columns are written,
     then b's are subtracted as they are formed, phases applied as
-    OpMatrix.entries applies them, also to the zero columns after a phased
-    build ends (zeros of either sign) up to the other build's end.  Bitwise
-    the same up to the column where both builds have ended, 0 after it."""
+    OpMatrix.entries applies them.  Equal to the subtraction entry by entry;
+    the signs of zeros may differ."""
     (first, step, phases), (first_b, step_b, phases_b) = (
         _build(constant(1.0), s, N, 0) for s in (a, b))
     dtype = np.result_type(first, step, *phases, first_b, step_b, *phases_b)
     out = np.zeros((N, N), dtype=dtype, order="F")
-    for end, col in zip(range(1, N + 1), _powers(first, step, N)):
-        out[:, end - 1] = col * phases[1][end - 1] * phases[0] if phases else col
-    zero = np.zeros(N)
-    for k, col in zip(range(N), chain(_powers(first_b, step_b, N),
-                                      repeat(zero, end if phases_b else 0))):
-        if k >= end and phases:
-            out[:, k] = zero * phases[1][k] * phases[0]
+    for k, col in zip(range(N), _powers(first, step, N)):
+        out[:, k] = col * phases[1][k] * phases[0] if phases else col
+    for k, col in zip(range(N), _powers(first_b, step_b, N)):
         out[:, k] -= col * phases_b[1][k] * phases_b[0] if phases_b else col
     return OpMatrix(out)
 

@@ -5,9 +5,7 @@ subspace projection of Kressner, Lu and Vandereycken, SIMAX 39, 2018),
 numerical radius, and comparison against closed-form elliptical targets.
 
 For convex compact sets the Hausdorff distance equals the sup-norm distance
-of the support functions, which is what ellipse_compare reports;
-polyline_hausdorff measures the same gap between boundary polylines directly
-and serves as the independent reference for it.
+of the support functions, which is what ellipse_compare reports.
 """
 
 from __future__ import annotations
@@ -292,28 +290,6 @@ class EllipseComparison:
     hausdorff: float          # sup |h_range - h_ellipse| (exact for convex sets)
     max_violation: float      # max excess of the range's support over the ellipse's
     interior_margin: float    # min focal margin of the boundary points; > 0 inside
-
-
-def _point_segment_dist(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray) -> np.ndarray:
-    """Min distance from each point to a polyline given by segment endpoints."""
-    p = points[:, None]
-    a = seg_a[None, :]
-    b = seg_b[None, :]
-    ab = b - a
-    denom = (ab.conj() * ab).real
-    t = np.where(denom > 0, ((p - a).conj() * ab).real / np.where(denom > 0, denom, 1.0), 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    proj = a + t * ab
-    return np.abs(p - proj).min(axis=1)
-
-
-def polyline_hausdorff(P: np.ndarray, Q: np.ndarray) -> float:
-    """Hausdorff distance between two closed polylines (dense, both directions)."""
-    pa, pb = P, np.roll(P, -1)
-    qa, qb = Q, np.roll(Q, -1)
-    d1 = _point_segment_dist(P, qa, qb).max()
-    d2 = _point_segment_dist(Q, pa, pb).max()
-    return float(max(d1, d2))
 
 
 def ellipse_compare(nr: NRBoundary, e: EllipseDisk) -> EllipseComparison:

@@ -18,6 +18,7 @@ from hardyop import (
     p_grid_sign_changes,
     p_solve,
     parse_symbol,
+    restricted_norm,
     rudin_audit,
     taylor,
 )
@@ -162,6 +163,16 @@ def test_minimal_norm_violation_forces_positive_margin():
     rep = minimal_norm_check(parse_symbol("(z+z^3)/2"), N=256, n_max=4)
     assert abs(rep.power_overlaps[1]) == pytest.approx(0.0625, abs=1e-15)
     assert rep.h2_gap > 1e-4
+
+
+@pytest.mark.parametrize("text", ["0.5i*z + 0.3*z^2", "z*alpha((0.3+0.4i))"])
+def test_minimal_norm_gap_is_the_restricted_norms(text):
+    # the check solves the stored real matrix, as restricted_norm does, not
+    # the complex entries of a rotated symbol, whose norm differs from it in
+    # the last bits
+    s = parse_symbol(text)
+    rep = minimal_norm_check(s, N=64)
+    assert rep.h2_gap == abs(restricted_norm(s, 64) - rep.h2_value)
 
 
 # ---------------------------------------------------------------------------

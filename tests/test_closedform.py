@@ -34,6 +34,8 @@ from hardyop import (
     rotation_distance_bruteforce,
 )
 
+from geometry import contact_points
+
 disk_points = st.complex_numbers(max_magnitude=0.95, allow_nan=False, allow_infinity=False)
 
 
@@ -251,7 +253,7 @@ def test_segment_support_values():
 def test_ellipse_boundary_on_support_lines():
     e = alpha_ellipse(0.5)
     thetas = np.linspace(0, 2 * math.pi, 90)
-    contact = e.contact_points(thetas)
+    contact = contact_points(e, thetas)
     h = e.support(thetas)
     assert np.max(np.abs((np.conj(contact) * np.exp(1j * thetas)).real - h)) <= 1e-12
 

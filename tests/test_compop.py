@@ -566,17 +566,18 @@ DIFFERENCES = {
 @pytest.mark.parametrize("case", list(DIFFERENCES))
 def test_difference_in_one_column_loop_matches_the_subtraction(case):
     # a's columns written, then b's subtracted: the entries of the matrix
-    # difference, bitwise, signs of zeros included (a phased build's zero
-    # columns carry signed zeros), up to the last column where either build
-    # is nonzero, and zero after it
+    # difference by value (the signs of zeros may differ) up to the last
+    # column where either build is nonzero, and zero after it; the norm, which
+    # zero signs could move, is bitwise that of the subtraction
     a, b = DIFFERENCES[case]
     N = 300
     ref = comp_matrix(a, N).entries - comp_matrix(b, N).entries
     got = compop._difference(a, b, N).entries
     K = max(np.flatnonzero(comp_matrix(s, N).matrix.any(axis=0)).max() for s in (a, b)) + 1
     assert got.dtype == ref.dtype and got.flags.f_contiguous
-    assert np.ascontiguousarray(got[:, :K]).tobytes() == np.ascontiguousarray(ref[:, :K]).tobytes()
+    assert np.array_equal(got[:, :K], ref[:, :K])
     assert not got[:, K:].any()
+    assert compop.distance(a, b, N) == op_norm(ref)
 
 
 # the distance schedules to z: symbol, bytes per entry, traced-peak bound at

@@ -15,11 +15,12 @@ from hardyop import (
     const_matrix,
     ellipse_compare,
     parse_symbol,
-    polyline_hausdorff,
     sample_w,
 )
 from hardyop.cli import _emit_boundary_csv
 from hardyop.numrange import CERT_TOL, _certified, _coarse_to_fine, _SupportSweep
+
+from geometry import contact_points, polyline_hausdorff
 
 
 def test_sample_w_identity():
@@ -95,7 +96,7 @@ def test_ellipse_compare_const_family():
     assert cmp_.contained
     assert cmp_.hausdorff <= 1e-6
     assert cmp_.max_violation <= 1e-8
-    contact = const_ellipse(0.5).contact_points(nr.thetas)
+    contact = contact_points(const_ellipse(0.5), nr.thetas)
     assert abs(cmp_.hausdorff - polyline_hausdorff(nr.boundary_pts, contact)) <= 1e-8
 
 
@@ -392,7 +393,7 @@ def test_focal_margin_sign_marks_the_open_disk():
     # 10+10i lie outside, which a distance to the boundary cannot tell
     assert e.focal_margin(0.0) == pytest.approx(e.major_len - 2.0, abs=1e-15)
     assert (e.focal_margin(np.array([3.0, 2.0j, 10 + 10j])) < 0).all()
-    assert abs(e.focal_margin(e.contact_points(np.linspace(0, 6, 50)))).max() <= 1e-14
+    assert abs(e.focal_margin(contact_points(e, np.linspace(0, 6, 50)))).max() <= 1e-14
 
 
 def test_interior_margin_of_the_sweeps_boundary_points():
