@@ -272,6 +272,7 @@ def inner_pullback_check(s: Symbol, f_coeffs) -> PullbackCheck:
     back to the Poisson measure at p = phi(0) (Nordgren).  The right side is
     sum f_j conj(f_k) m(j - k) with the Poisson moments m(n) = p^n for n >= 0
     and conj(p)^|n| for n < 0."""
+    require_selfmap(s)  # is_inner alone passes near-inner maps leaving the disk
     if not is_inner(s).is_inner:
         raise PreconditionError("the pull-back identity needs an inner symbol")
     f = Symbol(f_coeffs)

@@ -66,12 +66,19 @@ class OpMatrix:
         return self.matrix.shape[0]
 
     def leading(self, N: int) -> "OpMatrix":
-        """The leading N x N block, phases included: with nested bases, exactly
-        the compression at dimension N, for 2 <= N <= dim."""
-        if not 2 <= N <= self.dim:
-            raise PreconditionError(f"compression dimension must lie in [2, {self.dim}], got {N}")
-        phases = () if self.row is None else (self.row[:N], self.col[:N])
-        return OpMatrix(self.matrix[:N, :N], *phases)
+        """The leading N x N block: with nested bases, exactly the compression
+        at dimension N."""
+        return self._block(N, 0, 0)
+
+    def _block(self, N: int, i: int, j: int) -> "OpMatrix":
+        """The N x N block at (i, j), phases sliced with it, for
+        2 <= N <= dim - max(i, j)."""
+        top = self.dim - max(i, j)
+        if not 2 <= N <= top:
+            bound = "be >= 2" if N < 2 else f"be at most {top}"
+            raise PreconditionError(f"compression dimension must {bound}, got {N}")
+        phases = () if self.row is None else (self.row[i:i + N], self.col[j:j + N])
+        return OpMatrix(self.matrix[i:i + N, j:j + N], *phases)
 
 
 def as_opmatrix(A) -> OpMatrix:
@@ -85,59 +92,55 @@ def _real_taylor(s: Symbol, N: int) -> np.ndarray:
     return t if t.imag.any() else t.real.copy()
 
 
-def _powers(first: np.ndarray, step: np.ndarray, length: int):
-    """Yields first, first*step, first*step^2, ... under truncated convolution
-    by np.convolve, float64 when first and step are real, up to the first zero
-    column.  The step drops its coefficients below eps^2 times its largest and
-    its trailing zeros; the step z is exact too, each entry being x*1 + y*0.
-    A longer build's leading block is bitwise the shorter build unless their
-    steps trim to different lengths (a lacunary step with terms past the
-    shorter length).  Entries below eps^2 times the largest of the first
-    column (so below eps^2 ||M||) become 0 as formed, keeping out subnormals,
-    on which LAPACK runs several times slower."""
+def _powers(step: np.ndarray, length: int):
+    """Yields e_0, step, step^2, ... under truncated convolution by
+    np.convolve, of step's dtype, up to the first zero column.  The step drops
+    its coefficients below eps^2 times its largest and its trailing zeros; the
+    step z is exact too, each entry being x*1 + y*0.  A longer build's leading
+    block is bitwise the shorter build unless their steps trim to different
+    lengths (a lacunary step with terms past the shorter length).  Entries
+    below eps^2, which is eps^2 times the largest of column 0 (so below
+    eps^2 ||M||), become 0 as formed, keeping out subnormals, on which LAPACK
+    runs several times slower."""
     tiny = np.finfo(float).eps ** 2
-    col = np.zeros(length, dtype=np.result_type(first, step))
-    col[:min(first.size, length)] = first[:length]
-    floor = tiny * np.abs(col).max()
+    col = np.zeros(length, dtype=step.dtype)
+    col[0] = 1.0
     step = np.where(np.abs(step) < tiny * np.abs(step).max(), 0, step)
     step = step[:np.flatnonzero(step).max(initial=0) + 1]
     while True:
-        col[np.abs(col) < floor] = 0
+        col[np.abs(col) < tiny] = 0
         if not col.any():
             return
         yield col
         col = np.convolve(col, step)[:length]
 
 
-def _build(w: Symbol, s: Symbol, N: int, shift: int):
-    """(first, step, phases) of the compression of T_{w,s} f = w * (f o s)
-    over the degrees shift..N+shift-1: column k holds taylor(w * s^k), the
-    power columns of first = taylor(w) by step = taylor(s).  When s(z) =
-    lam psi(mu z) with psi real (rotation_real) and w(z) = lam_w psi_w(mu z)
-    with the same mu, the columns are the real ones of psi_w psi^k, and
-    phases is (row, col) with row = mu^d over the row degrees d and col =
-    lam_w lam^k; else phases is ()."""
+def _build(s: Symbol, N: int):
+    """(step, phases) of the compression of C_s at dimension N: column k holds
+    taylor(s^k, N), the powers of step = taylor(s, N) (_powers).  When s(z) =
+    lam psi(mu z) with psi real (rotation_real), the columns are the real ones
+    of psi^k, and phases is (mu^d, lam^k) over the degrees d, k < N; else
+    phases is ()."""
     if N < 2:
         raise PreconditionError("compression dimension must be >= 2")
     require_selfmap(s)
     rot = rotation_real(s)  # psi is a selfmap too: |psi(w)| = |s(conj(mu) w)|
-    rot_w = None if rot is None else rotation_real(w, rot[1])
     phases = ()
-    if rot_w is not None:
-        (lam, mu, s), (lam_w, _, w) = rot, rot_w
-        phases = unit_powers(mu, N + shift)[shift:], lam_w * unit_powers(lam, N)
-    return _real_taylor(w, N + shift), _real_taylor(s, N + shift), phases
+    if rot is not None:
+        lam, mu, s = rot
+        phases = unit_powers(mu, N), unit_powers(lam, N)
+    return _real_taylor(s, N), phases
 
 
-def _compression(w: Symbol, s: Symbol, N: int, shift: int) -> OpMatrix:
+def _compression(s: Symbol, N: int) -> OpMatrix:
     """The compression of _build with its phases, stored column-major, so
     each column write is contiguous and the zero columns after the build
     ends are never touched."""
-    first, step, phases = _build(w, s, N, shift)
-    out = np.zeros((N + shift, N), dtype=np.result_type(first, step), order="F")
-    for k, col in zip(range(N), _powers(first, step, N + shift)):
+    step, phases = _build(s, N)
+    out = np.zeros((N, N), dtype=step.dtype, order="F")
+    for k, col in zip(range(N), _powers(step, N)):
         out[:, k] = col
-    return OpMatrix(out[shift:], *phases)
+    return OpMatrix(out, *phases)
 
 
 def _difference(a: Symbol, b: Symbol, N: int) -> OpMatrix:
@@ -146,27 +149,26 @@ def _difference(a: Symbol, b: Symbol, N: int) -> OpMatrix:
     then b's are subtracted as they are formed, phases applied as
     OpMatrix.entries applies them.  Equal to the subtraction entry by entry;
     the signs of zeros may differ."""
-    (first, step, phases), (first_b, step_b, phases_b) = (
-        _build(constant(1.0), s, N, 0) for s in (a, b))
-    dtype = np.result_type(first, step, *phases, first_b, step_b, *phases_b)
+    (step, phases), (step_b, phases_b) = (_build(s, N) for s in (a, b))
+    dtype = np.result_type(step, *phases, step_b, *phases_b)
     out = np.zeros((N, N), dtype=dtype, order="F")
-    for k, col in zip(range(N), _powers(first, step, N)):
+    for k, col in zip(range(N), _powers(step, N)):
         out[:, k] = col * phases[1][k] * phases[0] if phases else col
-    for k, col in zip(range(N), _powers(first_b, step_b, N)):
+    for k, col in zip(range(N), _powers(step_b, N)):
         out[:, k] -= col * phases_b[1][k] * phases_b[0] if phases_b else col
     return OpMatrix(out)
 
 
 def comp_matrix(s: Symbol, N: int, basis: str = "full") -> OpMatrix:
-    """Compression of f -> f o s: the weighted compression with w = 1 (full),
-    or with w = s less row 0 (h20).  full: column k holds the first N Taylor
+    """Compression of f -> f o s.  full: column k holds the first N Taylor
     coefficients of s^k (column 0 is e_0, the constant function); h20: column
-    k (k = 1..N) holds coefficients 1..N of s^k."""
+    k (k = 1..N) holds coefficients 1..N of s^k, the block at (1, 1) of the
+    full build at N + 1."""
     if basis not in ("full", "h20"):
         raise ValueError(f"unknown basis {basis!r}")
     if basis == "h20":
-        return _compression(s, s, N, 1)
-    return _compression(constant(1.0), s, N, 0)
+        return _compression(s, N + 1)._block(N, 1, 1)
+    return _compression(s, N)
 
 
 def const_matrix(p: complex, N: int) -> OpMatrix:
@@ -175,10 +177,12 @@ def const_matrix(p: complex, N: int) -> OpMatrix:
 
 
 def weighted_matrix(w: Symbol, s: Symbol, N: int) -> OpMatrix:
-    """Compression of f -> w * (f o s): column k = taylor(w * s^k, N), for
-    N >= 2.  A real matrix with phases (see _compression) when s(z) =
-    lam psi(mu z) and w(z) = lam_w psi_w(mu z) with the same mu."""
-    return _compression(w, s, N, 0)
+    """Compression of T_{s,s} f = s * (f o s): column k holds the first N
+    Taylor coefficients of s^(k+1), the block at (0, 1) of the full build at
+    N + 1.  The weight w must be s."""
+    if not taylor_close(w, s):
+        raise PreconditionError("the weighted compression takes the weight w = s only")
+    return _compression(s, N + 1)._block(N, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +294,8 @@ def _task_target(task: str, params: dict):
         hit = closedform.recognize_distance_target(params["a"], params["b"])
         if hit is not None:
             return hit.value, hit.label
-    elif task == "restricted":
-        return closedform.recognize_restricted_target(params["s"]), "restricted"
-    elif task == "weighted":
-        w, s = params["w"], params["s"]
-        if taylor_close(w, s):
-            return closedform.recognize_restricted_target(s), "weighted"
+    elif task in ("restricted", "weighted"):
+        return closedform.recognize_restricted_target(params["s"]), task
     elif task == "opnorm":
         return closedform.recognize_opnorm_target(params["s"]), "opnorm"
     return None, None

@@ -552,35 +552,32 @@ def unit_powers(c: complex, n: int) -> CoeffVec:
     return np.cumprod(p)
 
 
-def rotation_real(s: Symbol, mu: complex | None = None):
+def rotation_real(s: Symbol):
     """(lam, mu, psi) with s(z) = lam psi(mu z), |lam| = |mu| = 1 and psi
     real, or None; decided on the coefficients, since with den(0) = 1 this is
     num_k = lam mu^k num_psi_k and den_k = mu^k den_psi_k.
 
-    mu, unless given, is fitted from den's first nonzero coefficient of
-    degree >= 1, else from the ratio of num's first two nonzero coefficients
-    (1 for a monomial); lam from num's first nonzero coefficient, taken as
-    conj(mu) when that also fits, so that lam mu = 1 whenever the form allows
-    it.  Accepted when every imaginary part left after the rotation is at most
+    mu is fitted from den's first nonzero coefficient of degree >= 1, else
+    from the ratio of num's first two nonzero coefficients (1 for a
+    monomial); lam from num's first nonzero coefficient, taken as conj(mu)
+    when that also fits, so that lam mu = 1 whenever the form allows it.
+    Accepted when every imaginary part left after the rotation is at most
     1e-14 (degree + 1) max |coefficient| over num and den.  None for real
-    symbols unless mu is given (their compressions are real already), and for
-    symbols of no such form.
+    symbols (their compressions are real already) and for symbols of no such
+    form.
     """
     num, den = s.num, s.den
-    if mu is None and not (num.imag.any() or den.imag.any()):
-        return None
     nz = np.flatnonzero(num)
-    if nz.size == 0:
+    if nz.size == 0 or not (num.imag.any() or den.imag.any()):
         return None
-    if mu is None:
-        dz = np.flatnonzero(den[1:]) + 1
-        if dz.size:
-            k, u = dz[0], den[dz[0]]
-        elif nz.size > 1:
-            k, u = nz[1] - nz[0], num[nz[1]] * np.conj(num[nz[0]])
-        else:
-            k, u = 1, 1.0
-        mu = complex(np.exp(1j * np.angle(u) / k))
+    dz = np.flatnonzero(den[1:]) + 1
+    if dz.size:
+        k, u = dz[0], den[dz[0]]
+    elif nz.size > 1:
+        k, u = nz[1] - nz[0], num[nz[1]] * np.conj(num[nz[0]])
+    else:
+        k, u = 1, 1.0
+    mu = complex(np.exp(1j * np.angle(u) / k))
     back = unit_powers(np.conj(mu), max(num.size, den.size))
     tol = 1e-14 * (s.degree + 1) * max(np.abs(num).max(), np.abs(den).max())
     pd = den * back[:den.size]

@@ -5,6 +5,7 @@ import pytest
 
 from hardyop import (
     ConvergenceError,
+    NotSelfmapError,
     PreconditionError,
     alpha,
     blaschke,
@@ -300,6 +301,17 @@ def test_pullback_closed_form_matches_poisson_quadrature():
 def test_pullback_rejects_non_inner():
     with pytest.raises(PreconditionError):
         inner_pullback_check(PHI12, [1.0, 1.0])
+
+
+def test_pullback_rejects_an_inner_map_leaving_the_disk():
+    # a Blaschke-like map whose pole and zero straddle the circle: boundary sup
+    # 1 + 1.0e-6, but is_inner's margin 2.0e-11 is under COEFF_TOL, so only
+    # the selfmap test tells; iterate_sweep rejects the same symbol
+    s = parse_symbol("(0.99998999999 - z)/(1 - 0.99999*z)")
+    with pytest.raises(NotSelfmapError):
+        inner_pullback_check(s, [1.0, 1.0])
+    with pytest.raises(NotSelfmapError):
+        iterate_sweep(s, 3, 16)
 
 
 # ---------------------------------------------------------------------------

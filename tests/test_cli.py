@@ -282,6 +282,13 @@ def test_nrange_rejects_small_dimension(capsys, dims):
     assert "input error: compression dimension" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["--restricted", "--weighted"])
+def test_window_norms_reject_dimension_one(capsys, mode):
+    # the h20 and weighted windows are built at N + 1, which is >= 2 here
+    assert main(["norm", "z^2", mode, "-N", "1"]) == 2
+    assert "input error: compression dimension" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("dims", ["64,32", "32,32", "64,32,32"])
 def test_nrange_rejects_unordered_schedule(capsys, dims):
     # one schedule rule for norm, distance and nrange

@@ -38,6 +38,12 @@ PHI12 = parse_symbol("(z+z^2)/2")
 SLOW_CPLX = blaschke([0.8, 0.3j])
 
 
+def bitwise(a, b):
+    """Both None, or the same dtype, shape and bytes."""
+    return (a is None and b is None) or (a is not None and b is not None and a.dtype == b.dtype
+                                         and a.shape == b.shape and a.tobytes() == b.tobytes())
+
+
 # ---------------------------------------------------------------------------
 # matrix construction
 
@@ -123,26 +129,6 @@ def test_identity_compression_is_exact(N, basis):
     assert np.array_equal(comp_matrix(identity(), N, basis).entries, np.eye(N))
 
 
-def test_weighted_matrix_identity_symbol_is_exact_toeplitz():
-    w = alpha(0.3)
-    N = 600
-    W = weighted_matrix(w, identity(), N).entries
-    t = taylor(w, N).real
-    # flushed as every compression is: entries below eps^2 times the largest
-    t[np.abs(t) < np.finfo(float).eps ** 2 * np.abs(t).max()] = 0
-    for k in (0, 1, 299, 599):
-        expect = np.zeros(N)
-        expect[k:] = t[:N - k]
-        assert np.array_equal(W[:, k], expect)
-
-
-def test_weighted_matrix_unit_weight():
-    s = parse_symbol("(z+z^2)/2")
-    W = weighted_matrix(constant(1.0), s, 12).entries
-    C = comp_matrix(s, 12, "full").entries
-    assert np.allclose(W, C, atol=1e-14)
-
-
 def test_weighted_matrix_square_symbol():
     phi = parse_symbol("z^2")
     W = weighted_matrix(phi, phi, 10).entries
@@ -199,13 +185,13 @@ FLUSH_CASES = {
 @pytest.mark.parametrize("N", [64, 511, 512, 1024])
 @pytest.mark.parametrize("case", list(FLUSH_CASES))
 def test_compressions_hold_no_subnormals(case, N):
-    # every entry is 0 or at least eps^2 times the largest of the first
-    # column, and no real or imaginary part of an entry is subnormal
+    # every entry is 0 or at least eps^2, which is eps^2 times the largest of
+    # the build's column 0 (e_0), windows included, and no real or imaginary
+    # part of an entry is subnormal
     s = FLUSH_CASES[case]
     for A in (comp_matrix(s, N, "full"), comp_matrix(s, N, "h20"), weighted_matrix(s, s, N)):
         mag = np.abs(A.matrix)
-        floor = np.finfo(float).eps ** 2 * mag[:, 0].max()
-        assert not np.any((mag > 0) & (mag < floor))
+        assert not np.any((mag > 0) & (mag < np.finfo(float).eps ** 2))
         parts = np.abs(np.stack([A.entries.real, A.entries.imag]))
         assert not np.any((parts > 0) & (parts < np.finfo(float).tiny))
 
@@ -243,7 +229,7 @@ def test_inner_symbol_has_full_column_support():
     lambda: comp_matrix(alpha(0.3 + 0.4j), 64),
     lambda: comp_matrix(FLUSH_CASES["complex-poly"], 64, "h20"),
     lambda: const_matrix(0.5, 64),
-    lambda: weighted_matrix(PHI12, PHI23, 64),
+    lambda: weighted_matrix(PHI23, PHI23, 64),
     lambda: weighted_matrix(alpha(0.3 + 0.4j), alpha(0.3 + 0.4j), 64),
     lambda: compop._difference(alpha(0.5), identity(), 64),
 ], ids=["real", "h20-shift", "rotated", "complex-h20", "const", "weighted", "weighted-rotated",
@@ -497,7 +483,7 @@ SLICED_CASES = {
     "restricted-real": ("restricted", {"s": PHI12}),
     "restricted-complex": ("restricted", {"s": CPLX0}),
     "restricted-rotated": ("restricted", {"s": ROT}),
-    "weighted-real": ("weighted", {"w": PHI23, "s": PHI12}),
+    "weighted-real": ("weighted", {"w": PHI12, "s": PHI12}),
     "weighted-complex": ("weighted", {"w": CPLX, "s": CPLX}),
     "weighted-rotated": ("weighted", {"w": ROT, "s": ROT}),
 }
@@ -530,19 +516,19 @@ def test_schedule_slices_match_per_dimension_builds(case, monkeypatch):
     # one build at the largest dimension sliced to the smaller ones
     task, params = SLICED_CASES[case]
     dims = [16, 64, 520]
-    # every build runs one power sequence per symbol; the h20 one forms the
-    # degree-0 row too, and drops it
+    # every build runs one power sequence per symbol; the h20 and weighted
+    # ones are windows of the build one size up
     builds = []
     powers = compop._powers
 
-    def counted(first, step, length):
+    def counted(step, length):
         builds.append(length)
-        return powers(first, step, length)
+        return powers(step, length)
 
     monkeypatch.setattr(compop, "_powers", counted)
     rep = norm_schedule(task, params, dims)
     symbols = 2 if task == "distance" else 1
-    assert builds == [dims[-1] + (task == "restricted")] * symbols
+    assert builds == [dims[-1] + (task in ("restricted", "weighted"))] * symbols
     monkeypatch.undo()
     for N, v in zip(dims, rep.values):
         assert abs(v - per_dimension(task, params, N)) <= 1e-12
@@ -656,17 +642,16 @@ def test_real_symbols_build_no_core():
     for s in (alpha(0.5), PHI12, constant(0.3)):
         for basis in ("full", "h20"):
             assert comp_matrix(s, 16, basis).row is None
-    assert weighted_matrix(PHI23, PHI12, 16).row is None
+    assert weighted_matrix(PHI12, PHI12, 16).row is None
     W = weighted_matrix(CPLX, CPLX, 16)
     assert W.row is None and W.col is None and W.matrix.dtype == np.complex128
 
 
 def test_weighted_core_needs_a_shared_rotation():
-    # w = s shares s's rotation; a weight rotated by another mu has no phases
+    # the weight is s itself, so it shares s's rotation
     W = weighted_matrix(ROT, ROT, 64)
     assert W.row is not None and W.matrix.dtype == np.float64
     assert op_norm(W) == pytest.approx(op_norm(W.entries), rel=1e-12)
-    assert weighted_matrix(alpha(0.3 + 0.4j), ROT, 64).row is None
 
 
 @pytest.mark.parametrize("N", [16, 300])
@@ -675,23 +660,54 @@ def test_weighted_core_needs_a_shared_rotation():
                                         (parse_symbol("1i*z"), True)],
                          ids=["real", "complex", "rotated-alpha", "rotated-two-term", "iz"])
 def test_comp_matrix_is_the_weighted_compression(s, rotated, N):
-    # C_s = T_{1,s}, and the h20 matrix is T_{s,s} less its row 0
-    def bitwise(a, b):
-        return (a is None and b is None) or (a.dtype == b.dtype and a.shape == b.shape
-                                             and a.tobytes() == b.tobytes())
-
-    C, W = comp_matrix(s, N), weighted_matrix(constant(1.0), s, N)
-    assert (C.row is not None) == rotated
-    assert bitwise(C.matrix, W.matrix) and bitwise(C.row, W.row) and bitwise(C.col, W.col)
+    # the h20 matrix is T_{s,s} less its row 0
     h20, T = comp_matrix(s, N, "h20"), weighted_matrix(s, s, N + 1)
+    assert (h20.row is not None) == rotated
     assert bitwise(h20.matrix, T.matrix[1:, :N])
-    # the phases agree up to rounding: lam lam^k against the running product
-    assert np.max(np.abs(h20.entries - T.entries[1:, :N])) <= 1e-15
+    if rotated:
+        assert bitwise(h20.row, T.row[1:]) and bitwise(h20.col, T.col[:N])
+
+
+@pytest.mark.parametrize("N", [16, 300])
+@pytest.mark.parametrize("s", [alpha(0.5), PHI12, CPLX, CPLX0, alpha(0.3 + 0.4j), ROT,
+                               parse_symbol("z*alpha((0.3+0.4i))")],
+                         ids=["real-alpha", "real-poly", "complex", "complex-origin",
+                              "rotated-alpha", "rotated-two-term", "rotated-z-alpha"])
+def test_windows_are_blocks_of_the_full_build(s, N):
+    # h20 is the block at (1, 1) and T_{s,s} the one at (0, 1) of the power
+    # build one size up, phases sliced with the matrix
+    full = comp_matrix(s, N + 1)
+    for A, (i, j) in ((comp_matrix(s, N, "h20"), (1, 1)), (weighted_matrix(s, s, N), (0, 1))):
+        assert bitwise(A.matrix, full.matrix[i:i + N, j:j + N])
+        if full.row is None:
+            assert A.row is None and A.col is None
+        else:
+            assert bitwise(A.row, full.row[i:i + N]) and bitwise(A.col, full.col[j:j + N])
+
+
+def test_weighted_matrix_takes_the_weight_s_only():
+    # T_{w,s} for w != s has no caller; the weight must be s itself
+    with pytest.raises(PreconditionError, match="w = s"):
+        weighted_matrix(PHI23, PHI12, 16)
+    assert bitwise(weighted_matrix(parse_symbol("z^2/2 + z^3/2"), PHI23, 16).matrix,
+                   weighted_matrix(PHI23, PHI23, 16).matrix)
 
 
 def test_weighted_matrix_needs_dimension_two():
     with pytest.raises(PreconditionError):
-        weighted_matrix(PHI23, PHI12, 1)
+        weighted_matrix(PHI12, PHI12, 1)
+
+
+@pytest.mark.parametrize("s", [parse_symbol("z^2"), PHI12, ROT], ids=["z^2", "real", "rotated"])
+def test_windows_reject_dimension_one(s):
+    # the windows are built at N + 1 = 2, so their own dimension is checked
+    for build in (lambda: comp_matrix(s, 1, "h20"), lambda: weighted_matrix(s, s, 1),
+                  lambda: restricted_norm(s, 1)):
+        with pytest.raises(PreconditionError, match="compression dimension must be >= 2"):
+            build()
+    for task, params in (("restricted", {"s": s}), ("weighted", {"w": s, "s": s})):
+        with pytest.raises(PreconditionError, match="compression dimension must be >= 2"):
+            norm_schedule(task, params, [1])
 
 
 def test_leading_block_keeps_the_core():
