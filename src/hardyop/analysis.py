@@ -23,6 +23,7 @@ from .symbolic import (
     require_origin_fixed,
     require_selfmap,
     taylor,
+    trim,
     unit_powers,
 )
 
@@ -138,6 +139,7 @@ class MinimalNormReport:
     gram_z_residual:  || M^H M e_z - ||phi||_2^2 e_z ||  (z as exact eigenvector)
     eigen_residual:   same vector against its own Rayleigh quotient
     power_overlaps:   <phi, phi^n> for n = 2..n_max (exact for polynomials)
+    restricted_norm:  ||C_phi|zH^2|| at the given dimension, as restricted_norm
     """
 
     h2_gap: float
@@ -145,48 +147,46 @@ class MinimalNormReport:
     eigen_residual: float
     power_overlaps: np.ndarray
     h2_value: float
+    restricted_norm: float
 
 
 def _require_power_cap(s: Symbol, n_max: int) -> None:
-    """Reject polynomial power expansions above the rational degree cap."""
-    if s.num_degree * n_max > MAX_DEGREE:
+    """Reject power expansions above the rational degree cap."""
+    if s.degree * n_max > MAX_DEGREE:
         raise PreconditionError(
-            f"power expansion degree {s.num_degree * n_max} exceeds cap {MAX_DEGREE}"
+            f"power expansion degree {s.degree * n_max} exceeds cap {MAX_DEGREE}"
         )
 
 
 def minimal_norm_check(s: Symbol, N: int | None = None, n_max: int = 10) -> MinimalNormReport:
     """Residuals of the four equivalent conditions for the restricted norm of
-    C_phi (phi fixing 0) to equal ||phi||_2.
+    C_phi (phi fixing 0) to equal ||phi||_2, from one h20 build.
 
-    Polynomial symbols with N > deg * n_max make the Gram entries exact.
+    The coefficients are the Taylor section of length MAX_DEGREE + 1, exact
+    for polynomials; with N > deg * n_max their Gram entries are exact too.
     """
     require_selfmap(s)
     require_origin_fixed(s, "the check")
-    if s.is_polynomial:
-        _require_power_cap(s, n_max)
+    _require_power_cap(s, n_max)
     if N is None:
         N = max(16, s.degree * n_max + 8)
-    # exact coefficients for polynomials, a 4096-term Taylor section otherwise
-    base = s.num if s.is_polynomial else taylor(s, 4096)
+    base = trim(taylor(s, MAX_DEGREE + 1))
     h2 = h2_norm(base)
     A = comp_matrix(s, N, "h20")
     M = A.entries
-    e_z = np.zeros(N, dtype=complex)
-    e_z[0] = 1.0
-    w = M.conj().T @ (M @ e_z)
-    gram_res = float(np.linalg.norm(w - h2**2 * e_z))
-    lam = complex(w[0])  # Rayleigh quotient of e_z, since <e_z, e_z> = 1
-    eigen_res = float(np.linalg.norm(w - lam * e_z))
+    w = M.conj().T @ M[:, 0]  # M^H M e_z
+    eigen_res = float(np.linalg.norm(w[1:]))  # against the Rayleigh quotient w[0]
+    w[0] -= h2**2
     overlaps = np.array([h2_inner(base, p) for p in
                          islice(powers(base, n_max, base.size), 1, None)], dtype=complex)
     r = op_norm(A)  # on the stored matrix, as restricted_norm solves it
     return MinimalNormReport(
         h2_gap=abs(r - h2),
-        gram_z_residual=gram_res,
+        gram_z_residual=float(np.linalg.norm(w)),
         eigen_residual=eigen_res,
         power_overlaps=overlaps,
         h2_value=h2,
+        restricted_norm=r,
     )
 
 

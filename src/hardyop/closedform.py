@@ -143,7 +143,8 @@ def rotation_distance(lam: complex, mu: complex) -> RotationDistance:
     if abs(t - float(frac)) <= ANGLE_TOL:
         k = frac.denominator
         if k == 1:
-            # angle 0 with lam != mu cannot happen for unimodular scalars
+            # lam != mu within ANGLE_TOL turns (~6.3e-12 rad) of each other:
+            # the angle tolerance counts them as equal
             return RotationDistance(0.0, "equal", 1)
         if k % 2 == 0:
             return RotationDistance(2.0, "even_root", k)

@@ -217,9 +217,8 @@ def check_minimal_norm_case(c: _Checker) -> None:
     """(z^2+z^3)/2: restricted norm equals ||phi||_2 with exact orthogonality
     of higher powers, while the power family itself is not orthogonal."""
     s = parse_symbol("(z^2+z^3)/2")
-    c.close("restricted norm at N=16", compop.restricted_norm(s, 16),
-            1.0 / math.sqrt(2.0), 1e-9)
-    rep = analysis.minimal_norm_check(s, n_max=10)
+    rep = analysis.minimal_norm_check(s, N=16, n_max=10)
+    c.close("restricted norm at N=16", rep.restricted_norm, 1.0 / math.sqrt(2.0), 1e-9)
     c.le("gram action residual on z", rep.gram_z_residual, 1e-12)
     c.ok("<phi, phi^n> = 0 exactly for n=2..10",
          bool(np.all(rep.power_overlaps == 0)))

@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hardyop import (
     PreconditionError,
     alpha,
     blaschke,
+    compop,
     compose,
     constant,
     distance,
@@ -22,7 +24,10 @@ from hardyop import (
     restricted_norm,
     rudin_audit,
     taylor,
+    verify,
 )
+from hardyop.hardy import h2_inner, powers
+from hardyop.symbolic import MAX_DEGREE
 
 PHI23 = parse_symbol("(z^2+z^3)/2")
 PHI12 = parse_symbol("(z+z^2)/2")
@@ -131,13 +136,14 @@ def test_minimal_norm_check_failing_case():
 
 
 def test_minimal_norm_check_rational_overlaps():
-    # rational symbols: overlaps of the 4096-term Taylor section with its powers
+    # rational symbols: overlaps of the (MAX_DEGREE + 1)-term Taylor section
+    # with its powers
     s = parse_symbol("0.5*z*alpha(0.5)")
     rep = minimal_norm_check(s, n_max=4)
-    t = taylor(s, 4096)
+    t = taylor(s, MAX_DEGREE + 1)
     power, expect = t, []
     for _ in range(3):
-        power = np.convolve(power, t)[:4096]
+        power = np.convolve(power, t)[:t.size]
         expect.append(np.sum(t * np.conj(power)))
     assert rep.power_overlaps.shape == (3,)
     assert np.max(np.abs(rep.power_overlaps - np.array(expect))) <= 1e-15
@@ -166,14 +172,65 @@ def test_minimal_norm_violation_forces_positive_margin():
     assert rep.h2_gap > 1e-4
 
 
-@pytest.mark.parametrize("text", ["0.5i*z + 0.3*z^2", "z*alpha((0.3+0.4i))"])
+@pytest.mark.parametrize("text", ["0.5i*z + 0.3*z^2", "z*alpha((0.3+0.4i))", "(z+z^2)/2"])
 def test_minimal_norm_gap_is_the_restricted_norms(text):
     # the check solves the stored real matrix, as restricted_norm does, not
     # the complex entries of a rotated symbol, whose norm differs from it in
     # the last bits
     s = parse_symbol(text)
     rep = minimal_norm_check(s, N=64)
+    assert rep.restricted_norm == restricted_norm(s, 64)
     assert rep.h2_gap == abs(restricted_norm(s, 64) - rep.h2_value)
+
+
+@pytest.mark.parametrize("text", [
+    "(z^2+z^3)/2", "0.4*z^3 + 0.3*z^5", "(0.3+0.4i)*z + 0.2i*z^2 + 0.1*z^7"])
+def test_minimal_norm_check_polynomial_values_are_exact(text):
+    # a polynomial's Taylor section is its own coefficients, so its norm and
+    # overlaps are bitwise those of the coefficients and their powers
+    s = parse_symbol(text)
+    rep = minimal_norm_check(s, n_max=10)
+    expect = [h2_inner(s.num, p) for p in islice(powers(s.num, 10, s.num.size), 1, None)]
+    assert rep.h2_value == h2_norm(s.num)
+    assert rep.power_overlaps.tobytes() == np.array(expect, dtype=complex).tobytes()
+
+
+def _count_builds(monkeypatch):
+    dims, solves = [], []
+    build, eigvalsh = compop._compression, np.linalg.eigvalsh
+
+    def counted_build(s, N):
+        dims.append(N)
+        return build(s, N)
+
+    def counted_solve(G):
+        solves.append(G.shape)
+        return eigvalsh(G)
+
+    monkeypatch.setattr(compop, "_compression", counted_build)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_solve)
+    return dims, solves
+
+
+def test_minimal_norm_case_builds_once(monkeypatch):
+    dims, solves = _count_builds(monkeypatch)
+    result = verify.check_minimal_norm_case()
+    assert result.passed
+    assert dims == [17]
+    assert len(solves) == 1
+
+
+def test_minimal_norm_check_caps_rational_symbols(monkeypatch):
+    # degree 500, sup 0.8: the default n_max = 10 asks for degree 5000 > MAX_DEGREE
+    s = parse_symbol("0.4*z/(1 - 0.5*z^500)")
+    assert s.degree == 500 and not s.is_polynomial
+    dims, _ = _count_builds(monkeypatch)
+    with pytest.raises(PreconditionError):
+        minimal_norm_check(s)
+    assert dims == []
+    rep = minimal_norm_check(s, N=64, n_max=8)
+    assert dims == [65]
+    assert rep.restricted_norm == restricted_norm(s, 64)
 
 
 # ---------------------------------------------------------------------------

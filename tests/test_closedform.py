@@ -98,6 +98,16 @@ def test_rotation_examples():
     assert rotation_distance(1j, 1.0).value == 2.0
 
 
+def test_rotation_angle_within_tolerance_counts_as_equal():
+    # |lam - 1| = 3.1e-12 is over UNIMODULAR_TOL, but the angle, 5e-13 turns,
+    # is within ANGLE_TOL of 0: order 1, as for lam == mu
+    for sign in (1, -1):
+        lam = cmath.exp(sign * 2j * math.pi * 5e-13)
+        assert abs(lam - 1.0) > 3e-12
+        r = rotation_distance(lam, 1.0)
+        assert (r.value, r.case, r.order) == (0.0, "equal", 1)
+
+
 def test_rotation_irrational_angle_gives_two():
     lam = cmath.exp(1j)  # angle 1/(2 pi) of a turn: irrational
     r = rotation_distance(lam, 1.0)
@@ -294,6 +304,24 @@ def test_recognize_distance_patterns():
     assert hit.value == 1.0
 
     assert recognize_distance_target(parse_symbol("(z+z^2)/2"), parse_symbol("z^2")) is None
+
+
+@pytest.mark.parametrize("text, target, gaps", [
+    ("alpha(0.5)", math.sqrt(3), (3.9e-3, 2.6e-4)),
+    ("z^2@alpha(0.5)", 1.2909944487358056, (1.6e-2, 1.4e-3)),
+])
+def test_inner_symbol_against_c0(text, target, gaps):
+    # inner phi with phi(0) != 0 against C_0: the distance is ||C_phi||
+    s = parse_symbol(text)
+    for a, b in ((s, constant(0)), (constant(0), s)):
+        hit = recognize_distance_target(a, b)
+        assert hit.label == "inner_c0"
+        assert hit.value == pytest.approx(target, abs=1e-15)
+    rep = norm_schedule("distance", {"a": s, "b": constant(0)}, [64, 256])
+    assert rep.target_label == "inner_c0"
+    assert all(v <= target + 1e-9 for v in rep.values)
+    assert rep.gaps[0] > rep.gaps[1] > 0
+    assert rep.gaps == pytest.approx(gaps, rel=0.05)
     # b = const(1e-13) fixes the origin, but the cross-product ratio against
     # it fits any a; the true distance here is no rotation value
     assert recognize_distance_target(parse_symbol("0.3+0.5*z"), constant(1e-13)) is None

@@ -70,6 +70,29 @@ def test_phased_distance_to_forty_digits(N):
     assert abs(got - ref) <= 8 * 2.0**-52 * ref
 
 
+def restricted_half(N: int):
+    """||P_N C_phi|zH^2 P_N|| for phi = (z + z^2)/2: column k (k = 1..N) holds
+    coefficients 1..N of phi^k = z^k (1 + z)^k / 2^k, binom(k, n - k) / 2^k."""
+    M = mp.matrix(N, N)
+    for k in range(1, N + 1):
+        for n in range(k, min(2 * k, N) + 1):
+            M[n - 1, k - 1] = mp.binomial(k, n - k) / mp.mpf(2) ** k
+    return mp.sqrt(max(mp.eighe(M.T * M, eigvals_only=True)))
+
+
+# ROADMAP item 5's restricted norm; restricted_norm() read 1.4e-16 and -7.0e-17
+# from them
+RESTRICTED_HALF = {16: "0.80603396737999541656", 32: "0.81149532154233235234"}
+
+
+@pytest.mark.parametrize("N", sorted(RESTRICTED_HALF))
+def test_restricted_norm_to_forty_digits(N):
+    ref = restricted_half(N)
+    assert mp.nstr(ref, 20) == RESTRICTED_HALF[N]
+    got = compop.restricted_norm(parse_symbol("(z+z^2)/2"), N)
+    assert abs(got - ref) <= 1e-15
+
+
 def series(text: str, N: int):
     """First N Taylor coefficients of a symbol's stored num/den, divided in
     mpmath by the recurrence c_n = num_n - sum_j den_j c_{n-j} (den_0 = 1)."""
