@@ -85,20 +85,16 @@ class RotationDistance:
 def rotation_distance_bruteforce(lam: complex, mu: complex, depth: int = 1_000_000) -> float:
     """sup_n |lambda^n - mu^n| over n <= depth, by direct evaluation.
 
-    The scan stops at the first n with |lambda^n - mu^n| <= 8 n eps: from there
-    |lambda^(n+m) - mu^(n+m)| = |lambda|^n |lambda^m - mu^m| to rounding, so the
-    sup is already found.  Strictly contractive scalars also stop once
-    2 max(|lambda|,|mu|)^n falls below the best value found (exact decision).
-    It also stops once the best value reaches 2 - 1e-15, within rounding of
-    the bound 2.  The powers are scanned in chunks of 64, doubling up to
-    32768, so a rule that holds early stops the scan after tens of powers, not
-    a full chunk.  The value at each n does not depend on the chunks; the
-    2 - 1e-15 exit does, since it reads the best value at a chunk's end, so
-    it can stop on a prefix shorter than a larger chunk would have scanned.
+    The powers are scanned in chunks of 64, doubling up to 32768, and the
+    scan stops by one of two rules.  Agreement: at the first n with
+    |lambda^n - mu^n| <= 8 n eps, since from there |lambda^(n+m) - mu^(n+m)|
+    = |lambda|^n |lambda^m - mu^m| to rounding, so the sup is already found.
+    Tail: at a chunk end n0 with |lambda|^n0 + |mu|^n0 <= the best value
+    found, since for scalars in the closed disk no later |lambda^m - mu^m|
+    exceeds that bound; the value is then the max over every n <= depth.
     """
     lam, mu = complex(lam), complex(mu)
     best = 0.0
-    r = max(abs(lam), abs(mu))
     chunk = 64
     n0 = 1
     while n0 <= depth:
@@ -108,10 +104,8 @@ def rotation_distance_bruteforce(lam: complex, mu: complex, depth: int = 1_000_0
                       - abs(mu) ** n * np.exp(1j * cmath.phase(mu) * n))
         agree = np.flatnonzero(vals <= 8.0 * np.finfo(float).eps * n)  # lam^n = mu^n
         best = max(best, float(vals[:agree[0] + 1 if agree.size else n.size].max()))
-        if agree.size or best >= 2.0 - 1e-15:
-            return best
         n0 += n.size
-        if r < 1.0 and 2.0 * r**n0 < best:
+        if agree.size or abs(lam) ** n0 + abs(mu) ** n0 <= best:
             return best
         chunk = min(2 * chunk, 1 << 15)
     return best
@@ -127,16 +121,21 @@ def rotation_distance(lam: complex, mu: complex) -> RotationDistance:
 
     For unimodular scalars the ratio lambda/mu is tested for being a root of
     unity by continued-fraction recognition of its angle: even order or no
-    root of unity gives 2, odd order k gives the k-gon chord; otherwise the
-    sup is taken by rotation_distance_bruteforce at its default depth.
+    root of unity gives 2, odd order k gives the k-gon chord.  Otherwise the
+    sup is taken by rotation_distance_bruteforce at its default depth.  When
+    one scalar u is unimodular and the other, v, is not, it scans the pair
+    (1, v/u): |u| = 1 gives |lambda^n - mu^n| = |1 - (v/u)^n|, and a
+    modulus of exactly 1 keeps the powers from drifting off the circle.
     """
     lam, mu = complex(lam), complex(mu)
     if not (abs(lam) <= 1 + UNIMODULAR_TOL and abs(mu) <= 1 + UNIMODULAR_TOL):  # NaN too
         raise PreconditionError("scalars must lie in the closed unit disk")
     if abs(lam - mu) <= UNIMODULAR_TOL:
         return RotationDistance(0.0, "equal", None)
-    unimodular = abs(abs(lam) - 1.0) <= UNIMODULAR_TOL and abs(abs(mu) - 1.0) <= UNIMODULAR_TOL
-    if not unimodular:
+    lam_on, mu_on = (abs(abs(x) - 1.0) <= UNIMODULAR_TOL for x in (lam, mu))
+    if lam_on != mu_on:  # one scalar u on the circle: scan (1, v/u)
+        lam, mu = 1.0, (mu / lam if lam_on else lam / mu)
+    if not (lam_on and mu_on):
         return RotationDistance(rotation_distance_bruteforce(lam, mu), "numeric", None)
     t = (cmath.phase(lam / mu) / (2.0 * math.pi)) % 1.0
     frac = Fraction(t).limit_denominator(DENOM_CAP)

@@ -12,7 +12,6 @@ larger grids are sampled by circle_values.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ from .symbolic import (
     modulus_products,
     poly_eval,
     poly_product,
+    powers,
     ratio,
     validate_selfmap,
 )
@@ -60,20 +60,6 @@ def h2_inner(f: CoeffVec, g: CoeffVec) -> complex:
     f, g = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)
     n = min(f.size, g.size)
     return complex(np.dot(f[:n], g[:n].conj()))
-
-
-def powers(c: CoeffVec, n_max: int, length: int) -> Iterator[CoeffVec]:
-    """Yield c, c^2, ..., c^n_max, each truncated to its first `length`
-    coefficients by symbolic.poly_product.  Coefficient j of c^n reads only
-    coefficients 0..j of c^(n-1), so truncating every step leaves the kept
-    coefficients exact.  The product adds one shifted copy of one factor per
-    nonzero term of the sparser one, so a sparse c (0.5 z + 0.5 z^4096)
-    costs O(length) per power, not O(length^2).
-    """
-    p = np.ones(1, dtype=complex)
-    for _ in range(n_max):
-        p = poly_product(c, p, length)
-        yield p
 
 
 def kernel_distance(p1: complex, p2: complex) -> float:

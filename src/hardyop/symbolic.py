@@ -14,6 +14,7 @@ import functools
 import math
 import re
 from collections import namedtuple
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,12 +45,13 @@ TAYLOR_BLOCK = 64           # taylor: coefficients per block of the series divis
 
 
 def trim(c) -> CoeffVec:
-    """Canonical coefficient vector: complex128, trailing exact zeros dropped."""
+    """Canonical coefficient vector: complex128, trailing exact zeros dropped;
+    an empty input is the zero polynomial."""
     a = np.atleast_1d(np.asarray(c, dtype=complex)).ravel()
     n = a.size
     while n > 1 and a[n - 1] == 0:
         n -= 1
-    return a[:n].copy()
+    return a[:n].copy() if n else np.zeros(1, dtype=complex)
 
 
 def _writeprotect(a: np.ndarray) -> np.ndarray:
@@ -260,6 +262,20 @@ def poly_product(a: CoeffVec, b: CoeffVec, length: int | None = None) -> CoeffVe
     return out
 
 
+def powers(c: CoeffVec, n_max: int, length: int) -> Iterator[CoeffVec]:
+    """Yield c, c^2, ..., c^n_max, each truncated to its first `length`
+    coefficients by poly_product.  Coefficient j of c^n reads only
+    coefficients 0..j of c^(n-1), so truncating every step leaves the kept
+    coefficients exact.  The product adds one shifted copy of one factor per
+    nonzero term of the sparser one, so a sparse c (0.5 z + 0.5 z^4096)
+    costs O(length) per power, not O(length^2).
+    """
+    p = np.ones(1, dtype=complex)
+    for _ in range(n_max):
+        p = poly_product(c, p, length)
+        yield p
+
+
 def poly_eval(c: CoeffVec, z):
     """c(z) for a scalar or an array z, by Horner's rule over the nonzero
     terms: p = c_k + p z^gap, from the highest term down, then times z^k for
@@ -375,11 +391,8 @@ def compose(f: Symbol, g: Symbol) -> Symbol:
         raise DegreeCapError(f"composition degree {D * g.degree} exceeds cap {MAX_DEGREE}")
     # f = P/Q.  With common power D:  f(g) = sum p_k A^k B^(D-k) / sum q_k A^k B^(D-k)
     # where g = A/B.
-    a_pows = [np.ones(1, dtype=complex)]
-    b_pows = [np.ones(1, dtype=complex)]
-    for _ in range(D):
-        a_pows.append(poly_product(a_pows[-1], g.num))
-        b_pows.append(poly_product(b_pows[-1], g.den))
+    a_pows = [np.ones(1, dtype=complex), *powers(g.num, D, D * g.degree + 1)]
+    b_pows = [np.ones(1, dtype=complex), *powers(g.den, D, D * g.degree + 1)]
     num = np.zeros(D * g.degree + 1, dtype=complex)
     den = np.zeros(D * g.degree + 1, dtype=complex)
     for k in range(D + 1):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hardyop import (
@@ -13,6 +13,7 @@ from hardyop import (
     Symbol,
     alpha,
     alpha_ellipse,
+    compose,
     const_distance,
     const_ellipse,
     constant,
@@ -396,3 +397,150 @@ def test_recognize_ellipse():
     e = recognize_ellipse(parse_symbol("(0.5-z)/(1-0.5*z)"))
     assert e is not None and e.focus_a == -1.0
     assert recognize_ellipse(parse_symbol("z^2")) is None
+
+
+# ---------------------------------------------------------------------------
+# the rotation sup's tail rule and a scalar on the circle
+
+
+def _scan_count(monkeypatch, call):
+    # powers the brute force scans: the sizes of its np.arange chunks
+    sizes = []
+    arange = np.arange
+
+    def counting(*args, **kwargs):
+        out = arange(*args, **kwargs)
+        sizes.append(out.size)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "arange", counting)
+        value = call()
+    return value, sum(sizes)
+
+
+@pytest.mark.parametrize("x", [1.0, 1 + 2.2e-16, 1 - 2.2e-16, 1 + 1e-13])
+def test_rotation_on_the_circle_against_a_contraction_scales_to_one(x, monkeypatch):
+    # |x^n - 0.3^n| with |x| taken as 1 is |1 - (0.3/x)^n|, whose sup is 1;
+    # at modulus 1 + 2.2e-16 the powers drifted to 1 + 2.2e-10 over a scan of
+    # 1e6 powers.  Scaled to 1, the terms round to 1.0 once |0.3/x|^n < 2^-54,
+    # and so does the tail 1 + |0.3/x|^n, in the first chunk.
+    for lam, mu in ((x, 0.3), (0.3, x)):
+        r, scanned = _scan_count(monkeypatch, lambda: rotation_distance(lam, mu))
+        assert r.case == "numeric"
+        assert abs(r.value - 1.0) <= 1e-15
+        assert scanned == 64
+
+
+def test_rotation_tail_rule_stops_near_the_circle(monkeypatch):
+    # both scalars inside: 0.999999^65 + |mu|^65 is under the value found at
+    # n <= 64, so the scan ends there with the full-scan max
+    for lam, mu, want in ((0.999999 * cmath.exp(1j), 0.5, 1.127195192561139),
+                          (0.999999, 0.3, 0.9999874686249994)):
+        value, scanned = _scan_count(monkeypatch, lambda: rotation_distance_bruteforce(lam, mu))
+        assert value == want and scanned == 64
+    # on the circle against 0.999: 1 + 0.999^n0 reaches the max of
+    # |1 - 0.999^n| = 1.0 at the chunk end n0 = 65473
+    value, scanned = _scan_count(monkeypatch, lambda: rotation_distance(1.0, 0.999).value)
+    assert value == 1.0 and scanned == 65_472
+    assert rotation_distance(1j, 0.5).value == 1.25
+
+
+def test_rotation_target_is_invariant_under_an_inner_map_fixing_zero():
+    # C_u is an isometry for inner u fixing 0, so composing both symbols with
+    # u on the right keeps the distance; the composed pair forms lambda with
+    # |lambda| = 1 + 2.2e-16, which read 1.0000000002220446 before scaling
+    a, b = parse_symbol("z"), parse_symbol("(0.3+0.027i)*z")
+    u = parse_symbol("z*alpha((-0.528-0.324i))")
+    plain = recognize_distance_target(a, b)
+    composed = recognize_distance_target(compose(a, u), compose(b, u))
+    assert plain.label == composed.label == "rotation"
+    assert abs(plain.value - composed.value) <= 1e-12
+    assert plain.value == pytest.approx(1.0000000000186784, abs=1e-15)
+
+
+def test_mixed_rotation_schedule_reads_target_one():
+    rep = norm_schedule("distance", {"a": parse_symbol("1.0000000000001*z"),
+                                     "b": parse_symbol("0.3*z")}, [16, 64])
+    assert rep.target_label == "rotation" and rep.target == 1.0
+    assert abs(rep.values[-1] - 1.0) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# recognizer soundness over structured pairs
+
+
+def _times_z(s):
+    return Symbol(np.concatenate([[0], s.num]), s.den)
+
+
+def _shape(desc):
+    kind, k, r = desc
+    return {"zk": lambda: parse_symbol(f"z^{k}"), "z_alpha": lambda: _times_z(alpha(r)),
+            "alpha": lambda: alpha(r), "alpha_z2": lambda: compose(alpha(r), parse_symbol("z^2"))}[kind]()
+
+
+def _pair(family, u, x, y):
+    if family == "alpha_u":
+        return compose(alpha(x), u), u
+    if family == "scalar":
+        return Symbol(x * u.num, u.den), Symbol(y * u.num, u.den)
+    if family == "const":
+        return u, constant(x)
+    if family == "alpha_alpha":
+        return compose(alpha(x), u), compose(alpha(y), u)
+    return constant(x), constant(y)
+
+
+# moduli under about 1e-65 leave a tiny leading denominator coefficient that
+# the pole check cannot take (tests/test_symbolic.py, strict xfail)
+_points = st.builds(cmath.rect, st.one_of(st.just(0.0), st.floats(1e-9, 0.7)),
+                    st.floats(0.0, 2 * math.pi))
+_unimodular = st.builds(cmath.rect, st.just(1.0), st.floats(0.0, 2 * math.pi))
+
+
+@st.composite
+def _scalars(draw):
+    # (x, y, ratio of order m): inside, one on the circle, or a root ratio
+    mode = draw(st.sampled_from(["inside", "circle", "root"]))
+    if mode == "root":
+        m = draw(st.integers(2, 8))
+        x = draw(_unimodular)
+        return x, x * cmath.exp(2j * math.pi * draw(st.integers(1, m - 1)) / m), m
+    x, y = draw(_unimodular if mode == "circle" else _points), draw(_points)
+    return (x, y, None) if draw(st.booleans()) else (y, x, None)
+
+
+@st.composite
+def _cases(draw):
+    shape = (draw(st.sampled_from(["zk", "z_alpha", "alpha", "alpha_z2"])),
+             draw(st.integers(1, 4)), draw(_points))
+    family = draw(st.sampled_from(["alpha_u", "scalar", "const", "alpha_alpha", "const_const"]))
+    x, y, order = draw(_scalars()) if family == "scalar" else (draw(_points), draw(_points), None)
+    right = ("zk", 2, 0.0) if draw(st.booleans()) else ("z_alpha", 1, draw(_points))
+    return family, shape, x, y, order, right, draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_cases())
+@example(("scalar", ("zk", 1, 0.0), 1.0, 0.3 + 0.027j, None, ("z_alpha", 1, -0.528 - 0.324j), False))
+@example(("scalar", ("zk", 3, 0.0), 1j, 1j * cmath.exp(0.8j * math.pi), 5, ("zk", 2, 0.0), False))
+@example(("scalar", ("zk", 2, 0.0), -1.0, cmath.exp(1j * math.pi / 3), 3, ("z_alpha", 1, 0.4j), True))
+def test_recognized_targets_bound_the_compressions(case):
+    family, shape, x, y, order, right, swap = case
+    a, b = _pair(family, _shape(shape), x, y)
+    a, b = (b, a) if swap else (a, b)
+    hit = recognize_distance_target(a, b)
+    # C_u is an isometry for inner u fixing 0: the target must not move
+    u = _shape(right)
+    moved = recognize_distance_target(compose(a, u), compose(b, u))
+    assert (hit is None) == (moved is None)
+    if hit is None:
+        return
+    assert abs(hit.value - moved.value) <= 1e-12
+    for N in (32, 128):
+        assert distance(a, b, N) <= hit.value + 1e-9
+    # exact at finite N: two constants (|p| <= 0.7, tails below 1e-19), and
+    # a root-of-unity ratio on z^k, whose period is inside the N=64 window
+    if hit.label == "const_const" or (hit.label == "rotation" and order and shape[0] == "zk"):
+        assert hit.value - distance(a, b, 64) <= 1e-12

@@ -18,11 +18,13 @@ from hardyop import (
     UnitDiskPoleError,
     alpha,
     circle_values,
+    comp_matrix,
     compose,
     constant,
     fixed_point,
     format_symbol,
     identity,
+    inner_pullback_check,
     is_inner,
     iterate,
     parse_symbol,
@@ -34,6 +36,7 @@ from hardyop.symbolic import (
     TAYLOR_BLOCK,
     boundary_moduli,
     modulus_products,
+    poly_product,
     require_selfmap,
     rotation_real,
 )
@@ -177,6 +180,18 @@ def test_parse_accepts_only_finite_symbols(tokens):
     except HardyOpError:
         return
     assert np.isfinite(s.num).all() and np.isfinite(s.den).all()
+
+
+def test_empty_coefficients_are_the_zero_polynomial():
+    # an empty numerator is the constant 0; an empty denominator is still
+    # identically zero
+    s = Symbol([])
+    assert s.num.tobytes() == constant(0).num.tobytes()
+    assert validate_selfmap(s).is_selfmap
+    assert comp_matrix(s, 4).entries.tobytes() == comp_matrix(constant(0), 4).entries.tobytes()
+    assert inner_pullback_check(alpha(0.3), []).residual == 0.0
+    with pytest.raises(UnitDiskPoleError):
+        Symbol([1.0], [])
 
 
 def test_parse_pole_rejected():
@@ -329,6 +344,68 @@ def test_compose_alpha_with_square():
     expect = Symbol(np.array([0.3, 0, -1], dtype=complex),
                     np.array([1, 0, -0.3], dtype=complex))
     assert taylor_close(got, expect, tol=1e-13)
+
+
+def _compose_by_two_loops(f, g):
+    # the composition's power lists built by two running products of
+    # poly_product, as compose formed them before it read powers
+    D = max(f.num_degree, f.den_degree)
+    a_pows, b_pows = [np.ones(1, dtype=complex)], [np.ones(1, dtype=complex)]
+    for _ in range(D):
+        a_pows.append(poly_product(a_pows[-1], g.num))
+        b_pows.append(poly_product(b_pows[-1], g.den))
+    num = np.zeros(D * g.degree + 1, dtype=complex)
+    den = np.zeros(D * g.degree + 1, dtype=complex)
+    for k in range(D + 1):
+        basis = poly_product(a_pows[k], b_pows[D - k])
+        if k < f.num.size and f.num[k] != 0:
+            num[:basis.size] += f.num[k] * basis
+        if k < f.den.size and f.den[k] != 0:
+            den[:basis.size] += f.den[k] * basis
+    return Symbol(num, den)
+
+
+COMPOSE_TABLE = ["z", "0.5*z", "z^2", "(z+z^2)/2", "z/2 + 0.25", "(0.3+0.4i)*z+0.2i*z^2",
+                 "0.5i*z+0.3*z^3", "0.4+0.5*z^9", "0.5*z + 0.5*z^12", "alpha(0.5)",
+                 "alpha((0.3+0.4i))", "z*alpha((0.3+0.4i))", "blaschke(0.8, 0.3i)",
+                 "alpha(0.9)^3", "z^2@alpha(0.3)"]
+
+
+def _built(compose_fn, f, g):
+    try:
+        s = compose_fn(f, g)
+    except HardyOpError as e:
+        return type(e)
+    return s.num.tobytes(), s.den.tobytes()
+
+
+def test_compose_reads_one_power_generator():
+    # compose's power lists come from powers, truncated past every power:
+    # the same products as the two running loops, so the same bits, or the
+    # same refusal (the pole check's repeated roots: ROADMAP item 17)
+    symbols = [parse_symbol(t) for t in COMPOSE_TABLE]
+    outcomes = [_built(compose, f, g) for f in symbols for g in symbols]
+    assert outcomes == [_built(_compose_by_two_loops, f, g) for f in symbols for g in symbols]
+    assert sum(type(o) is tuple for o in outcomes) == 223
+
+
+_POLE_CHECK_DIVIDES = "the pole check divides by the leading denominator coefficient"
+
+
+@pytest.mark.parametrize("p", [
+    pytest.param(1e-100, marks=pytest.mark.xfail(
+        strict=True, raises=UnitDiskPoleError, reason=_POLE_CHECK_DIVIDES)),
+    pytest.param(2.2250738585072e-309, marks=pytest.mark.xfail(
+        strict=True, raises=np.linalg.LinAlgError, reason=_POLE_CHECK_DIVIDES)),
+])
+def test_compose_with_a_tiny_coefficient_builds(p):
+    # alpha(p) o z^2 composed with z alpha(0.5) is a selfmap next to
+    # -(z alpha(0.5))^2, but its denominator's leading coefficient is of
+    # size p, and npp.polyroots divides by it: from |p| <= 1e-65 on, the
+    # companion matrix reports a root of modulus 0, and a subnormal p
+    # overflows it
+    s = compose(compose(alpha(p), parse_symbol("z^2")), parse_symbol("z*alpha(0.5)"))
+    assert taylor_close(s, parse_symbol("-(z*alpha(0.5))^2"), tol=1e-12)
 
 
 def test_taylor_close_on_unreduced_representation():
