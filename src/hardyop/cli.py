@@ -134,12 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("norm", help="compression norms of one symbol")
     p.add_argument("symbol")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--opnorm", action="store_true", help="||C_phi|| (default)")
-    mode.add_argument("--restricted", action="store_true",
-                      help="||C_phi restricted to zH^2||")
-    mode.add_argument("--weighted", action="store_true",
-                      help="||T_{phi,phi}||, the weighted composition with itself")
+    p.add_argument("--restricted", action="store_true", help="||C_phi restricted to zH^2||")
     common(p)
 
     p = sub.add_parser("distance", help="compression of ||C_a - C_b||")
@@ -194,13 +189,8 @@ def _schedule_report(command: str, task: str, params: dict, symbols: dict, args)
 
 def cmd_norm(args) -> int:
     s = parse_symbol(args.symbol)
-    if args.restricted:
-        task, params = "restricted", {"s": s}
-    elif args.weighted:
-        task, params = "weighted", {"w": s, "s": s}
-    else:
-        task, params = "opnorm", {"s": s}
-    return _schedule_report("norm", task, params, {"symbol": args.symbol}, args)
+    task = "restricted" if args.restricted else "opnorm"
+    return _schedule_report("norm", task, {"s": s}, {"symbol": args.symbol}, args)
 
 
 def cmd_distance(args) -> int:

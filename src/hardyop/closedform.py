@@ -249,7 +249,8 @@ def recognize_distance_target(a: Symbol, b: Symbol) -> DistanceTarget | None:
 
     Patterns, in order: identical symbols; two constants; common inner factor
     fixing 0 with scalar multipliers (rotation sup); b inner with
-    a = alpha_p o b (and the symmetric case); inner symbol against a constant.
+    a = alpha_p o b (and the symmetric case); inner symbol against a constant;
+    a symbol fixing 0 against the constant 0.
     """
     require_selfmap(a)
     require_selfmap(b)
@@ -283,6 +284,12 @@ def recognize_distance_target(a: Symbol, b: Symbol) -> DistanceTarget | None:
             if fixes_origin(g):
                 # ||C_phi - C_0|| for inner phi has the closed form of ||C_phi||
                 return DistanceTarget(inner_symbol_norm(f.value_at_zero()), "inner_c0")
+    # phi fixing 0 vs the constant 0: (C_phi - C_0) f = (f - f(0)) o phi, so the
+    # distance is the norm of C_phi restricted to zH^2
+    for f, g in ((a, b), (b, a)):
+        if g.is_constant and fixes_origin(g) and fixes_origin(f):
+            value = recognize_restricted_target(f)
+            return None if value is None else DistanceTarget(value, "restricted")
     return None
 
 

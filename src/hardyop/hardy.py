@@ -68,12 +68,11 @@ def kernel_distance(p1: complex, p2: complex) -> float:
     for p in (p1, p2):
         if not abs(p) < 1:  # NaN too
             raise PreconditionError(f"kernel point must lie in the open disk, got |p|={abs(p):.6g}")
-    val = (
-        1.0 / (1.0 - abs(p1) ** 2)
-        + 1.0 / (1.0 - abs(p2) ** 2)
-        - 2.0 * (1.0 / (1.0 - p1.conjugate() * p2)).real
-    )
-    return math.sqrt(max(val, 0.0))
+    # 1/(1-|p1|^2) + 1/(1-|p2|^2) - 2 Re 1/(1-conj(p1) p2) cancels for nearby points;
+    # |1 - conj(p1) p2|^2 = (1-|p1|^2)(1-|p2|^2) + |p1-p2|^2 turns it into a product
+    s1, s2 = abs(p1) ** 2, abs(p2) ** 2
+    return (abs(p1 - p2) * math.sqrt(1.0 - s1 * s2)
+            / (math.sqrt((1.0 - s1) * (1.0 - s2)) * abs(1.0 - p1.conjugate() * p2)))
 
 
 # ---------------------------------------------------------------------------

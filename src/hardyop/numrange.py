@@ -10,6 +10,7 @@ of the support functions, which is what ellipse_compare reports.
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from dataclasses import dataclass
 
@@ -38,9 +39,10 @@ def sample_w(A, count: int, seed: int) -> np.ndarray:
     if count < 1:
         raise ValueError("count must be >= 1")
     M = as_opmatrix(A).entries
-    n = M.shape[0]
-    rng = np.random.default_rng(seed)
-    V = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    # Box-Muller on 53-bit uniforms in (0, 1] from the stdlib: numpy.random stays unloaded
+    bits = np.frombuffer(random.Random(seed).randbytes(16 * count * M.shape[0]), dtype="<u8")
+    u = ((bits >> np.uint64(11)) + 1.0).reshape(2, count, -1) * 2.0 ** -53
+    V = np.sqrt(-2.0 * np.log(u[0])) * np.exp(2j * np.pi * u[1])
     V /= np.linalg.norm(V, axis=1)[:, None]
     return np.einsum("ij,ij->i", V.conj(), V @ M.T)
 

@@ -161,8 +161,9 @@ def _check_poles(den: CoeffVec) -> None:
     tail = float(np.sum(np.abs(den[1:])))
     if tail <= (1.0 - 1e-4) * abs(den[0]):
         return
-    roots = npp.polyroots(den)
-    moduli = np.abs(roots)
+    # top coefficients below eps^2 max|d_k| hold only far roots; polyroots would divide by them
+    keep = np.flatnonzero(np.abs(den) > np.finfo(float).eps ** 2 * np.abs(den).max())
+    moduli = np.abs(npp.polyroots(den[:keep[-1] + 1]))
     if moduli.size and float(moduli.min()) < 1.0 + POLE_MARGIN:
         raise UnitDiskPoleError(
             f"denominator has a root of modulus {float(moduli.min()):.12g} "

@@ -37,10 +37,10 @@ def test_exit_code_on_invalid_selfmap(capsys):
 
 
 @pytest.mark.parametrize("args", [
-    ["norm", "const(1)"], ["norm", "const(1)", "--weighted"], ["norm", "const(1)", "--restricted"],
+    ["norm", "const(1)"], ["distance", "const(1)", "0"], ["norm", "const(1)", "--restricted"],
     ["norm", "const(1i)"], ["distance", "const(1)", "z"], ["distance", "z", "const(-1)"],
     ["nrange", "const(1)"], ["psolve", "const(1)"],
-    ["norm", "(1+0.5*z)/(1+0.5*z)", "--weighted"], ["distance", "z", "(1+0.5*z)/(1+0.5*z)"],
+    ["distance", "(1+0.5*z)/(1+0.5*z)", "0"], ["distance", "z", "(1+0.5*z)/(1+0.5*z)"],
     ["norm", "const((1i-0.5i*z)/(1-0.5*z))"],
 ], ids=" ".join)
 def test_unimodular_constant_is_not_a_selfmap(capsys, args):
@@ -51,9 +51,8 @@ def test_unimodular_constant_is_not_a_selfmap(capsys, args):
 
 
 def test_disguised_constant_inside_the_disk_is_accepted(tmp_path):
-    # the constant 0.5: f -> 0.5 f(0.5) has norm 0.5 / sqrt(1 - 0.25)
-    code, doc = run_json(["norm", "(0.5+0.25*z)/(1+0.5*z)", "--weighted", "-N", "4,16,64"],
-                         tmp_path)
+    # the constant 0.5 against 0: ||k_0.5 - k_0|| = sqrt(1/(1 - 0.25) - 1)
+    code, doc = run_json(["distance", "(0.5+0.25*z)/(1+0.5*z)", "0", "-N", "5,17,65"], tmp_path)
     assert code == 0
     assert doc["values"][-1] == pytest.approx(1 / math.sqrt(3), abs=1e-12)
 
@@ -66,7 +65,8 @@ def test_disguised_constant_gets_the_constant_targets(tmp_path):
     _, doc = run_json(["norm", DISGUISED, "-N", "4,16"], tmp_path)
     assert doc["target"] == 1.1547005383792517
     _, doc = run_json(["distance", DISGUISED, "const(0.3)", "-N", "4,16"], tmp_path)
-    assert (doc["target"], doc["params"]["target_label"]) == (0.28159058180955504, "const_const")
+    # ||k_0.5 - k_0.3|| = 0.28159058180955556678 to 20 digits
+    assert (doc["target"], doc["params"]["target_label"]) == (0.2815905818095556, "const_const")
     code, doc = run_json(["nrange", DISGUISED, "-N", "16,32", "--grid", "64"], tmp_path)
     assert code == 0 and doc["target_ellipse"] is not None and all(doc["contained"])
 
@@ -282,11 +282,29 @@ def test_nrange_rejects_small_dimension(capsys, dims):
     assert "input error: compression dimension" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mode", ["--restricted", "--weighted"])
-def test_window_norms_reject_dimension_one(capsys, mode):
-    # the h20 and weighted windows are built at N + 1, which is >= 2 here
-    assert main(["norm", "z^2", mode, "-N", "1"]) == 2
+@pytest.mark.parametrize("args", [["norm", "z^2", "--restricted"], ["distance", "z^2", "0"]],
+                         ids=["--restricted", "distance"])
+def test_window_norms_reject_dimension_one(capsys, args):
+    # the h20 window is built at N + 1, which is >= 2 here; distance phi 0
+    # holds C_phi - C_0 at N, whose column 0 is zero
+    assert main(args + ["-N", "1"]) == 2
     assert "input error: compression dimension" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--weighted", "--opnorm"])
+def test_norm_takes_restricted_as_its_only_mode_flag(capsys, flag):
+    # ||C_phi - C_0|| is `distance phi 0`, and ||C_phi|| needs no flag
+    assert main(["norm", "z^2", flag, "-N", "4,16"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("a, b", [["(z^2+z^3)/2", "0"], ["0", "(z^2+z^3)/2"]])
+def test_distance_to_c0_reads_the_restricted_target(tmp_path, a, b):
+    # (C_phi - C_0) f = (f - f(0)) o phi: the distance is ||C_phi on zH^2||
+    code, doc = run_json(["distance", a, b, "-N", "17,65"], tmp_path)
+    assert code == 0 and doc["params"]["target_label"] == "restricted"
+    assert doc["target"] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+    assert max(abs(g) for g in doc["gaps"]) <= 1e-15
 
 
 @pytest.mark.parametrize("dims", ["64,32", "32,32", "64,32,32"])

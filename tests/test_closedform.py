@@ -328,6 +328,30 @@ def test_inner_symbol_against_c0(text, target, gaps):
     assert recognize_distance_target(parse_symbol("0.3+0.5*z"), constant(1e-13)) is None
 
 
+@pytest.mark.parametrize("text", ["0.5*z^2", "0.5i*z", "(z^2+z^3)/2", "0.8*(z*alpha(0.5))"])
+def test_symbol_fixing_zero_against_c0_reads_its_restricted_target(text):
+    # (C_phi - C_0) f = (f - f(0)) o phi: the distance is ||C_phi on zH^2||;
+    # the order (0, lambda u) reads the same value as a rotation
+    s = parse_symbol(text)
+    want = recognize_restricted_target(s)
+    hit = recognize_distance_target(s, constant(0))
+    assert (hit.value, hit.label) == (want, "restricted")
+    hit = recognize_distance_target(constant(0), s)
+    assert hit.value == want
+    assert hit.label == ("restricted" if text == "(z^2+z^3)/2" else "rotation")
+
+
+def test_restricted_distance_leaves_the_other_patterns():
+    for text in ("(z+z^2)/2", "z/2+0.25"):
+        s = parse_symbol(text)
+        assert recognize_distance_target(s, constant(0)) is None
+        assert recognize_distance_target(constant(0), s) is None
+    hit = recognize_distance_target(parse_symbol("z^2"), constant(0))
+    assert (hit.value, hit.label) == (1.0, "inner_const")
+    hit = recognize_distance_target(alpha(0.5), constant(0))
+    assert (hit.value, hit.label) == (math.sqrt(3), "inner_c0")
+
+
 def test_recognize_alpha_composed_pair():
     # alpha_p o phi against inner phi fixing 0
     phi = parse_symbol("z^2")
@@ -492,9 +516,10 @@ def _pair(family, u, x, y):
     return constant(x), constant(y)
 
 
-# moduli under about 1e-65 leave a tiny leading denominator coefficient that
-# the pole check cannot take (tests/test_symbolic.py, strict xfail)
-_points = st.builds(cmath.rect, st.one_of(st.just(0.0), st.floats(1e-9, 0.7)),
+# moduli under about 1e-65 leave a tiny leading denominator coefficient in
+# alpha compositions, and nearby tiny points put two constants close together
+_points = st.builds(cmath.rect,
+                    st.one_of(st.just(0.0), st.floats(1e-300, 1e-9), st.floats(1e-9, 0.7)),
                     st.floats(0.0, 2 * math.pi))
 _unimodular = st.builds(cmath.rect, st.just(1.0), st.floats(0.0, 2 * math.pi))
 

@@ -8,19 +8,19 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _scipy_modules(code: str) -> list[str]:
+def _loaded(code: str, package: str = "scipy") -> list[str]:
     out = subprocess.run(
         [sys.executable, "-c", code + "\nimport sys; print(sorted(sys.modules))"],
         capture_output=True, text=True, check=True, cwd=SRC,
     ).stdout
-    return [m for m in ast.literal_eval(out.splitlines()[-1]) if m.startswith("scipy")]
+    return [m for m in ast.literal_eval(out.splitlines()[-1]) if m.startswith(package)]
 
 
 @pytest.mark.parametrize("module", ["hardyop", "hardyop.cli"])
 def test_import_loads_no_scipy(module):
     # the runtime needs numpy only: scipy.fft alone adds about 0.3 s and 26 MB
     # to every process, and scipy.linalg brings a second BLAS thread pool
-    assert _scipy_modules(f"import {module}") == []
+    assert _loaded(f"import {module}") == []
 
 
 def test_fft_compressions_load_no_scipy():
@@ -32,7 +32,17 @@ def test_fft_compressions_load_no_scipy():
         "    for basis in ('full', 'h20'):\n"
         "        comp_matrix(s, 512, basis)\n"
     )
-    assert _scipy_modules(code) == []
+    assert _loaded(code) == []
+
+
+def test_sample_w_loads_no_numpy_random():
+    # sample_w draws from the standard library's generator, which import
+    # hardyop has already loaded; numpy.random would add about 5 MB
+    code = (
+        "from hardyop import alpha, comp_matrix, sample_w\n"
+        "sample_w(comp_matrix(alpha(0.5), 16), 10, 0)\n"
+    )
+    assert _loaded(code, "numpy.random") == []
 
 
 def test_runtime_reads_no_environment():

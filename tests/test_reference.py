@@ -6,7 +6,7 @@ import struct
 
 import pytest
 
-from hardyop import compop, p_norm, parse_symbol, taylor
+from hardyop import compop, const_distance, p_norm, parse_symbol, taylor
 from hardyop.cli import json_dumps
 
 mpmath = pytest.importorskip("mpmath")
@@ -91,6 +91,32 @@ def test_restricted_norm_to_forty_digits(N):
     assert mp.nstr(ref, 20) == RESTRICTED_HALF[N]
     got = compop.restricted_norm(parse_symbol("(z+z^2)/2"), N)
     assert abs(got - ref) <= 1e-15
+
+
+def kernel_gap(a, b):
+    """||k_a - k_b|| from the kernel Gram entries <k_y, k_x> = 1/(1 - conj(x) y)."""
+    a, b = mp.mpmathify(a), mp.mpmathify(b)
+    aa, bb, ab = (1 / (1 - mp.conj(x) * y) for x, y in ((a, a), (b, b), (a, b)))
+    return mp.sqrt(mp.re(aa + bb - 2 * ab))
+
+
+# nearby constants, where 1/(1-|a|^2) + 1/(1-|b|^2) - 2 Re 1/(1 - conj(a) b)
+# cancels: that form read 0, 2.1073e-8, 0, 0 and 0 for the first five pairs;
+# the product form reads them within 3.6 eps
+NEARBY = [
+    (0.9, 0.9 + 1e-9),
+    (0.3, 0.30000001),
+    (6.980282610082109e-10, -2.9048225263906997e-10 + 6.347153015863714e-10j),
+    (0.6j, 1e-12 + 0.6j),
+    (-0.7 + 0.1j, -0.7 + 0.100000000000003j),
+    (0.5, 0.3),
+]
+
+
+@pytest.mark.parametrize("a, b", NEARBY)
+def test_constant_distance_to_forty_digits(a, b):
+    ref = kernel_gap(a, b)
+    assert abs(const_distance(a, b) - ref) <= 8 * 2.0**-52 * ref
 
 
 def series(text: str, N: int):
