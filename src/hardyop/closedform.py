@@ -43,8 +43,7 @@ def _automorphism(p: complex) -> Symbol | None:
 def norm_bounds(phi0: complex) -> tuple[float, float]:
     """Lower and upper bound for the composition-operator norm in terms of
     the symbol's value at the origin; both reduce to 1 when phi0 = 0."""
-    phi0 = _require_disk(phi0, "phi0")
-    a = abs(phi0)
+    a = abs(_require_disk(phi0, "phi0"))
     return 1.0 / math.sqrt(1.0 - a * a), math.sqrt((1.0 + a) / (1.0 - a))
 
 
@@ -59,16 +58,19 @@ def const_distance(p1: complex, p2: complex) -> float:
     return kernel_distance(p1, p2)
 
 
-def inner_const_distance(p: complex) -> float:
-    """||C_phi - C_p|| for inner phi fixing the origin and constant p."""
-    p = _require_disk(p)
-    return 1.0 / math.sqrt(1.0 - abs(p) ** 2)
+def inner_const_distance(p: complex, phi0: complex = 0.0) -> float:
+    """||C_phi - C_p|| for inner phi, phi(0) = phi0, and constant p.  With
+    P = |p|^2 and b = |phi0|: sqrt((1 - b^2) P / ((1 - P)(P - b^2))), attained,
+    for b < P, and ||C_phi|| (not attained) from b = P on, so p = 0 gives ||C_phi||."""
+    P, b = abs(_require_disk(p)) ** 2, abs(_require_disk(phi0, "phi0"))
+    if b < P:
+        return math.sqrt((1.0 - b * b) * P / (P - b * b)) / math.sqrt(1.0 - P)
+    return inner_symbol_norm(phi0)
 
 
 def inner_alpha_distance(p: complex) -> float:
     """||C_(alpha_p o phi) +/- C_phi|| for inner phi fixing the origin."""
-    p = _require_disk(p)
-    return 2.0 / math.sqrt(1.0 - abs(p) ** 2)
+    return 2.0 / math.sqrt(1.0 - abs(_require_disk(p)) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +113,6 @@ def rotation_distance_bruteforce(lam: complex, mu: complex, depth: int = 1_000_0
     return best
 
 
-def _odd_root_value(k: int) -> float:
-    # Chord from 1 to the vertex of the regular k-gon nearest -1.
-    return abs(1.0 - cmath.exp(1j * math.pi * (k - 1) / k))
-
-
 def rotation_distance(lam: complex, mu: complex) -> RotationDistance:
     """sup_n |lambda^n - mu^n| for scalars in the closed disk.
 
@@ -147,7 +144,8 @@ def rotation_distance(lam: complex, mu: complex) -> RotationDistance:
             return RotationDistance(0.0, "equal", 1)
         if k % 2 == 0:
             return RotationDistance(2.0, "even_root", k)
-        return RotationDistance(_odd_root_value(k), "odd_root", k)
+        # chord from 1 to the vertex of the regular k-gon nearest -1
+        return RotationDistance(abs(1.0 - cmath.exp(1j * math.pi * (k - 1) / k)), "odd_root", k)
     return RotationDistance(2.0, "not_root", None)
 
 
@@ -248,8 +246,8 @@ def recognize_distance_target(a: Symbol, b: Symbol) -> DistanceTarget | None:
     """Closed-form value of ||C_a - C_b|| when the pair matches a formula.
 
     Patterns, in order: identical symbols; two constants; common inner factor
-    fixing 0 with scalar multipliers (rotation sup); b inner with
-    a = alpha_p o b (and the symmetric case); inner symbol against a constant;
+    fixing 0 with scalar multipliers (rotation sup); an inner symbol against any
+    constant (any phi(0)) or against alpha_p composed with it, in either order;
     a symbol fixing 0 against the constant 0.
     """
     require_selfmap(a)
@@ -266,24 +264,18 @@ def recognize_distance_target(a: Symbol, b: Symbol) -> DistanceTarget | None:
             lam = c * mu
             if abs(lam) <= 1 + UNIMODULAR_TOL:
                 return DistanceTarget(rotation_distance(lam, mu).value, "rotation")
-    # alpha_p o phi against phi, phi inner
+    # phi inner, against any constant or against alpha_p o phi
     for outer, inner_sym in ((a, b), (b, a)):
         if not is_inner(inner_sym).is_inner:
             continue
+        if outer.is_constant:
+            phi0 = inner_sym.value_at_zero()
+            return DistanceTarget(inner_const_distance(outer.value_at_zero(), phi0), "inner_const")
         ref = outer if fixes_origin(inner_sym) else inner_sym
         p = ref.value_at_zero()
         auto = None if fixes_origin(ref) else _automorphism(p)
         if auto is not None and taylor_close(compose(auto, inner_sym), outer):
             return DistanceTarget(inner_alpha_distance(p), "automorphism_pair")
-    # inner symbol vs constant
-    for f, g in ((a, b), (b, a)):
-        if g.is_constant and is_inner(f).is_inner:
-            p = g.value_at_zero()
-            if fixes_origin(f):
-                return DistanceTarget(inner_const_distance(p), "inner_const")
-            if fixes_origin(g):
-                # ||C_phi - C_0|| for inner phi has the closed form of ||C_phi||
-                return DistanceTarget(inner_symbol_norm(f.value_at_zero()), "inner_c0")
     # phi fixing 0 vs the constant 0: (C_phi - C_0) f = (f - f(0)) o phi, so the
     # distance is the norm of C_phi restricted to zH^2
     for f, g in ((a, b), (b, a)):
@@ -319,9 +311,7 @@ def recognize_restricted_target(s: Symbol) -> float | None:
     ok, mag = inner_multiple(s)
     if ok:
         return mag
-    if _power_orthogonal_certificate(s):
-        return h2_norm(s.num)
-    return None
+    return h2_norm(s.num) if _power_orthogonal_certificate(s) else None
 
 
 def recognize_opnorm_target(s: Symbol) -> float | None:

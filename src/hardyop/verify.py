@@ -91,6 +91,17 @@ def _check(suite: str):
     return register
 
 
+def _schedule(c: _Checker, a, b, dims, target: float, label: str):
+    """Run the distance schedule of (a, b) and record that it recognizes
+    `target` under `label` and that every value is at most target + 1e-9."""
+    rep = compop.norm_schedule("distance", {"a": a, "b": b}, dims)
+    c.ok("closed-form target recognized", rep.target_label == label
+         and abs(rep.target - target) <= 1e-15)
+    for v in rep.values:
+        c.le("value <= target + 1e-9", v, target + 1e-9)
+    return rep
+
+
 @_check("formulas")
 def check_const_distance(c: _Checker) -> None:
     """Compression of ||C_0 - C_0.5|| against the kernel-distance closed form."""
@@ -113,44 +124,43 @@ def check_rotation_distance(c: _Checker) -> None:
     c.close("rotation_distance(e^{2 pi i/3}, 1)", rot.value, math.sqrt(3.0), 1e-12)
     c.ok("odd-order case recognized (k=3)", rot.case == "odd_root" and rot.order == 3)
     brute = closedform.rotation_distance_bruteforce(lam, 1.0, depth=1_000_000)
-    # the brute-force oracle carries O(depth * eps) phase drift, so 1e-9
+    # the scan stops by agreement at n = 3, after one period: 1e-9 is loose
     c.close("matches brute force to depth 1e6", rot.value, brute, 1e-9)
 
 
 @_check("formulas")
 def check_inner_const_convergence(c: _Checker) -> None:
     """||C_{z^2} - C_0.5|| compressions converge fast to the closed form."""
-    rep = compop.norm_schedule(
-        "distance", {"a": parse_symbol("z^2"), "b": symbolic.constant(0.5)},
-        [16, 32, 64, 128],
-    )
     target = closedform.inner_const_distance(0.5)
-    c.ok("closed-form target recognized", rep.target is not None
-         and abs(rep.target - target) <= 1e-15)
+    rep = _schedule(c, parse_symbol("z^2"), symbolic.constant(0.5), [16, 32, 64, 128],
+                   target, "inner_const")
     c.close("value at N=128", rep.values[-1], target, 1e-6)
     for a, b in zip(rep.values, rep.values[1:]):
         c.le("values nondecreasing", a, b + compop.MONOTONE_TOL)
-    for v in rep.values:
-        c.le("value <= target + 1e-9", v, target + 1e-9)
+
+
+@_check("formulas")
+def check_inner_const_general(c: _Checker) -> None:
+    """alpha_b against a constant p: attained for |b| < |p|^2 (alpha_0.2 against
+    0.6, exact by N=64), else ||C_alpha_b||, closing slowly (alpha_0.5 against 0.3)."""
+    rep = _schedule(c, symbolic.alpha(0.2), symbolic.constant(0.6), [16, 64],
+                   3 * math.sqrt(3) / 4, "inner_const")
+    c.le("gap at N=64", rep.gaps[-1], 1e-12)
+    rep = _schedule(c, symbolic.alpha(0.5), symbolic.constant(0.3), [64, 256],
+                   math.sqrt(3), "inner_const")
+    c.le("values nondecreasing", rep.values[0], rep.values[1] + compop.MONOTONE_TOL)
+    c.gt("gaps strictly decreasing", rep.gaps[0], rep.gaps[1])
 
 
 @_check("formulas")
 def check_automorphism_distance(c: _Checker) -> None:
     """||C_{alpha_0.5} - I|| compressions: monotone, bounded, slowly closing."""
-    rep = compop.norm_schedule(
-        "distance", {"a": symbolic.alpha(0.5), "b": symbolic.identity()},
-        [128, 256, 512, 1024, 2048],
-    )
-    target = closedform.inner_alpha_distance(0.5)
-    c.ok("closed-form target recognized", rep.target is not None
-         and abs(rep.target - target) <= 1e-15)
-    for v in rep.values:
-        c.le("value <= target + 1e-9", v, target + 1e-9)
+    rep = _schedule(c, symbolic.alpha(0.5), symbolic.identity(), [128, 256, 512, 1024, 2048],
+                   closedform.inner_alpha_distance(0.5), "automorphism_pair")
     for a, b in zip(rep.values, rep.values[1:]):
         c.le("monotone nondecreasing", a, b + 1e-12)
-    gaps = rep.gaps
-    c.le("gap at N=2048", gaps[-1], 0.05)
-    for g1, g2 in zip(gaps, gaps[1:]):
+    c.le("gap at N=2048", rep.gaps[-1], 0.05)
+    for g1, g2 in zip(rep.gaps, rep.gaps[1:]):
         c.gt("gaps strictly decreasing", g1, g2)
 
 

@@ -107,3 +107,12 @@ def test_criterion_11_quadrature_norms():
 
 def test_criterion_12_iterate_contraction():
     assert _run(verify.check_iterate_contraction).passed
+
+
+def test_criterion_13_inner_const_general():
+    result = _run(verify.check_inner_const_general)
+    assert result.passed
+    # one recognized target per schedule: 3 sqrt(3)/4 attained, then sqrt(3)
+    bounds = [a["target"] - 1e-9 for a in result.assertions
+              if a["label"] == "value <= target + 1e-9"]
+    assert bounds == pytest.approx([1.299038105676658] * 2 + [3 ** 0.5] * 2, abs=1e-15)

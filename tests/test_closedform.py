@@ -65,6 +65,31 @@ def test_inner_const_distance_examples():
     assert inner_const_distance(0.8) == pytest.approx(1 / 0.6, abs=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(disk_points)
+@example(0.0)
+@example(-0.6)
+@example(0.3 + 0.4j)
+@example(1e-160)
+def test_inner_const_distance_limits_are_bitwise(x):
+    # phi(0) = 0 gives sqrt(P/P) = 1.0 times 1/sqrt(1 - P); p = 0 is the
+    # ||C_phi|| branch
+    assert inner_const_distance(x) == 1.0 / math.sqrt(1.0 - abs(x) ** 2)
+    assert inner_const_distance(0, x) == inner_symbol_norm(x)
+    assert inner_const_distance(0.0j, x) == inner_symbol_norm(x)
+
+
+def test_inner_const_branches_meet_at_b_equal_p_squared():
+    # against p = 0.6 the attained branch ends at |phi(0)| = |p|^2 = 0.36
+    vals = [inner_const_distance(0.6, 0.36 + d) for d in (-1e-12, 0.0, 1e-12)]
+    assert vals == [1.45773797370965, 1.457737973711325, 1.4577379737129998]
+    assert vals[1] == inner_symbol_norm(0.36)
+    # below it the attained value is at least the essential norm ||C_phi||
+    for b in np.linspace(0.0, 0.36, 50, endpoint=False):
+        for phase in (1, -1, 1j):
+            assert inner_const_distance(0.6 * phase, b * phase) >= inner_symbol_norm(b) - 1e-15
+
+
 def test_inner_alpha_distance_examples():
     assert inner_alpha_distance(0.0) == 2.0
     assert inner_alpha_distance(0.6) == pytest.approx(2.5, abs=1e-12)
@@ -200,8 +225,11 @@ NAN = float("nan")
     lambda: inner_const_distance(NAN),
     lambda: kernel_distance(NAN, 0),
     lambda: p_norm(alpha(0.5), NAN),
+    lambda: inner_const_distance(0.5, NAN),
+    lambda: inner_const_distance(0.5, 1.0),
 ], ids=["rotation-lam", "rotation-mu", "norm_bounds", "const_ellipse", "alpha_ellipse",
-        "inner_const_distance", "kernel_distance", "p_norm"])
+        "inner_const_distance", "kernel_distance", "p_norm", "inner_const_distance-phi0",
+        "inner_const_distance-phi0-on-circle"])
 def test_nan_scalars_are_rejected(call):
     # every comparison with NaN is false, so each precondition is written to pass
     # only in-range values; a NaN never reaches a formula
@@ -316,10 +344,10 @@ def test_inner_symbol_against_c0(text, target, gaps):
     s = parse_symbol(text)
     for a, b in ((s, constant(0)), (constant(0), s)):
         hit = recognize_distance_target(a, b)
-        assert hit.label == "inner_c0"
+        assert hit.label == "inner_const"
         assert hit.value == pytest.approx(target, abs=1e-15)
     rep = norm_schedule("distance", {"a": s, "b": constant(0)}, [64, 256])
-    assert rep.target_label == "inner_c0"
+    assert rep.target_label == "inner_const"
     assert all(v <= target + 1e-9 for v in rep.values)
     assert rep.gaps[0] > rep.gaps[1] > 0
     assert rep.gaps == pytest.approx(gaps, rel=0.05)
@@ -349,7 +377,31 @@ def test_restricted_distance_leaves_the_other_patterns():
     hit = recognize_distance_target(parse_symbol("z^2"), constant(0))
     assert (hit.value, hit.label) == (1.0, "inner_const")
     hit = recognize_distance_target(alpha(0.5), constant(0))
-    assert (hit.value, hit.label) == (math.sqrt(3), "inner_c0")
+    assert (hit.value, hit.label) == (math.sqrt(3), "inner_const")
+
+
+# (inner phi, constant p, ||C_phi - C_p||): attained for |phi(0)| < |p|^2, and
+# ||C_phi|| = sqrt((1 + |phi(0)|)/(1 - |phi(0)|)) from there on
+INNER_CONST = [
+    ("alpha(0.2)", "0.6", 3 * math.sqrt(3) / 4),
+    ("alpha(0.2)", "-0.6", 3 * math.sqrt(3) / 4),
+    ("alpha(0.2)", "0.6i", 3 * math.sqrt(3) / 4),
+    ("alpha(0.5)", "0.3", math.sqrt(3)),
+    ("alpha(0.5)", "0.8", 1.8490006540840973),
+    ("z^2@alpha(0.3)", "0.7", 1.4062690995013412),
+    ("blaschke(0.5, 0.3i)", "0.9", 2.300375909130565),
+    ("alpha(0.37)", "0.6", 1.4746535778287642),  # |phi(0)| just above |p|^2
+]
+
+
+@pytest.mark.parametrize("text, p, target", INNER_CONST)
+def test_inner_symbol_against_any_constant(text, p, target):
+    s, c = parse_symbol(text), parse_symbol(p)
+    for a, b in ((s, c), (c, s)):
+        hit = recognize_distance_target(a, b)
+        assert hit.label == "inner_const"
+        assert abs(hit.value - target) <= 1e-15
+    assert distance(s, c, 64) <= target + 1e-9
 
 
 def test_recognize_alpha_composed_pair():
@@ -551,6 +603,8 @@ def _cases(draw):
 @example(("scalar", ("zk", 1, 0.0), 1.0, 0.3 + 0.027j, None, ("z_alpha", 1, -0.528 - 0.324j), False))
 @example(("scalar", ("zk", 3, 0.0), 1j, 1j * cmath.exp(0.8j * math.pi), 5, ("zk", 2, 0.0), False))
 @example(("scalar", ("zk", 2, 0.0), -1.0, cmath.exp(1j * math.pi / 3), 3, ("z_alpha", 1, 0.4j), True))
+@example(("const", ("alpha", 1, 0.2), 0.6, 0.0, None, ("zk", 2, 0.0), False))
+@example(("const", ("alpha_z2", 1, 0.5), 0.3, 0.0, None, ("z_alpha", 1, 0.4j), True))
 def test_recognized_targets_bound_the_compressions(case):
     family, shape, x, y, order, right, swap = case
     a, b = _pair(family, _shape(shape), x, y)

@@ -2,11 +2,12 @@
 coefficients, against which the double-precision results state their error."""
 
 import json
+import math
 import struct
 
 import pytest
 
-from hardyop import compop, const_distance, p_norm, parse_symbol, taylor
+from hardyop import compop, const_distance, inner_const_distance, p_norm, parse_symbol, taylor
 from hardyop.cli import json_dumps
 
 mpmath = pytest.importorskip("mpmath")
@@ -19,16 +20,21 @@ def forty_digits():
         yield
 
 
-def alpha_distance(p, N: int, lam=1):
-    """||P_N (C_alpha(p) - C_{lam z}) P_N||: column k of C_alpha holds the
-    first N Taylor coefficients of alpha^k, alpha = (p - z)/(1 - conj(p) z),
-    and column k of C_{lam z} is lam^k e_k."""
+def alpha_distance(p, N: int, lam=1, const=None):
+    """||P_N (C_alpha(p) - C_psi) P_N||: column k of C_alpha holds the
+    first N Taylor coefficients of alpha^k, alpha = (p - z)/(1 - conj(p) z).
+    psi is lam z, whose column k is lam^k e_k, or the constant `const`, whose
+    column k is const^k e_0."""
     p, lam = mp.mpmathify(p), mp.mpmathify(lam)  # the doubles the DSL reads
     a = [p] + [(p * mp.conj(p) - 1) * mp.conj(p) ** (n - 1) for n in range(1, N)]
     M, power = mp.matrix(N, N), [mp.mpf(1)] + [mp.mpf(0)] * (N - 1)
     for k in range(N):
         for n in range(N):
-            M[n, k] = power[n] - (lam ** k if n == k else 0)
+            M[n, k] = power[n]
+        if const is None:
+            M[k, k] -= lam ** k
+        else:
+            M[0, k] -= mp.mpmathify(const) ** k
         power = [mp.fsum(power[i] * a[n - i] for i in range(n + 1)) for n in range(N)]
     return mp.sqrt(max(mp.eighe(M.H * M, eigvals_only=True)))
 
@@ -68,6 +74,18 @@ def test_phased_distance_to_forty_digits(N):
     assert mp.nstr(ref, 20) == PHASED[N]
     got = compop.distance(parse_symbol("alpha((0.3+0.4i))"), parse_symbol("0.5i*z"), N)
     assert abs(got - ref) <= 8 * 2.0**-52 * ref
+
+
+def test_inner_symbol_against_a_constant_to_forty_digits():
+    # ROADMAP item 21's attained branch, alpha_0.2 against 0.6, at the exact
+    # decimals.  The extremal f carries the factor alpha_0.6, so the sections
+    # close like 0.36^N, not (0.2/0.36)^(2N): N = 40, 48, 52 and 56 read
+    # 4.4e-17, 1.3e-20, 2.2e-22 and 3.7e-24 below 3 sqrt(3)/4.  At N=52
+    # inner_const_distance(0.6, 0.2) reads the section within 0.17 ulp.
+    ref = alpha_distance("0.2", 52, const="0.6")
+    assert abs(ref - 3 * mp.sqrt(3) / 4) <= mp.mpf(10) ** -20
+    target = inner_const_distance(0.6, 0.2)
+    assert abs(target - ref) <= math.ulp(target)
 
 
 def restricted_half(N: int):
