@@ -19,7 +19,6 @@ from .closedform import (
     EllipseDisk,
     RotationDistance,
     alpha_ellipse,
-    const_distance,
     const_ellipse,
     inner_alpha_distance,
     inner_const_distance,

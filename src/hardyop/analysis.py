@@ -14,12 +14,13 @@ import numpy as np
 
 from .compop import comp_matrix, const_matrix, norm_schedule, op_norm
 from .errors import BracketError, ConvergenceError, InconsistencyError, PreconditionError
-from .hardy import h2_inner, h2_norm, inner_multiple, is_inner, p_norm, powers, pullback_h2
+from .hardy import h2_inner, h2_norm, inner_multiple, is_inner, p_norm, pullback_h2
 from .symbolic import (
     MAX_DEGREE,
     Symbol,
     compose,
     fixed_point,
+    powers,
     require_origin_fixed,
     require_selfmap,
     taylor,

@@ -113,8 +113,6 @@ def _dims(text: str) -> list[int]:
         dims = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad dimension list {text!r}") from exc
-    if not dims:
-        raise argparse.ArgumentTypeError("empty dimension list")
     return dims
 
 

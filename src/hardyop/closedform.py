@@ -16,20 +16,13 @@ from itertools import islice
 import numpy as np
 
 from .errors import PreconditionError, UnitDiskPoleError
-from .hardy import h2_inner, h2_norm, inner_multiple, is_inner, kernel_distance, powers
-from .symbolic import (Symbol, alpha, compose, cross_products, fixes_origin, ratio, require_selfmap,
-                       taylor_close)
+from .hardy import h2_inner, h2_norm, inner_multiple, is_inner, kernel_distance, require_disk
+from .symbolic import (Symbol, alpha, compose, cross_products, fixes_origin, powers, ratio,
+                       require_selfmap, taylor_close)
 
 UNIMODULAR_TOL = 1e-12     # |lambda| within this of 1 counts as unimodular
 ANGLE_TOL = 1e-12          # rational-angle recognition tolerance
 DENOM_CAP = 1_000_000      # continued-fraction denominator cap
-
-
-def _require_disk(p: complex, name: str = "p") -> complex:
-    p = complex(p)
-    if not abs(p) < 1:  # NaN too
-        raise PreconditionError(f"{name} must lie in the open unit disk, got |{name}|={abs(p):.6g}")
-    return p
 
 
 def _automorphism(p: complex) -> Symbol | None:
@@ -43,7 +36,7 @@ def _automorphism(p: complex) -> Symbol | None:
 def norm_bounds(phi0: complex) -> tuple[float, float]:
     """Lower and upper bound for the composition-operator norm in terms of
     the symbol's value at the origin; both reduce to 1 when phi0 = 0."""
-    a = abs(_require_disk(phi0, "phi0"))
+    a = abs(require_disk(phi0, "phi0"))
     return 1.0 / math.sqrt(1.0 - a * a), math.sqrt((1.0 + a) / (1.0 - a))
 
 
@@ -53,16 +46,11 @@ def inner_symbol_norm(phi0: complex) -> float:
     return norm_bounds(phi0)[1]
 
 
-def const_distance(p1: complex, p2: complex) -> float:
-    """||C_p1 - C_p2|| for constant symbols (= distance of reproducing kernels)."""
-    return kernel_distance(p1, p2)
-
-
 def inner_const_distance(p: complex, phi0: complex = 0.0) -> float:
     """||C_phi - C_p|| for inner phi, phi(0) = phi0, and constant p.  With
     P = |p|^2 and b = |phi0|: sqrt((1 - b^2) P / ((1 - P)(P - b^2))), attained,
     for b < P, and ||C_phi|| (not attained) from b = P on, so p = 0 gives ||C_phi||."""
-    P, b = abs(_require_disk(p)) ** 2, abs(_require_disk(phi0, "phi0"))
+    P, b = abs(require_disk(p)) ** 2, abs(require_disk(phi0, "phi0"))
     if b < P:
         return math.sqrt((1.0 - b * b) * P / (P - b * b)) / math.sqrt(1.0 - P)
     return inner_symbol_norm(phi0)
@@ -70,7 +58,7 @@ def inner_const_distance(p: complex, phi0: complex = 0.0) -> float:
 
 def inner_alpha_distance(p: complex) -> float:
     """||C_(alpha_p o phi) +/- C_phi|| for inner phi fixing the origin."""
-    return 2.0 / math.sqrt(1.0 - abs(_require_disk(p)) ** 2)
+    return 2.0 / math.sqrt(1.0 - abs(require_disk(p)) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +202,7 @@ class EllipseDisk:
 def const_ellipse(p: complex) -> EllipseDisk:
     """Numerical range of the point-evaluation operator C_p: a closed
     elliptical disk with foci 0 and 1, degenerate exactly when p = 0."""
-    p = _require_disk(p)
+    p = require_disk(p)
     major = 1.0 / math.sqrt(1.0 - abs(p) ** 2)
     minor = math.sqrt(max(major**2 - 1.0, 0.0))
     return EllipseDisk(0.0 + 0.0j, 1.0 + 0.0j, major, minor,
@@ -224,7 +212,7 @@ def const_ellipse(p: complex) -> EllipseDisk:
 def alpha_ellipse(p: complex) -> EllipseDisk:
     """Numerical range of the automorphic involution C_(alpha_p): foci +-1,
     open for p != 0, the segment [-1, 1] for p = 0."""
-    p = _require_disk(p)
+    p = require_disk(p)
     major = 2.0 / math.sqrt(1.0 - abs(p) ** 2)
     minor = 2.0 * abs(p) / math.sqrt(1.0 - abs(p) ** 2)
     degenerate = minor == 0.0
@@ -255,7 +243,7 @@ def recognize_distance_target(a: Symbol, b: Symbol) -> DistanceTarget | None:
     if taylor_close(a, b):
         return DistanceTarget(0.0, "identical")
     if a.is_constant and b.is_constant:
-        return DistanceTarget(const_distance(a.value_at_zero(), b.value_at_zero()), "const_const")
+        return DistanceTarget(kernel_distance(a.value_at_zero(), b.value_at_zero()), "const_const")
     # scalar multiples of one inner function fixing the origin
     c = ratio(*cross_products(a, b))
     if c is not None and not b.is_constant and fixes_origin(b):  # ratio is loose for b near 0

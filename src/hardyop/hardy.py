@@ -1,6 +1,6 @@
 """Hardy-space metrics on disk symbols: coefficient norms and inner products,
 boundary p-norms by circle quadrature, the exact inner-function test, and the
-closed-form distance between reproducing kernels.
+closed-form distance between reproducing kernels with its open-disk check.
 
 All boundary integrals use the normalized measure dm = dtheta / 2pi, so the
 uniform trapezoid rule on a periodic grid reduces to the grid mean.  Every
@@ -25,8 +25,6 @@ from .symbolic import (
     circle_values,
     modulus_products,
     poly_eval,
-    poly_product,
-    powers,
     ratio,
     validate_selfmap,
 )
@@ -62,12 +60,17 @@ def h2_inner(f: CoeffVec, g: CoeffVec) -> complex:
     return complex(np.dot(f[:n], g[:n].conj()))
 
 
+def require_disk(p: complex, name: str = "p") -> complex:
+    """p as a complex number; PreconditionError unless it lies in the open unit disk."""
+    p = complex(p)
+    if not abs(p) < 1:  # NaN too
+        raise PreconditionError(f"{name} must lie in the open unit disk, got |{name}|={abs(p):.6g}")
+    return p
+
+
 def kernel_distance(p1: complex, p2: complex) -> float:
     """Distance between the reproducing kernels at p1 and p2 (closed form)."""
-    p1, p2 = complex(p1), complex(p2)
-    for p in (p1, p2):
-        if not abs(p) < 1:  # NaN too
-            raise PreconditionError(f"kernel point must lie in the open disk, got |p|={abs(p):.6g}")
+    p1, p2 = require_disk(p1, "p1"), require_disk(p2, "p2")
     # 1/(1-|p1|^2) + 1/(1-|p2|^2) - 2 Re 1/(1-conj(p1) p2) cancels for nearby points;
     # |1 - conj(p1) p2|^2 = (1-|p1|^2)(1-|p2|^2) + |p1-p2|^2 turns it into a product
     s1, s2 = abs(p1) ** 2, abs(p2) ** 2

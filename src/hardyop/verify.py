@@ -93,12 +93,12 @@ def _check(suite: str):
 
 def _schedule(c: _Checker, a, b, dims, target: float, label: str):
     """Run the distance schedule of (a, b) and record that it recognizes
-    `target` under `label` and that every value is at most target + 1e-9."""
+    `target` under `label` and that every value is at most target + compop.TARGET_TOL."""
     rep = compop.norm_schedule("distance", {"a": a, "b": b}, dims)
     c.ok("closed-form target recognized", rep.target_label == label
          and abs(rep.target - target) <= 1e-15)
     for v in rep.values:
-        c.le("value <= target + 1e-9", v, target + 1e-9)
+        c.le("value <= target + 1e-9", v, target + compop.TARGET_TOL)
     return rep
 
 
@@ -109,7 +109,8 @@ def check_const_distance(c: _Checker) -> None:
     d = compop.distance(symbolic.constant(0.0), symbolic.constant(0.5), 64)
     c.close("distance(const 0, const 0.5, N=64)", d, target, 1e-9)
     c.close("kernel_distance(0, 0.5)", hardy.kernel_distance(0.0, 0.5), target, 1e-12)
-    c.close("const_distance formula", closedform.const_distance(0.0, 0.5), target, 1e-12)
+    t = closedform.recognize_distance_target(symbolic.constant(0.0), symbolic.constant(0.5))
+    c.close("const_const target", t.value if t.label == "const_const" else math.inf, target, 1e-12)
 
 
 @_check("formulas")

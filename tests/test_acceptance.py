@@ -42,7 +42,11 @@ def test_every_check_registered_once_in_definition_order():
 
 
 def test_criterion_01_const_distance():
-    assert _run(verify.check_const_distance).passed
+    result = _run(verify.check_const_distance)
+    assert result.passed
+    # the path a distance schedule of two constants takes, with its label
+    assert [a["value"] for a in result.assertions
+            if a["label"] == "const_const target"] == [0.5773502691896258]
 
 
 def test_criterion_02_rotation_distance():

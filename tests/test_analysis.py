@@ -26,8 +26,8 @@ from hardyop import (
     taylor,
     verify,
 )
-from hardyop.hardy import h2_inner, powers
-from hardyop.symbolic import MAX_DEGREE
+from hardyop.hardy import h2_inner
+from hardyop.symbolic import MAX_DEGREE, powers
 
 PHI23 = parse_symbol("(z^2+z^3)/2")
 PHI12 = parse_symbol("(z+z^2)/2")

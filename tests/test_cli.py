@@ -307,10 +307,17 @@ def test_distance_to_c0_reads_the_restricted_target(tmp_path, a, b):
     assert max(abs(g) for g in doc["gaps"]) <= 1e-15
 
 
-@pytest.mark.parametrize("dims", ["64,32", "32,32", "64,32,32"])
-def test_nrange_rejects_unordered_schedule(capsys, dims):
-    # one schedule rule for norm, distance and nrange
-    assert main(["nrange", "alpha(0.5)", "-N", dims, "--grid", "16"]) == 2
+@pytest.mark.parametrize("args", [
+    ["nrange", "alpha(0.5)", "--grid", "16", "-N", "64,32"],
+    ["nrange", "alpha(0.5)", "--grid", "16", "-N", "32,32"],
+    ["nrange", "alpha(0.5)", "--grid", "16", "-N", "64,32,32"],
+    ["norm", "z^2", "-N", ""],
+    ["distance", "z^2", "0.5", "-N", ""],
+    ["nrange", "alpha(0.5)", "--grid", "16", "-N", ""],
+], ids=["64,32", "32,32", "64,32,32", "norm-empty", "distance-empty", "nrange-empty"])
+def test_nrange_rejects_unordered_schedule(capsys, args):
+    # one schedule rule for norm, distance and nrange: compop.require_schedule
+    assert main(args) == 2
     assert "dimension schedule must be nonempty and strictly increasing" in capsys.readouterr().err
 
 

@@ -22,8 +22,8 @@ from hardyop import (
     validate_selfmap,
 )
 from hardyop import hardy
-from hardyop.hardy import powers, pullback_h2
-from hardyop.symbolic import identity, poly_product, sym_mul
+from hardyop.hardy import pullback_h2
+from hardyop.symbolic import identity, poly_product, powers, sym_mul
 
 PHI23 = parse_symbol("(z^2+z^3)/2")
 

@@ -144,3 +144,23 @@ def test_numeric_modules_do_no_io(module):
         elif isinstance(node, ast.ImportFrom) and not node.level:
             imported.add(node.module.split(".")[0])
     assert imported.isdisjoint({"csv", "io", "json", "os", "sys", "tempfile"})
+
+
+def test_modules_import_only_what_they_use():
+    # each name has one home: a module imports what its own code calls, and
+    # only the package's __init__ gathers names for others to import
+    unused = []
+    for path in sorted((SRC / "hardyop").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in used]
+    assert unused == []

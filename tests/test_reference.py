@@ -7,7 +7,7 @@ import struct
 
 import pytest
 
-from hardyop import compop, const_distance, inner_const_distance, p_norm, parse_symbol, taylor
+from hardyop import compop, inner_const_distance, kernel_distance, p_norm, parse_symbol, taylor
 from hardyop.cli import json_dumps
 
 mpmath = pytest.importorskip("mpmath")
@@ -134,7 +134,7 @@ NEARBY = [
 @pytest.mark.parametrize("a, b", NEARBY)
 def test_constant_distance_to_forty_digits(a, b):
     ref = kernel_gap(a, b)
-    assert abs(const_distance(a, b) - ref) <= 8 * 2.0**-52 * ref
+    assert abs(kernel_distance(a, b) - ref) <= 8 * 2.0**-52 * ref
 
 
 def series(text: str, N: int):
