@@ -9,9 +9,12 @@ absolute 1e-6 step is out of reach at these dimensions.  See the package
 README.
 """
 
+import math
+
 import pytest
 
 from hardyop import compop, numrange, verify
+from test_cli import run_json
 
 
 def _run(check) -> verify.CheckResult:
@@ -93,8 +96,14 @@ def test_criterion_07_restricted_norms():
     assert _run(verify.check_restricted_norms).passed
 
 
-def test_criterion_08_minimal_norm_case():
+def test_criterion_08_minimal_norm_case(tmp_path):
     assert _run(verify.check_minimal_norm_case).passed
+    # `hardyop verify restricted` carries this label once: perfbench/oracles.py reads it
+    code, doc = run_json(["verify", "restricted"], tmp_path)
+    values = [a["value"] for c in doc["checks"] for a in c["assertions"]
+              if a["label"] == "restricted norm at N=16"]
+    assert code == 0 and doc["pass"] is True
+    assert len(values) == 1 and abs(values[0] - 1 / math.sqrt(2)) <= 1e-9
 
 
 def test_criterion_09_p_norm_solve():

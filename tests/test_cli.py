@@ -17,10 +17,15 @@ from hardyop import boundary, cli, comp_matrix, compop, parse_symbol
 from hardyop.cli import json_dumps, main
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite {name} in the report")
+
+
 def run_json(args, tmp_path, name="out.json"):
+    """Run `args` in process with --json; plain json.loads would accept NaN and Infinity."""
     out = tmp_path / name
     code = main(args + ["--json", str(out)])
-    return code, json.loads(out.read_text())
+    return code, json.loads(out.read_text(), parse_constant=_reject_constant)
 
 
 def strip_runtime(doc: dict) -> dict:
@@ -302,7 +307,7 @@ def test_norm_takes_restricted_as_its_only_mode_flag(capsys, flag):
 def test_distance_to_c0_reads_the_restricted_target(tmp_path, a, b):
     # (C_phi - C_0) f = (f - f(0)) o phi: the distance is ||C_phi on zH^2||
     code, doc = run_json(["distance", a, b, "-N", "17,65"], tmp_path)
-    assert code == 0 and doc["params"]["target_label"] == "restricted"
+    assert code == 0 and doc["pass"] is True and doc["params"]["target_label"] == "restricted"
     assert doc["target"] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
     assert max(abs(g) for g in doc["gaps"]) <= 1e-15
 
