@@ -80,15 +80,6 @@ def _write_atomic(path: str, text: str) -> None:
             os.unlink(tmp)
 
 
-def _emit(report: dict, args) -> None:
-    text = json_dumps(report) + "\n"
-    if args.json:
-        _write_atomic(args.json, text)
-        print(f"wrote {args.json}")
-    else:
-        sys.stdout.write(text)
-
-
 def _emit_csv(path: str, rows: list[list], header: list[str]) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -97,23 +88,15 @@ def _emit_csv(path: str, rows: list[list], header: list[str]) -> None:
     _write_atomic(path, buf.getvalue())
 
 
-def _emit_boundary_csv(path: str, nr: numrange.NRBoundary) -> None:
-    """Boundary polyline as CSV columns theta, support, re, im."""
-    rows = [[th, h, pt.real, pt.imag]
-            for th, h, pt in zip(nr.thetas, nr.support_vals, nr.boundary_pts)]
-    _emit_csv(path, rows, ["theta", "support", "re", "im"])
-
-
 # ---------------------------------------------------------------------------
 # argument handling
 
 
 def _dims(text: str) -> list[int]:
     try:
-        dims = [int(tok) for tok in text.split(",") if tok.strip()]
+        return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad dimension list {text!r}") from exc
-    return dims
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,14 +142,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns its report body (without "command" and "runtime_ms"),
+# the CSV mirror's header and its rows; main times, writes and exits for all
 
 
-def _schedule_report(command: str, task: str, params: dict, symbols: dict, args) -> int:
-    t0 = time.perf_counter()
+def _schedule_report(task: str, params: dict, symbols: dict, args):
     rep = compop.norm_schedule(task, params, args.N)
     body = {
-        "command": command,
         "params": {**symbols, "task": task},
         "dims": list(rep.dims),
         "values": list(rep.values),
@@ -176,31 +158,25 @@ def _schedule_report(command: str, task: str, params: dict, symbols: dict, args)
     }
     if rep.target_label:
         body["params"]["target_label"] = rep.target_label
-    body["runtime_ms"] = (time.perf_counter() - t0) * 1000.0
-    if args.csv:
-        rows = [[d, rep.values[i], rep.target, None if rep.gaps is None else rep.gaps[i]]
-                for i, d in enumerate(rep.dims)]
-        _emit_csv(args.csv, rows, ["dim", "value", "target", "gap"])
-    _emit(body, args)
-    return EXIT_OK
+    rows = [[d, rep.values[i], rep.target, None if rep.gaps is None else rep.gaps[i]]
+            for i, d in enumerate(rep.dims)]
+    return body, ["dim", "value", "target", "gap"], rows
 
 
-def cmd_norm(args) -> int:
+def cmd_norm(args):
     s = parse_symbol(args.symbol)
     task = "restricted" if args.restricted else "opnorm"
-    return _schedule_report("norm", task, {"s": s}, {"symbol": args.symbol}, args)
+    return _schedule_report(task, {"s": s}, {"symbol": args.symbol}, args)
 
 
-def cmd_distance(args) -> int:
-    a = parse_symbol(args.symbol_a)
-    b = parse_symbol(args.symbol_b)
-    return _schedule_report("distance", "distance", {"a": a, "b": b},
+def cmd_distance(args):
+    a, b = parse_symbol(args.symbol_a), parse_symbol(args.symbol_b)
+    return _schedule_report("distance", {"a": a, "b": b},
                             {"symbol_a": args.symbol_a, "symbol_b": args.symbol_b}, args)
 
 
-def cmd_nrange(args) -> int:
+def cmd_nrange(args):
     s = parse_symbol(args.symbol)
-    t0 = time.perf_counter()
     ellipse = closedform.recognize_ellipse(s)  # validates s first
     dims = compop.require_schedule(args.N)
     compared = {"hausdorff": "hausdorff", "violation": "max_violation",
@@ -216,28 +192,23 @@ def cmd_nrange(args) -> int:
         cmp_ = None if ellipse is None else numrange.ellipse_compare(nr, ellipse)
         for key, name in compared.items():
             per_dim[key].append(None if cmp_ is None else getattr(cmp_, name))
-    all_contained = ellipse is None or all(per_dim["contained"])
     body = {
-        "command": "nrange",
         "params": {"symbol": args.symbol, "grid": args.grid},
         **per_dim,
         "target_ellipse": None if ellipse is None else dataclasses.asdict(ellipse),
-        "pass": all_contained,
+        "pass": ellipse is None or all(per_dim["contained"]),
         "diagnostics": {"dense_solves": dense_solves, "radius_evals": radius_evals},
-        "runtime_ms": (time.perf_counter() - t0) * 1000.0,
     }
-    if args.csv:  # the boundary at the largest dimension
-        _emit_boundary_csv(args.csv, nr)
-    _emit(body, args)
-    return EXIT_OK if all_contained else EXIT_VERIFY_FAIL
+    # the CSV mirror is the boundary polyline at the largest dimension
+    rows = [[th, h, pt.real, pt.imag]
+            for th, h, pt in zip(nr.thetas, nr.support_vals, nr.boundary_pts)]
+    return body, ["theta", "support", "re", "im"], rows
 
 
-def cmd_psolve(args) -> int:
+def cmd_psolve(args):
     s = parse_symbol(args.symbol)
-    t0 = time.perf_counter()
     res = analysis.p_solve(s, tol=args.ptol, N=args.N)
     body = {
-        "command": "psolve",
         "params": {"symbol": args.symbol, "ptol": args.ptol, "N": args.N},
         "outcome": res.outcome,
         "p": res.p_value,
@@ -248,41 +219,22 @@ def cmd_psolve(args) -> int:
         "h2": res.h2,
         "sup": res.sup,
         "pass": True,
-        "runtime_ms": (time.perf_counter() - t0) * 1000.0,
     }
-    _emit(body, args)
-    return EXIT_OK
+    return body, None, None
 
 
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
+def cmd_verify(args):
     results = verify.run_suite(args.suite)
-    ok = all(r.passed for r in results)
     body = {
-        "command": "verify",
         "suite": args.suite,
-        "checks": [
-            {
-                "name": r.name,
-                "pass": r.passed,
-                "margin": r.margin,
-                "assertions": list(r.assertions),
-                "elapsed_ms": r.elapsed_ms,
-            }
-            for r in results
-        ],
-        "pass": ok,
-        "runtime_ms": (time.perf_counter() - t0) * 1000.0,
+        "checks": [{"name": r.name, "pass": r.passed, "margin": r.margin,
+                    "assertions": list(r.assertions), "elapsed_ms": r.elapsed_ms}
+                   for r in results],
+        "pass": all(r.passed for r in results),
     }
-    if args.csv:
-        rows = [[r.name, "pass" if r.passed else "FAIL", r.margin,
-                 f"{r.elapsed_ms:.3f}"] for r in results]
-        _emit_csv(args.csv, rows, ["check", "status", "margin", "elapsed_ms"])
-    _emit(body, args)
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{status} {r.name} (margin {r.margin:.3g})", file=sys.stderr)
-    return EXIT_OK if ok else EXIT_VERIFY_FAIL
+    rows = [[r.name, "pass" if r.passed else "FAIL", r.margin,
+             f"{r.elapsed_ms:.3f}"] for r in results]
+    return body, ["check", "status", "margin", "elapsed_ms"], rows
 
 
 def main(argv=None) -> int:
@@ -291,21 +243,28 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
-    handlers = {
-        "norm": cmd_norm,
-        "distance": cmd_distance,
-        "nrange": cmd_nrange,
-        "psolve": cmd_psolve,
-        "verify": cmd_verify,
-    }
     try:
-        return handlers[args.command](args)
+        t0 = time.perf_counter()
+        body, header, rows = globals()[f"cmd_{args.command}"](args)  # per call: patchable
+        report = {"command": args.command, **body,
+                  "runtime_ms": (time.perf_counter() - t0) * 1000.0}
+        if getattr(args, "csv", None):
+            _emit_csv(args.csv, rows, header)
+        if args.json:
+            _write_atomic(args.json, json_dumps(report) + "\n")
+            print(f"wrote {args.json}")
+        else:
+            sys.stdout.write(json_dumps(report) + "\n")
     except _SOLVER_ERRORS as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    for check in report.get("checks", ()):
+        status = "PASS" if check["pass"] else "FAIL"
+        print(f"{status} {check['name']} (margin {check['margin']:.3g})", file=sys.stderr)
+    return EXIT_OK if report["pass"] else EXIT_VERIFY_FAIL
 
 
 def run() -> None:

@@ -91,11 +91,11 @@ class Symbol:
             )
         _require_finite(num, den)
         _check_poles(den)
-        # den(0) != 0 is implied by the pole check; normalize den(0) = 1.
+        # den(0) != 0 by the pole check; normalize den(0) = 1, trimming any underflow.
         if den[0] != 1.0:
             with np.errstate(over="ignore", invalid="ignore"):
-                num = num / den[0]
-                den = den / den[0]
+                num = trim(num / den[0])
+                den = trim(den / den[0])
             _require_finite(num, den)
         object.__setattr__(self, "num", _writeprotect(num))
         object.__setattr__(self, "den", _writeprotect(den))
@@ -854,8 +854,6 @@ def _fmt_poly(coeffs: CoeffVec) -> str:
             terms.append(f"{_fmt_coeff(c)}*z")
         else:
             terms.append(f"{_fmt_coeff(c)}*z^{k}")
-    if not terms:
-        return "0.0"
     return " + ".join(terms)
 
 

@@ -118,6 +118,24 @@ def test_every_package_error_has_its_exit_code(monkeypatch, capsys, cls):
     assert err.startswith("solver error:" if err_code == 3 else "input error:")
 
 
+@pytest.mark.parametrize("args", [["norm", "z^2"], ["distance", "z^2", "const(0.5)"]],
+                         ids=" ".join)
+@pytest.mark.parametrize("values, message", [
+    ([0.5, 1.0], "compression values decreased"),   # the larger dimension reads less
+    ([10.0, 10.0], "exceeds closed-form target"),   # both targets are below 10
+], ids=["decreasing", "above-target"])
+def test_failed_schedule_certificate_writes_no_report(monkeypatch, capsys, tmp_path, args,
+                                                      values, message):
+    # a planted solver fault ends in exit 3 and no files, never in "pass": true
+    values = list(values)
+    monkeypatch.setattr(compop, "_top_sv", lambda gram: values.pop())
+    flags = ["-N", "4,8", "--json", str(tmp_path / "r.json"), "--csv", str(tmp_path / "r.csv")]
+    assert main(args + flags) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error:") and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("symbol", ["0.5 + 0.3*z", "const(0.5)"])
 def test_restricted_needs_a_symbol_fixing_the_origin(capsys, symbol):
     # the h20 compression of C_phi is the restriction's only for phi(0) = 0
@@ -453,6 +471,21 @@ def test_verify_iterates_suite(tmp_path):
     assert doc["pass"] is True
     assert doc["checks"][0]["name"] == "iterate_contraction"
     assert doc["checks"][0]["pass"] is True
+
+
+def test_verify_csv_mirror(tmp_path):
+    out = tmp_path / "v.csv"
+    code, doc = run_json(["verify", "iterates", "--csv", str(out)], tmp_path)
+    assert code == 0
+    rows = list(csv.reader(out.open()))
+    assert rows[0] == ["check", "status", "margin", "elapsed_ms"]
+    assert [row[0] for row in rows[1:]] == [check["name"] for check in doc["checks"]]
+    assert all(row[1] == "pass" for row in rows[1:])
+
+
+def test_bad_dimension_list_is_an_input_error(capsys):
+    assert main(["norm", "z", "-N", "16,x"]) == 2
+    assert "bad dimension list" in capsys.readouterr().err
 
 
 def test_module_entry_point_runs_verify():

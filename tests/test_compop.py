@@ -11,9 +11,11 @@ from hardyop import (
     NotSelfmapError,
     OpMatrix,
     PreconditionError,
+    SolverInternalError,
     alpha,
     blaschke,
     boundary,
+    closedform,
     comp_matrix,
     compop,
     const_matrix,
@@ -447,6 +449,23 @@ def test_schedule_rejects_bad_dims():
     for dims in ([1, 16], [0, 16], [-8, 16]):
         with pytest.raises(PreconditionError):
             norm_schedule("restricted", {"s": parse_symbol("z^2")}, dims)
+
+
+def test_schedule_certifies_nondecreasing_values(monkeypatch):
+    # a planted solver fault: the larger compression reads the smaller norm
+    values = [0.5, 1.0]
+    monkeypatch.setattr(compop, "_top_sv", lambda gram: values.pop())
+    with pytest.raises(SolverInternalError,
+                       match=r"compression values decreased \(1 -> 0\.5\) in task 'opnorm'"):
+        norm_schedule("opnorm", {"s": parse_symbol("z^2")}, [4, 8])
+
+
+def test_schedule_certifies_values_against_the_target(monkeypatch):
+    # a planted recognizer fault: a closed form below what the compressions read
+    monkeypatch.setattr(closedform, "recognize_opnorm_target", lambda s: 0.5)
+    with pytest.raises(SolverInternalError,
+                       match=r"compression value \S+ exceeds closed-form target 0\.5$"):
+        norm_schedule("opnorm", {"s": parse_symbol("z^2")}, [4, 8])
 
 
 def test_restricted_norms_match_single_builds():

@@ -521,6 +521,14 @@ def test_fixed_point_of_a_sparse_high_degree_map():
     assert abs(fixed_point(s) - ref) <= 1e-14
 
 
+def test_fixed_point_orbit_fallback():
+    # alpha(0.95) is an involution swapping 0 and 0.95, and (z+z^3)/2 fixes 0
+    # and 1, so the conjugate fixes 0.95 and the boundary point 1.  Newton from
+    # the origin stops at 1; the forward orbit reaches 0.95.
+    s = parse_symbol("alpha(0.95) @ ((z+z^3)/2) @ alpha(0.95)")
+    assert abs(fixed_point(s) - 0.95) <= 1e-10
+
+
 def test_fixed_point_boundary_failure():
     # hyperbolic automorphism: both fixed points on the circle
     s = parse_symbol("(z + 0.5)/(1 + 0.5*z)")
@@ -678,6 +686,14 @@ def test_round_trip_negative_and_complex_coefficients():
     s2 = parse_symbol(format_symbol(s))
     assert np.array_equal(s.num, s2.num)
     assert np.array_equal(s.den, s2.den)
+
+
+def test_normalization_underflow_is_trimmed():
+    # dividing by den(0) = 1e10 underflows the z coefficient to zero: the
+    # symbol is the constant 0, stored as one coefficient, and prints as one
+    s = parse_symbol("1e-320*z/1e10")
+    assert s.num.tolist() == [0j] and s.den.tolist() == [1 + 0j]
+    assert format_symbol(s) == "0.0"
 
 
 def test_symbols_immutable():
