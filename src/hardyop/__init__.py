@@ -69,6 +69,7 @@ from .numrange import (
     NRBoundary,
     boundary,
     ellipse_compare,
+    range_schedule,
     sample_w,
 )
 from .symbolic import (

@@ -21,15 +21,9 @@ import time
 
 import numpy as np
 
-from . import analysis, closedform, compop, numrange, verify
-from .errors import (
-    BracketError,
-    ConvergenceError,
-    HardyOpError,
-    InconsistencyError,
-    PreconditionError,
-    SolverInternalError,
-)
+from . import analysis, compop, numrange, verify
+from .errors import (BracketError, ConvergenceError, HardyOpError, InconsistencyError,
+                     PreconditionError, SolverInternalError)
 from .symbolic import parse_symbol
 
 EXIT_OK = 0
@@ -64,28 +58,38 @@ def json_dumps(obj) -> str:
     return json.dumps(_plain(obj), allow_nan=False)
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write via a temporary file in path's directory; an unwritable path is an input error."""
-    tmp = None
+def _write_atomic(files: dict[str, str]) -> None:
+    """Write each path's text via a temporary file in its directory, and move
+    the files into place only once all are written: an unwritable path is an
+    input error, and then no file is written."""
+    tmps = []
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                   prefix=".hardyop-", suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in files.items():
+            if os.path.isdir(path):  # os.replace would fail only after the others moved
+                raise PreconditionError(f"cannot write {path}: Is a directory")
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                       prefix=".hardyop-", suffix=".tmp")
+            tmps.append(tmp)
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+        for path, tmp in zip(files, tmps):
+            os.replace(tmp, path)
     except OSError as exc:
         raise PreconditionError(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+
+
+def _csv_text(rows: list[list], header: list[str]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
 
 
 def _emit_csv(path: str, rows: list[list], header: list[str]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write_atomic(path, buf.getvalue())
+    _write_atomic({path: _csv_text(rows, header)})
 
 
 # ---------------------------------------------------------------------------
@@ -176,32 +180,24 @@ def cmd_distance(args):
 
 
 def cmd_nrange(args):
-    s = parse_symbol(args.symbol)
-    ellipse = closedform.recognize_ellipse(s)  # validates s first
-    dims = compop.require_schedule(args.N)
-    compared = {"hausdorff": "hausdorff", "violation": "max_violation",
-                "contained": "contained", "interior_margin": "interior_margin"}
-    per_dim = {"dims": dims, "radius": [], **{key: [] for key in compared}}
-    dense_solves, radius_evals = [], []
-    A = compop.comp_matrix(s, dims[-1], "full")  # nested bases: slice the smaller ones
-    for N in dims:
-        nr = numrange.boundary(A.leading(N), grid=args.grid)
-        per_dim["radius"].append(nr.radius)
-        dense_solves.append(nr.dense_solves)
-        radius_evals.append(nr.radius_evals)
-        cmp_ = None if ellipse is None else numrange.ellipse_compare(nr, ellipse)
-        for key, name in compared.items():
-            per_dim[key].append(None if cmp_ is None else getattr(cmp_, name))
+    ellipse, per_dim = numrange.range_schedule(parse_symbol(args.symbol), args.N, args.grid)
+    nrs, compared = zip(*per_dim.values())
+    fields = {"hausdorff": "hausdorff", "violation": "max_violation",
+              "contained": "contained", "interior_margin": "interior_margin"}
     body = {
         "params": {"symbol": args.symbol, "grid": args.grid},
-        **per_dim,
+        "dims": list(per_dim),
+        "radius": [nr.radius for nr in nrs],
+        **{key: [None if cmp_ is None else getattr(cmp_, name) for cmp_ in compared]
+           for key, name in fields.items()},
         "target_ellipse": None if ellipse is None else dataclasses.asdict(ellipse),
-        "pass": ellipse is None or all(per_dim["contained"]),
-        "diagnostics": {"dense_solves": dense_solves, "radius_evals": radius_evals},
+        "pass": ellipse is None or all(cmp_.contained for cmp_ in compared),
+        "diagnostics": {"dense_solves": [nr.dense_solves for nr in nrs],
+                        "radius_evals": [nr.radius_evals for nr in nrs]},
     }
     # the CSV mirror is the boundary polyline at the largest dimension
     rows = [[th, h, pt.real, pt.imag]
-            for th, h, pt in zip(nr.thetas, nr.support_vals, nr.boundary_pts)]
+            for th, h, pt in zip(nrs[-1].thetas, nrs[-1].support_vals, nrs[-1].boundary_pts)]
     return body, ["theta", "support", "re", "im"], rows
 
 
@@ -248,13 +244,10 @@ def main(argv=None) -> int:
         body, header, rows = globals()[f"cmd_{args.command}"](args)  # per call: patchable
         report = {"command": args.command, **body,
                   "runtime_ms": (time.perf_counter() - t0) * 1000.0}
-        if getattr(args, "csv", None):
-            _emit_csv(args.csv, rows, header)
-        if args.json:
-            _write_atomic(args.json, json_dumps(report) + "\n")
-            print(f"wrote {args.json}")
-        else:
-            sys.stdout.write(json_dumps(report) + "\n")
+        text = json_dumps(report) + "\n"
+        files = {args.csv: _csv_text(rows, header)} if getattr(args, "csv", None) else {}
+        _write_atomic({**files, args.json: text} if args.json else files)  # both or neither
+        sys.stdout.write(f"wrote {args.json}\n" if args.json else text)
     except _SOLVER_ERRORS as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -274,9 +274,9 @@ def recognize_distance_target(a: Symbol, b: Symbol) -> DistanceTarget | None:
 
 
 def _power_orthogonal_certificate(s: Symbol) -> bool:
-    """Exact check that <phi, phi^n> = 0 for all n >= 2 (polynomial phi
-    vanishing at 0: only finitely many n can overlap in degree)."""
-    if not s.is_polynomial or not fixes_origin(s):
+    """Exact check that <phi, phi^n> = 0 for all n >= 2, for phi fixing 0 (the
+    caller checks): polynomial phi only, which finitely many n overlap in degree."""
+    if not s.is_polynomial:
         return False
     num = s.num
     nonzero = np.flatnonzero(np.abs(num[1:]) > 1e-13) + 1  # fixes_origin allows a tiny num[0]

@@ -86,12 +86,6 @@ def as_opmatrix(A) -> OpMatrix:
     return A if isinstance(A, OpMatrix) else OpMatrix(A)
 
 
-def _real_taylor(s: Symbol, N: int) -> np.ndarray:
-    """taylor(s, N), as float64 when every coefficient is exactly real."""
-    t = taylor(s, N)
-    return t if t.imag.any() else t.real.copy()
-
-
 def _powers(step: np.ndarray, length: int):
     """Yields e_0, step, step^2, ... under truncated convolution by
     np.convolve, of step's dtype, up to the first zero column.  The step drops
@@ -129,7 +123,8 @@ def _build(s: Symbol, N: int):
     if rot is not None:
         lam, mu, s = rot
         phases = unit_powers(mu, N), unit_powers(lam, N)
-    return _real_taylor(s, N), phases
+    step = taylor(s, N)  # float64 when every coefficient is exactly real
+    return (step if step.imag.any() else step.real.copy()), phases
 
 
 def _compression(s: Symbol, N: int) -> OpMatrix:
@@ -185,6 +180,14 @@ def weighted_matrix(w: Symbol, s: Symbol, N: int) -> OpMatrix:
     return _compression(s, N + 1)._block(N, 0, 1)
 
 
+def _restriction(s: Symbol, N: int) -> OpMatrix:
+    """The h20 compression, which is that of C_s restricted to zH^2 only for
+    s fixing 0: otherwise it loses row 0, which holds s(0)^k."""
+    require_selfmap(s)
+    require_origin_fixed(s, "the restriction to zH^2")
+    return comp_matrix(s, N, "h20")
+
+
 # ---------------------------------------------------------------------------
 # largest singular value
 
@@ -236,29 +239,6 @@ def op_norm(A) -> float:
 
 
 # ---------------------------------------------------------------------------
-# distances and restrictions
-
-
-def distance(a: Symbol, b: Symbol, N: int) -> float:
-    """Compression of ||C_a - C_b||; a monotone-in-N lower bound of the norm."""
-    return _top_sv(_gram(_difference(a, b, N), in_place=True))
-
-
-def _restriction(s: Symbol, N: int) -> OpMatrix:
-    """The h20 compression, which is that of C_s restricted to zH^2 only for
-    s fixing 0: otherwise it loses row 0, which holds s(0)^k."""
-    require_selfmap(s)
-    require_origin_fixed(s, "the restriction to zH^2")
-    return comp_matrix(s, N, "h20")
-
-
-def restricted_norm(s: Symbol, N: int) -> float:
-    """Compression of the norm of C_s restricted to zH^2, for s fixing 0; also
-    that of ||C_s - C_0||, whose full-basis matrix adds a zero row and column."""
-    return _top_sv(_gram(_restriction(s, N), in_place=True))
-
-
-# ---------------------------------------------------------------------------
 # schedules
 
 
@@ -273,32 +253,18 @@ class ConvergenceReport:
     gaps: tuple[float, ...] | None = None
 
 
-_TASKS = ("distance", "restricted", "weighted", "opnorm")
-
-
-def _task_matrix(task: str, params: dict, N: int) -> OpMatrix:
-    """The task's compression at dimension N."""
-    if task == "distance":
-        return _difference(params["a"], params["b"], N)
-    if task == "restricted":
-        return _restriction(params["s"], N)
-    if task == "weighted":
-        return weighted_matrix(params["w"], params["s"], N)
-    if task == "opnorm":
-        return comp_matrix(params["s"], N)
-    raise ValueError(f"unknown task {task!r}; expected one of {_TASKS}")
-
-
-def _task_target(task: str, params: dict):
-    if task == "distance":
-        hit = closedform.recognize_distance_target(params["a"], params["b"])
-        if hit is not None:
-            return hit.value, hit.label
-    elif task in ("restricted", "weighted"):
-        return closedform.recognize_restricted_target(params["s"]), task
-    elif task == "opnorm":
-        return closedform.recognize_opnorm_target(params["s"]), "opnorm"
-    return None, None
+# task: (its compression at dimension N, its closed-form target: a value, a
+# DistanceTarget with its own label, or None)
+_TASK_TABLE = {
+    "distance": (lambda p, N: _difference(p["a"], p["b"], N),
+                 lambda p: closedform.recognize_distance_target(p["a"], p["b"])),
+    "restricted": (lambda p, N: _restriction(p["s"], N),
+                   lambda p: closedform.recognize_restricted_target(p["s"])),
+    "weighted": (lambda p, N: weighted_matrix(p["w"], p["s"], N),
+                 lambda p: closedform.recognize_restricted_target(p["s"])),
+    "opnorm": (lambda p, N: comp_matrix(p["s"], N),
+               lambda p: closedform.recognize_opnorm_target(p["s"])),
+}
 
 
 def require_schedule(dims: Sequence[int]) -> tuple[int, ...]:
@@ -322,23 +288,37 @@ def norm_schedule(task: str, params: dict, dims: Sequence[int]) -> ConvergenceRe
     tolerance; a violation signals a solver bug, not bad input.
     """
     dims = require_schedule(dims)
+    if task not in _TASK_TABLE:
+        raise ValueError(f"unknown task {task!r}; expected one of {tuple(_TASK_TABLE)}")
+    build, recognize = _TASK_TABLE[task]
     # the build validates the inputs, before any closed form reads them
-    A = _task_matrix(task, params, dims[-1])
+    A = build(params, dims[-1])
     values = [_top_sv(_gram(A.leading(N))) for N in dims[:-1]]
     values = (*values, _top_sv(_gram(A, in_place=True)))  # overwrites A: solve it last
-    target, label = _task_target(task, params)
+    hit = recognize(params)
+    target, label = ((hit.value, hit.label) if isinstance(hit, closedform.DistanceTarget)
+                     else (hit, task))
     for a, b in zip(values, values[1:]):
         if b < a - MONOTONE_TOL:
             raise SolverInternalError(
-                f"compression values decreased ({a:.15g} -> {b:.15g}) in task {task!r}"
-            )
+                f"compression values decreased ({a:.15g} -> {b:.15g}) in task {task!r}")
     gaps = None
     if target is not None:
         for v in values:
             if v > target + TARGET_TOL:
                 raise SolverInternalError(
-                    f"compression value {v:.15g} exceeds closed-form target {target:.15g}"
-                )
+                    f"compression value {v:.15g} exceeds closed-form target {target:.15g}")
         gaps = tuple(target - v for v in values)
     return ConvergenceReport(dims=dims, values=values, target=target,
                              target_label=label if target is not None else None, gaps=gaps)
+
+
+def distance(a: Symbol, b: Symbol, N: int) -> float:
+    """Compression of ||C_a - C_b||; a monotone-in-N lower bound of the norm."""
+    return norm_schedule("distance", {"a": a, "b": b}, (N,)).values[0]
+
+
+def restricted_norm(s: Symbol, N: int) -> float:
+    """Compression of the norm of C_s restricted to zH^2, for s fixing 0; also
+    that of ||C_s - C_0||, whose full-basis matrix adds a zero row and column."""
+    return norm_schedule("restricted", {"s": s}, (N,)).values[0]

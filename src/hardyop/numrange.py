@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import EllipseDisk
-from .compop import as_opmatrix
+from .closedform import EllipseDisk, recognize_ellipse
+from .compop import as_opmatrix, comp_matrix, require_schedule
 
 CERT_TOL = 1e-12  # certificate tolerance: eps = CERT_TOL max(1, |value|)
 
@@ -310,3 +310,15 @@ def ellipse_compare(nr: NRBoundary, e: EllipseDisk) -> EllipseComparison:
         max_violation=max_violation,
         interior_margin=float(e.focal_margin(nr.boundary_pts).min()),
     )
+
+
+def range_schedule(s, dims, grid: int = 720) -> tuple[EllipseDisk | None, dict]:
+    """(ellipse, {N: (boundary, comparison)}) for C_s over a strictly increasing
+    schedule: recognize_ellipse(s), which validates s, or None, and then every
+    comparison is None; one build at the largest N, sliced (nested bases)."""
+    ellipse = recognize_ellipse(s)
+    dims = require_schedule(dims)
+    A = comp_matrix(s, dims[-1])
+    nrs = {N: boundary(A.leading(N), grid=grid) for N in dims}
+    return ellipse, {N: (nr, None if ellipse is None else ellipse_compare(nr, ellipse))
+                     for N, nr in nrs.items()}

@@ -165,15 +165,20 @@ def check_automorphism_distance(c: _Checker) -> None:
         c.gt("gaps strictly decreasing", g1, g2)
 
 
+def _range(c: _Checker, s, dims, major: float, minor: float) -> list:
+    """Record range_schedule(s, dims)'s ellipse axes, at grid 720, and return its
+    comparisons; without a recognized ellipse every value is NaN, a failure."""
+    e, per_dim = numrange.range_schedule(s, dims)
+    c.close("ellipse major axis", math.nan if e is None else e.major_len, major, 1e-12)
+    c.close("ellipse minor axis", math.nan if e is None else e.minor_len, minor, 1e-12)
+    nan = numrange.EllipseComparison(False, math.nan, math.nan, math.nan)
+    return [nan if cmp_ is None else cmp_ for _, cmp_ in per_dim.values()]
+
+
 @_check("nrange")
 def check_const_range_ellipse(c: _Checker) -> None:
     """Numerical range of the C_0.5 compression against its closed ellipse."""
-    A = compop.const_matrix(0.5, 64)
-    nr = numrange.boundary(A, grid=720)
-    e = closedform.const_ellipse(0.5)
-    c.close("ellipse major axis", e.major_len, 1.0 / math.sqrt(0.75), 1e-12)
-    c.close("ellipse minor axis", e.minor_len, math.sqrt(1.0 / 3.0), 1e-12)
-    cmp_ = numrange.ellipse_compare(nr, e)
+    cmp_, = _range(c, symbolic.constant(0.5), (64,), 1 / math.sqrt(0.75), math.sqrt(1 / 3))
     c.le("hausdorff gap", cmp_.hausdorff, 1e-6)
     c.le("containment violation", cmp_.max_violation, 1e-8)
 
@@ -181,21 +186,13 @@ def check_const_range_ellipse(c: _Checker) -> None:
 @_check("nrange")
 def check_automorphism_range_ellipse(c: _Checker) -> None:
     """Numerical range of C_{alpha_0.5} compressions inside the open ellipse."""
-    e = closedform.alpha_ellipse(0.5)
-    c.close("ellipse major axis", e.major_len, 2.0 / math.sqrt(0.75), 1e-12)
-    c.close("ellipse minor axis", e.minor_len, 1.0 / math.sqrt(0.75), 1e-12)
-    # one build at N=256; the bases are nested, so its leading 64 x 64 block
-    # is exactly the N=64 compression
-    full = compop.comp_matrix(symbolic.alpha(0.5), 256, "full")
-    gaps = {}
-    for N in (64, 256):
-        nr = numrange.boundary(full.leading(N), grid=720)
-        cmp_ = numrange.ellipse_compare(nr, e)
-        gaps[N] = cmp_.hausdorff
+    at64, at256 = _range(c, symbolic.alpha(0.5), (64, 256), 2 / math.sqrt(0.75),
+                         1 / math.sqrt(0.75))
+    for N, cmp_ in ((64, at64), (256, at256)):
         c.le(f"containment violation at N={N}", cmp_.max_violation, 1e-8)
         c.gt(f"boundary points strictly interior at N={N}", cmp_.interior_margin, 0.0)
-    c.le("hausdorff gap at N=256", gaps[256], 0.05)
-    c.gt("hausdorff gap decreasing 64 -> 256", gaps[64], gaps[256])
+    c.le("hausdorff gap at N=256", at256.hausdorff, 0.05)
+    c.gt("hausdorff gap decreasing 64 -> 256", at64.hausdorff, at256.hausdorff)
 
 
 @_check("restricted")

@@ -129,3 +129,18 @@ def test_criterion_13_inner_const_general():
     bounds = [a["target"] - 1e-9 for a in result.assertions
               if a["label"] == "value <= target + 1e-9"]
     assert bounds == pytest.approx([1.299038105676658] * 2 + [3 ** 0.5] * 2, abs=1e-15)
+
+
+@pytest.mark.parametrize("check", [verify.check_const_range_ellipse,
+                                   verify.check_automorphism_range_ellipse],
+                         ids=["const", "automorphism"])
+def test_range_checks_record_a_missed_ellipse_as_failures(monkeypatch, check):
+    # the checks read the ellipse range_schedule recognizes: without one, every
+    # assertion records a NaN failure and the check still returns its result
+    monkeypatch.setattr(numrange, "recognize_ellipse", lambda s: None)
+    result = check()
+    assert not result.passed
+    assert [a["label"] for a in result.assertions][:2] == ["ellipse major axis",
+                                                            "ellipse minor axis"]
+    assert not any(a["ok"] for a in result.assertions)
+    assert all(math.isnan(a["value"]) for a in result.assertions)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hardyop
-from hardyop import boundary, cli, comp_matrix, compop, parse_symbol
+from hardyop import boundary, cli, comp_matrix, compop, numrange, parse_symbol
 from hardyop.cli import json_dumps, main
 
 
@@ -273,7 +273,7 @@ def test_nrange_builds_one_compression(monkeypatch, tmp_path):
         built.append(N)
         return comp_matrix(s, N, *args)
 
-    monkeypatch.setattr(compop, "comp_matrix", counted)
+    monkeypatch.setattr(numrange, "comp_matrix", counted)
     code, doc = run_json(["nrange", "alpha(0.5)", "-N", "32,64"], tmp_path)
     assert code == 0
     assert len(doc["interior_margin"]) == 2 and min(doc["interior_margin"]) > 0
@@ -358,6 +358,19 @@ def test_unwritable_report_path_is_an_input_error(capsys, tmp_path, args, where)
     path = tmp_path / ("missing/x.out" if where == "missing-directory" else "sub")
     assert main(args + [str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"input error: cannot write {path}")
+    assert [p.name for p in tmp_path.rglob("*")] == ["sub"]
+
+
+@pytest.mark.parametrize("bad", ["json", "csv"])
+@pytest.mark.parametrize("where", ["missing-directory", "is-a-directory"])
+def test_one_unwritable_report_path_writes_neither_report(capsys, tmp_path, bad, where):
+    # both destinations are checked before either file is moved into place
+    (tmp_path / "sub").mkdir()
+    paths = {"json": tmp_path / "r.json", "csv": tmp_path / "r.csv"}
+    paths[bad] = tmp_path / ("missing/x.out" if where == "missing-directory" else "sub")
+    args = ["norm", "z", "-N", "4,8", "--csv", str(paths["csv"]), "--json", str(paths["json"])]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith(f"input error: cannot write {paths[bad]}")
     assert [p.name for p in tmp_path.rglob("*")] == ["sub"]
 
 

@@ -418,6 +418,8 @@ def test_recognize_restricted_targets():
         1 / math.sqrt(2), abs=1e-15)
     assert recognize_restricted_target(parse_symbol("(z+z^2)/2")) is None
     assert recognize_restricted_target(parse_symbol("z/2 + 0.25")) is None
+    # a rational selfmap fixing 0 that is no inner multiple: no polynomial certificate
+    assert recognize_restricted_target(parse_symbol("z*(0.5+0.3*z)/(1-0.2*z)")) is None
     # a constant term within the origin rule does not hide the first power
     for c in ("5e-14", "5e-13"):
         assert recognize_restricted_target(parse_symbol(f"{c} + (z^2+z^3)/2")) == pytest.approx(

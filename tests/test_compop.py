@@ -468,6 +468,34 @@ def test_schedule_certifies_values_against_the_target(monkeypatch):
         norm_schedule("opnorm", {"s": parse_symbol("z^2")}, [4, 8])
 
 
+@pytest.mark.parametrize("solve, recognizer, planted", [
+    (lambda: distance(parse_symbol("z^2"), constant(0.5), 8), "recognize_distance_target",
+     closedform.DistanceTarget(0.5, "planted")),
+    (lambda: restricted_norm(parse_symbol("z^2"), 8), "recognize_restricted_target", 0.5),
+], ids=["distance", "restricted_norm"])
+def test_single_dimension_norms_are_certified_against_the_target(monkeypatch, solve,
+                                                                 recognizer, planted):
+    # distance and restricted_norm are norm_schedule at one dimension, certificate included
+    monkeypatch.setattr(closedform, recognizer, lambda *symbols: planted)
+    with pytest.raises(SolverInternalError, match=r"exceeds closed-form target 0\.5$"):
+        solve()
+
+
+def test_schedule_rejects_an_unknown_task():
+    with pytest.raises(ValueError, match=r"^unknown task 'norm'; expected one of "
+                       r"\('distance', 'restricted', 'weighted', 'opnorm'\)$"):
+        norm_schedule("norm", {"s": parse_symbol("z^2")}, [4, 8])
+    assert tuple(compop._TASK_TABLE) == ("distance", "restricted", "weighted", "opnorm")
+    # the schedule is checked first
+    with pytest.raises(PreconditionError, match="dimension schedule"):
+        norm_schedule("norm", {"s": parse_symbol("z^2")}, [8, 4])
+
+
+def test_comp_matrix_rejects_an_unknown_basis():
+    with pytest.raises(ValueError, match=r"^unknown basis 'h2'$"):
+        comp_matrix(parse_symbol("z^2"), 8, "h2")
+
+
 def test_restricted_norms_match_single_builds():
     dims = (8, 12, 16)
     got = norm_schedule("restricted", {"s": PHI12}, dims).values
@@ -552,7 +580,7 @@ def test_schedule_slices_match_per_dimension_builds(case, monkeypatch):
     for N, v in zip(dims, rep.values):
         assert abs(v - per_dimension(task, params, N)) <= 1e-12
     # a difference of compressions drops the phases
-    A = compop._task_matrix(task, params, 16)
+    A = compop._TASK_TABLE[task][0](params, 16)
     assert (A.row is not None) == (case.endswith("-rotated") and task != "distance")
     assert (A.col is None) == (A.row is None)
 

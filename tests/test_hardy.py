@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hardyop import (
     alpha,
     blaschke,
     circle_values,
+    constant,
     h2_inner,
     h2_norm,
     inner_multiple,
@@ -133,6 +135,15 @@ def test_p_norm_four_oracle():
 def test_p_norm_sup():
     res = p_norm(PHI23, math.inf)
     assert res.value == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [2, 4, math.inf])
+def test_p_norm_of_the_zero_symbol(p):
+    # sup = 0: finite p returns before dividing by the sup, and inf reads the sup itself
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = p_norm(constant(0), p)
+    assert res.value == 0.0 and res.est_error == 0.0
 
 
 def test_p_norm_monotone_in_p():

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from hardyop import (
+    NotSelfmapError,
+    PreconditionError,
     alpha,
     alpha_ellipse,
     boundary,
@@ -15,6 +17,7 @@ from hardyop import (
     const_matrix,
     ellipse_compare,
     parse_symbol,
+    range_schedule,
     sample_w,
 )
 from hardyop.numrange import CERT_TOL, _certified, _coarse_to_fine, _SupportSweep
@@ -443,3 +446,26 @@ def test_boundary_without_similarity_sweeps_the_entries():
     assert np.array_equal(nr.support_vals, ref.support_vals)
     assert np.array_equal(nr.boundary_pts, ref.boundary_pts)
     assert support_error(A.entries, nr) <= 1e-12
+
+
+@pytest.mark.parametrize("symbol, dims", [("alpha(0.5)", (16, 32)), ("z/2 + 0.25", (16,))])
+def test_range_schedule_slices_one_build(symbol, dims):
+    # each dimension's boundary is that of its own build, compared against the
+    # recognized ellipse, or against none
+    s = parse_symbol(symbol)
+    ellipse, per_dim = range_schedule(s, list(dims), grid=32)
+    assert list(per_dim) == list(dims)
+    assert (ellipse is None) == (symbol == "z/2 + 0.25")
+    for N, (nr, cmp_) in per_dim.items():
+        built = boundary(comp_matrix(s, N), grid=32)
+        assert np.array_equal(nr.support_vals, built.support_vals)
+        assert cmp_ == (None if ellipse is None else ellipse_compare(built, ellipse))
+
+
+def test_range_schedule_checks_the_symbol_before_the_schedule():
+    with pytest.raises(NotSelfmapError):
+        range_schedule(parse_symbol("2*z"), [16, 8])
+    with pytest.raises(PreconditionError, match="dimension schedule"):
+        range_schedule(alpha(0.5), [16, 8])
+    with pytest.raises(PreconditionError, match="compression dimension"):
+        range_schedule(alpha(0.5), [1])
