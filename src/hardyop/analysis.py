@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from .compop import comp_matrix, const_matrix, norm_schedule, op_norm
 from .errors import BracketError, ConvergenceError, InconsistencyError, PreconditionError
-from .hardy import h2_inner, h2_norm, inner_multiple, is_inner, p_norm, pullback_h2
+from .hardy import h2_inner, h2_norm, inner_multiple, is_inner, p_norm, power_overlaps, pullback_h2
 from .symbolic import (
     MAX_DEGREE,
     Symbol,
@@ -166,6 +165,8 @@ def minimal_norm_check(s: Symbol, N: int | None = None, n_max: int = 10) -> Mini
     The coefficients are the Taylor section of length MAX_DEGREE + 1, exact
     for polynomials; with N > deg * n_max their Gram entries are exact too.
     """
+    if n_max < 2:
+        raise PreconditionError(f"the minimal-norm check needs n_max >= 2, got {n_max}")
     require_selfmap(s)
     require_origin_fixed(s, "the check")
     _require_power_cap(s, n_max)
@@ -178,8 +179,7 @@ def minimal_norm_check(s: Symbol, N: int | None = None, n_max: int = 10) -> Mini
     w = M.conj().T @ M[:, 0]  # M^H M e_z
     eigen_res = float(np.linalg.norm(w[1:]))  # against the Rayleigh quotient w[0]
     w[0] -= h2**2
-    overlaps = np.array([h2_inner(base, p) for p in
-                         islice(powers(base, n_max, base.size), 1, None)], dtype=complex)
+    overlaps = np.fromiter(power_overlaps(base, n_max), dtype=complex)
     r = op_norm(A)  # on the stored matrix, as restricted_norm solves it
     return MinimalNormReport(
         h2_gap=abs(r - h2),
@@ -197,6 +197,8 @@ def rudin_audit(s: Symbol, n_max: int) -> np.ndarray:
     The full power family {phi^n} is orthogonal iff every off-diagonal entry
     vanishes; polynomial symbols only (the expansion must be exact).
     """
+    if n_max < 1:
+        raise PreconditionError(f"power-orthogonality audit needs n_max >= 1, got {n_max}")
     if not s.is_polynomial:
         raise PreconditionError("power-orthogonality audit needs a polynomial symbol")
     _require_power_cap(s, n_max)
@@ -230,6 +232,8 @@ class IterateSweepReport:
 
 def iterate_sweep(s: Symbol, n_max: int, N: int) -> IterateSweepReport:
     """Compression view of the contraction of iterates toward the fixed point."""
+    if n_max < 1:
+        raise PreconditionError(f"iterate sweep needs n_max >= 1, got {n_max}")
     require_selfmap(s)
     if is_inner(s).is_inner:
         raise PreconditionError("iterate sweep needs a non-inner symbol")

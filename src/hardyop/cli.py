@@ -88,10 +88,6 @@ def _csv_text(rows: list[list], header: list[str]) -> str:
     return buf.getvalue()
 
 
-def _emit_csv(path: str, rows: list[list], header: list[str]) -> None:
-    _write_atomic({path: _csv_text(rows, header)})
-
-
 # ---------------------------------------------------------------------------
 # argument handling
 
@@ -240,12 +236,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
+        csv_path = getattr(args, "csv", None)
+        if csv_path and args.json and os.path.abspath(csv_path) == os.path.abspath(args.json):
+            raise PreconditionError(f"--csv and --json both name {args.json}")
         t0 = time.perf_counter()
         body, header, rows = globals()[f"cmd_{args.command}"](args)  # per call: patchable
         report = {"command": args.command, **body,
                   "runtime_ms": (time.perf_counter() - t0) * 1000.0}
         text = json_dumps(report) + "\n"
-        files = {args.csv: _csv_text(rows, header)} if getattr(args, "csv", None) else {}
+        files = {csv_path: _csv_text(rows, header)} if csv_path else {}
         _write_atomic({**files, args.json: text} if args.json else files)  # both or neither
         sys.stdout.write(f"wrote {args.json}\n" if args.json else text)
     except _SOLVER_ERRORS as exc:

@@ -11,13 +11,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 
 from .errors import PreconditionError, UnitDiskPoleError
-from .hardy import h2_inner, h2_norm, inner_multiple, is_inner, kernel_distance, require_disk
-from .symbolic import (Symbol, alpha, compose, cross_products, fixes_origin, powers, ratio,
+from .hardy import h2_norm, inner_multiple, is_inner, kernel_distance, power_overlaps, require_disk
+from .symbolic import (Symbol, alpha, compose, cross_products, fixes_origin, ratio,
                        require_selfmap, taylor_close)
 
 UNIMODULAR_TOL = 1e-12     # |lambda| within this of 1 counts as unimodular
@@ -273,20 +272,6 @@ def recognize_distance_target(a: Symbol, b: Symbol) -> DistanceTarget | None:
     return None
 
 
-def _power_orthogonal_certificate(s: Symbol) -> bool:
-    """Exact check that <phi, phi^n> = 0 for all n >= 2, for phi fixing 0 (the
-    caller checks): polynomial phi only, which finitely many n overlap in degree."""
-    if not s.is_polynomial:
-        return False
-    num = s.num
-    nonzero = np.flatnonzero(np.abs(num[1:]) > 1e-13) + 1  # fixes_origin allows a tiny num[0]
-    if nonzero.size == 0:
-        return False
-    # the overlap reads only the first num.size coefficients of each power
-    higher = islice(powers(num, (num.size - 1) // int(nonzero[0]), num.size), 1, None)
-    return not any(abs(h2_inner(num, p)) > 1e-14 for p in higher)
-
-
 def recognize_restricted_target(s: Symbol) -> float | None:
     """Closed-form value of ||C_s restricted to zH^2|| when known.
 
@@ -299,7 +284,13 @@ def recognize_restricted_target(s: Symbol) -> float | None:
     ok, mag = inner_multiple(s)
     if ok:
         return mag
-    return h2_norm(s.num) if _power_orthogonal_certificate(s) else None
+    num = s.num
+    nonzero = np.flatnonzero(np.abs(num[1:]) > 1e-13) + 1  # fixes_origin allows a tiny num[0]
+    if not s.is_polynomial or nonzero.size == 0:
+        return None
+    # exact: phi^n for n > deg / (lowest degree) cannot overlap phi in degree
+    overlaps = power_overlaps(num, (num.size - 1) // int(nonzero[0]))
+    return None if any(abs(v) > 1e-14 for v in overlaps) else h2_norm(num)
 
 
 def recognize_opnorm_target(s: Symbol) -> float | None:

@@ -12,7 +12,9 @@ larger grids are sampled by circle_values.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .symbolic import (
     circle_values,
     modulus_products,
     poly_eval,
+    powers,
     ratio,
     validate_selfmap,
 )
@@ -58,6 +61,12 @@ def h2_inner(f: CoeffVec, g: CoeffVec) -> complex:
     f, g = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)
     n = min(f.size, g.size)
     return complex(np.dot(f[:n], g[:n].conj()))
+
+
+def power_overlaps(c: CoeffVec, n_max: int) -> Iterator[complex]:
+    """<c, c^n> for n = 2..n_max, one power at a time so a caller may stop early;
+    each power is cut to c's length, all the overlap reads."""
+    return (h2_inner(c, p) for p in islice(powers(c, n_max, len(c)), 1, None))
 
 
 def require_disk(p: complex, name: str = "p") -> complex:

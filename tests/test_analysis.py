@@ -255,6 +255,21 @@ def test_rudin_audit_rejects_rational():
         rudin_audit(parse_symbol("0.5*z*alpha(0.5)"), 3)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: minimal_norm_check(PHI12, n_max=1),
+    lambda: rudin_audit(PHI12, 0),
+    lambda: iterate_sweep(parse_symbol("z/2 + 0.25"), 0, 16),
+], ids=["minimal_norm_check", "rudin_audit", "iterate_sweep"])
+def test_power_counts_that_leave_nothing_to_check_are_rejected(monkeypatch, call):
+    # n_max = 1 leaves no overlap <phi, phi^n>, n >= 2, for verify's exact
+    # "== 0" to read, so (z+z^2)/2, whose <phi, phi^2> is 0.125, would pass;
+    # an audit or sweep of no power is an empty report.  Raised before any build
+    dims, _ = _count_builds(monkeypatch)
+    with pytest.raises(PreconditionError, match="n_max"):
+        call()
+    assert dims == []
+
+
 # ---------------------------------------------------------------------------
 # iterates
 

@@ -374,6 +374,21 @@ def test_one_unwritable_report_path_writes_neither_report(capsys, tmp_path, bad,
     assert [p.name for p in tmp_path.rglob("*")] == ["sub"]
 
 
+@pytest.mark.parametrize("csv_path, json_path", [
+    ("same.out", "same.out"), ("./x.out", "x.out"), ("d/../x.out", "x.out"),
+], ids=["identical", "dot-slash", "parent-dir"])
+def test_one_path_for_both_reports_writes_neither_report(capsys, tmp_path, monkeypatch,
+                                                         csv_path, json_path):
+    # the JSON report would replace the CSV in the one file, so the pair is
+    # refused before either is written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    args = ["norm", "z", "-N", "4,8", "--csv", csv_path, "--json", json_path]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"input error: --csv and --json both name {json_path}\n"
+    assert [p.name for p in tmp_path.rglob("*")] == ["d"]
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 @pytest.mark.parametrize("symbol", ["0.5*z", "alpha(0.5)"])
 def test_nrange_has_no_samples_option(capsys, symbol, samples):
@@ -540,13 +555,11 @@ def test_json_dumps_rejects_numpy_bool():
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
 @settings(max_examples=200, deadline=None)
-def test_finite_doubles_round_trip_bitwise(tmp_path_factory, x):
+def test_finite_doubles_round_trip_bitwise(x):
     bits = struct.pack("<d", x)
     assert struct.pack("<d", json.loads(json_dumps({"x": x}))["x"]) == bits
-    path = tmp_path_factory.getbasetemp() / "row.csv"
-    cli._emit_csv(str(path), [[x]], ["x"])
-    with open(path, newline="") as fh:
-        assert struct.pack("<d", float(list(csv.reader(fh))[1][0])) == bits
+    text = cli._csv_text([[x]], ["x"])
+    assert struct.pack("<d", float(list(csv.reader(text.splitlines()))[1][0])) == bits
 
 
 def test_verify_all_assertion_results_are_json_booleans(tmp_path):

@@ -33,6 +33,7 @@ from hardyop import (
     rotation_distance,
     rotation_distance_bruteforce,
 )
+from hardyop import hardy
 
 from geometry import contact_points
 
@@ -430,6 +431,26 @@ def test_recognize_restricted_targets():
     # at the degree cap the expansion adds two shifted copies per power
     assert recognize_restricted_target(parse_symbol("0.5*z + 0.5*z^4096")) == pytest.approx(
         math.sqrt(0.5), abs=1e-15)
+    # no higher power overlaps phi in degree: the bound deg / (lowest degree)
+    # is 1, so there is no overlap to read and the certificate holds
+    assert recognize_restricted_target(parse_symbol("0.3*z^2 + 0.4*z^3")) == 0.5
+
+
+@pytest.mark.parametrize("text", ["(z+z^2)/2", "0.5*z + 0.3*z^2 + 0.2*z^4096"])
+def test_restricted_target_stops_at_the_first_overlap(monkeypatch, text):
+    # <phi, phi^2> is nonzero, so phi and phi^2 decide; a list of every power
+    # up to the bound deg / (lowest degree) would expand 4096 for the second
+    drawn = []
+    powers = hardy.powers
+
+    def counted(*args):
+        for p in powers(*args):
+            drawn.append(p)
+            yield p
+
+    monkeypatch.setattr(hardy, "powers", counted)
+    assert recognize_restricted_target(parse_symbol(text)) is None
+    assert 0 < len(drawn) <= 2
 
 
 def test_restriction_and_its_target_share_the_origin_rule():

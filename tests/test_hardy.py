@@ -57,6 +57,19 @@ def test_h2_inner_power_overlap_oracle():
     assert h2_inner(phi2, phi3) == 0.03125
 
 
+def test_power_overlaps_read_powers_cut_to_the_symbol():
+    # <phi, phi^n> for n = 2..n_max from powers cut to phi's length are those
+    # of the full expansions; n_max < 2 leaves no power to overlap
+    phi = np.array([0, 0.5, 0.5], dtype=complex)
+    full, expect = np.ones(1, dtype=complex), []
+    for _ in range(4):
+        full = np.convolve(full, phi)
+        expect.append(h2_inner(phi, full))
+    assert list(hardy.power_overlaps(phi, 4)) == expect[1:]
+    assert expect[1] == 0.125
+    assert list(hardy.power_overlaps(phi, 1)) == []
+
+
 @pytest.mark.parametrize("c", [
     [0.5, 0, 0, 0.25j, 0, -0.1],      # sparse, nonzero constant term
     [0, 0.3, 0.2 - 0.1j, 0.1, 0.05],  # dense, vanishing at 0

@@ -120,6 +120,25 @@ def test_one_coefficient_product_and_one_evaluation():
     assert uses == []
 
 
+def test_one_owner_for_power_expansions():
+    # symbolic.powers expands c^n for compose, which needs every power of num
+    # and den, and for rudin_audit, which needs every pair <phi^m, phi^n>;
+    # every other overlap <phi, phi^n> comes from hardy.power_overlaps
+    homes = {("symbolic.py", "compose"), ("hardy.py", "power_overlaps"),
+             ("analysis.py", "rudin_audit")}
+    calls = []
+    for path in sorted((SRC / "hardyop").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if (path.name, getattr(top, "name", None)) in homes:
+                continue
+            calls += [f"{path.name}:{node.lineno}" for node in ast.walk(top)
+                      if isinstance(node, ast.Call)
+                      and ((isinstance(node.func, ast.Name) and node.func.id == "powers")
+                           or (isinstance(node.func, ast.Attribute)
+                               and node.func.attr == "powers"))]
+    assert calls == []
+
+
 def test_analysis_samples_no_circle():
     # one boundary quadrature: every boundary integral in analysis goes
     # through hardy.p_norm's grid ladder, never a grid of its own
