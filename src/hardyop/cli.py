@@ -33,7 +33,7 @@ EXIT_SOLVER = 3
 
 _SOLVER_ERRORS = (ConvergenceError, BracketError, InconsistencyError, SolverInternalError,
                   np.linalg.LinAlgError)
-_INPUT_ERRORS = (HardyOpError, ValueError, KeyError)  # caught after _SOLVER_ERRORS
+_INPUT_ERRORS = (HardyOpError, ValueError)  # caught after _SOLVER_ERRORS
 
 
 # ---------------------------------------------------------------------------

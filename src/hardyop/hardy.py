@@ -4,9 +4,9 @@ closed-form distance between reproducing kernels with its open-disk check.
 
 All boundary integrals use the normalized measure dm = dtheta / 2pi, so the
 uniform trapezoid rule on a periodic grid reduces to the grid mean.  Every
-grid starts at the symbol's grid_size.  p_norm reads its unshifted blocks of
-at most BLOCK points from symbolic.boundary_moduli; the shifted blocks of
-larger grids are sampled by circle_values.
+grid starts at the symbol's grid_size.  p_norm reads its blocks of at most
+BLOCK points from symbolic.boundary_moduli, which stores only the unshifted
+ones; the shifted blocks of larger grids are sampled afresh.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def p_norm(s: Symbol, p: float, tol: float = 1e-10) -> PNormResult:
     p = inf reads the refined sup cached by validate_selfmap (est_error: its
     gap to the largest grid sample).  Finite p: sup * (mean (|phi|/sup)^p)^(1/p),
     which cannot underflow, by trapezoid quadrature on the grid ladder from the
-    symbol's grid_size; each rung's unshifted block reads boundary_moduli.
+    symbol's grid_size; every block reads boundary_moduli.
     """
     if not p >= 2:  # NaN too
         raise PreconditionError(f"p must be >= 2 (or inf), got {p}")
@@ -131,8 +131,7 @@ def p_norm(s: Symbol, p: float, tol: float = 1e-10) -> PNormResult:
         return PNormResult(value=0.0, grid_size=K, est_error=0.0)
 
     def integrand(B: int, shift: float) -> np.ndarray:
-        m = boundary_moduli(s, B) if shift == 0.0 else np.abs(circle_values(s, B, shift))
-        return (m / sup) ** p
+        return (boundary_moduli(s, B, shift) / sup) ** p
 
     return _grid_ladder(lambda K: sup * _grid_mean(integrand, K) ** (1.0 / p), K, tol)
 

@@ -1,7 +1,7 @@
 """Numerical range of finite compressions: Rayleigh-quotient sampling, the
-support-function boundary by a certified subspace sweep over the
-Hermitian parts (Johnson's method, SIAM J. Numer. Anal. 15, 1978, with the
-subspace projection of Kressner, Lu and Vandereycken, SIMAX 39, 2018),
+support-function boundary by a certified subspace sweep over the Hermitian
+parts of e^{-i theta} M (Johnson's method, SIAM J. Numer. Anal. 15, 1978, with
+the subspace projection of Kressner, Lu and Vandereycken, SIMAX 39, 2018),
 numerical radius, and comparison against closed-form elliptical targets.
 
 For convex compact sets the Hausdorff distance equals the sup-norm distance
@@ -59,32 +59,30 @@ def _certified(G: np.ndarray) -> bool:
 
 
 class _SupportSweep:
-    """Certified top eigenpairs of aS + bT, the Hermitian part of (a - ib) M
-    for S = (M + M^H)/2 and T = (M - M^H)/2i, by Rayleigh-Ritz on one growing
-    basis V shared by all angles.  The sweep holds S and T, not M.
+    """Certified top eigenpairs of H(w) = (wM + conj(w) M^H)/2, the Hermitian
+    part of wM for w = e^{-i theta} (theta + pi is -w), by Rayleigh-Ritz on one
+    growing basis V shared by all angles.  The sweep holds M and M^H only.
 
     A Ritz pair (mu, x) is accepted when its full-space residual is at most
     eps = CERT_TOL max(1, |mu|) and a Cholesky factorization of
-    (mu + eps) I - (aS + bT), formed from S and T, succeeds.  A Ritz value is
-    a Rayleigh quotient, so mu <= lambda_max, and the factorization proves
+    (mu + eps) I - H(w), formed from M and M^H, succeeds.  A Ritz value is a
+    Rayleigh quotient, so mu <= lambda_max, and the factorization proves
     lambda_max < mu + eps: each accepted value is the top eigenvalue within
-    eps.  A NaN fails both tests.  Where a pair fails, one dense step at
-    H(theta) = cos(theta) S + sin(theta) T supplies the top pairs of H and -H:
-    eigvalsh gives the extreme eigenvalues, and inverse iteration with shifts
-    eps beyond them gives their two vectors and their first-order derivatives
-    in theta, with no eigenvector matrix.  Vectors and derivatives join the
-    basis (re-orthonormalized by QR), so that the basis also serves the nearby
-    angles.  A Ritz pair interpolates the eigenvector curve between angles the
-    basis has solved far better than it extrapolates past them, so callers
-    visit their angles coarse to fine.  dense_solves counts the dense steps.
+    eps.  A NaN fails both tests.  Where a pair fails, one dense step at H(w)
+    supplies the top pairs of H and -H: eigvalsh gives the extreme eigenvalues,
+    and inverse iteration with shifts eps beyond them gives their two vectors
+    and their first-order derivatives in theta, with no eigenvector matrix.
+    Vectors and derivatives join the basis (re-orthonormalized by QR), so that
+    the basis also serves the nearby angles.  A Ritz pair interpolates the
+    eigenvector curve between angles the basis has solved far better than it
+    extrapolates past them, so callers visit their angles coarse to fine.
+    Each boundary point is x^H M x; dense_solves counts the dense steps.
     """
 
     def __init__(self, M: np.ndarray):
-        Mh = M.conj().T
-        self.S = M + Mh  # formed in place, with no N x N temporaries
-        self.S /= 2.0
-        self.T = np.subtract(M, Mh, dtype=complex)
-        self.T /= 2.0j
+        # one layout: M^H as a transposed view slowed the certificates ~30%
+        self.M = np.asfortranarray(M)
+        self.Mh = np.conjugate(self.M.T, order="F")
         self.V = np.zeros((M.shape[0], 0), dtype=complex)  # projected at the first dense step
         # the inverse iteration's fixed start: a chirp, with none of the
         # symmetries (constant, reflected, alternating) that make a structured
@@ -93,30 +91,31 @@ class _SupportSweep:
         self.dense_solves = 0
 
     def _project(self) -> None:
-        self.SV, self.TV = self.S @ self.V, self.T @ self.V
-        self.PS, self.PT = self.V.conj().T @ self.SV, self.V.conj().T @ self.TV
+        self.MV, self.MhV = self.M @ self.V, self.Mh @ self.V
+        self.P = self.V.conj().T @ self.MV
 
-    def _accept(self, a: float, b: float, mu: float, y: np.ndarray):
-        """(mu, boundary point) if the Ritz pair is a certified top pair of aS + bT."""
-        x, Sx, Tx = self.V @ y, self.SV @ y, self.TV @ y
+    def _accept(self, w: complex, mu: float, y: np.ndarray):
+        """(mu, boundary point) if the Ritz pair is a certified top pair of H(w)."""
+        x, Mx = self.V @ y, self.MV @ y
         eps = CERT_TOL * max(1.0, abs(mu))
-        if not np.linalg.norm(a * Sx + b * Tx - mu * x) <= eps:
+        if not np.linalg.norm((w * Mx + w.conjugate() * (self.MhV @ y)) / 2.0 - mu * x) <= eps:
             return None
-        G = self.T * -b
-        G -= a * self.S
+        G = self.M * (-w / 2.0)
+        G -= self.Mh * (w.conjugate() / 2.0)
         G.flat[::G.shape[0] + 1] += mu + eps
         if not _certified(G):
             return None
-        return mu, _point(x, Sx, Tx)
+        return mu, complex(np.vdot(x, Mx))
 
     def extremes(self, theta: float, opposite: bool):
         """Top pairs (h, boundary point) of H(theta) and, if opposite, of
-        H(theta + pi) = -H(theta), with a, b = -cos, -sin (else None)."""
-        c, s = float(np.cos(theta)), float(np.sin(theta))
+        H(theta + pi) = -H(theta) (else None)."""
+        w = complex(np.cos(theta), -np.sin(theta))
         if self.V.shape[1]:
-            mus, Y = np.linalg.eigh(c * self.PS + s * self.PT)
-            top = self._accept(c, s, mus[-1], Y[:, -1])
-            opp = self._accept(-c, -s, -mus[0], Y[:, 0]) if opposite and top is not None else None
+            B = w * self.P
+            mus, Y = np.linalg.eigh((B + B.conj().T) / 2.0)
+            top = self._accept(w, mus[-1], Y[:, -1])
+            opp = self._accept(-w, -mus[0], Y[:, 0]) if opposite and top is not None else None
             if top is not None and (opp is not None or not opposite):
                 return top, opp
         # -H, then sigma_top I - H and sigma_bot I - H, in one (2, N, N) block:
@@ -126,9 +125,9 @@ class _SupportSweep:
         # left the thresholds at N^2, and each certificate was trimmed and
         # faulted in again (about 173,500 minor faults on a 720-angle N=256
         # boundary, against about 2,560 with the block)
-        K = np.empty((2,) + self.S.shape, dtype=complex)
-        np.multiply(self.T, -s, out=K[0])
-        K[0] -= np.multiply(self.S, c, out=K[1])  # -H
+        K = np.empty((2,) + self.M.shape, dtype=complex)
+        np.multiply(self.M, -w / 2.0, out=K[0])
+        K[0] -= np.multiply(self.Mh, w.conjugate() / 2.0, out=K[1])  # -H
         lo, hi = -np.linalg.eigvalsh(K[0])[[-1, 0]]
         self.dense_solves += 1
         K[1] = K[0]
@@ -137,12 +136,12 @@ class _SupportSweep:
         # inverse iteration (Parlett, The Symmetric Eigenvalue Problem, 1998):
         # sigma lies eps beyond lambda, so one solve from the fixed start gives
         # x within O(eps/gap), and a second refines x and gives the derivative
-        # x' = (lambda I - H)^+ H'x, H' = -sin(theta) S + cos(theta) T, as
+        # x' = (lambda I - H)^+ H'x, H' = H(-iw) = (wM - conj(w) M^H)/2i, as
         # (sigma I - H)^{-1} (I - xx^H) H'x less its x component, within
         # O(eps/gap) of it; gap is lambda's distance to the rest of the spectrum
         X = np.linalg.solve(K, self._start[None, :, None])[:, :, 0].T
         X /= np.linalg.norm(X, axis=0)
-        W = c * (self.T @ X) - s * (self.S @ X)
+        W = (w * (self.M @ X) - w.conjugate() * (self.Mh @ X)) / 2.0j
         W -= X * np.einsum("ij,ij->j", X.conj(), W)
         Y = np.linalg.solve(K, np.stack([X.T, W.T], axis=2))
         ends = Y[:, :, 0].T / np.linalg.norm(Y[:, :, 0], axis=1)
@@ -150,14 +149,8 @@ class _SupportSweep:
         D -= ends * np.einsum("ij,ij->j", ends.conj(), D)
         self.V = np.linalg.qr(np.hstack([self.V, ends, D]))[0]
         self._project()
-        SE, TE = self.S @ ends, self.T @ ends
-        top, opp = (_point(x, Sx, Tx) for x, Sx, Tx in zip(ends.T, SE.T, TE.T))
-        return (hi, top), (-lo, opp) if opposite else None
-
-
-def _point(x: np.ndarray, Sx: np.ndarray, Tx: np.ndarray) -> complex:
-    """The boundary point x^H M x = x^H S x + i x^H T x of a unit vector x."""
-    return complex((x.conj() @ Sx).real, (x.conj() @ Tx).real)
+        top, opp = np.einsum("ij,ij->j", ends.conj(), self.M @ ends)
+        return (hi, complex(top)), (-lo, complex(opp)) if opposite else None
 
 
 def _slope(theta: float, pt: complex) -> float:
@@ -271,12 +264,9 @@ def boundary(A, grid: int = 720) -> NRBoundary:
         h[j], pts[j] = top
         if opposite is not None:
             h[j + half], pts[j + half] = opposite
-    if mirror:
-        k = np.arange(1, grid // 4)
-        h[half - k] = h[half + k]
-        pts[half - k] = pts[half + k].conj()
-        h[grid - k] = h[k]
-        pts[grid - k] = pts[k].conj()
+    if mirror:  # -J mirrors J in both half-turns: theta -> -theta
+        J = np.r_[1:grid // 4, half + 1:half + grid // 4]
+        h[-J], pts[-J] = h[J], pts[J].conj()
     radius, evals = _radius(sweep, h, pts, mirror)
     return NRBoundary(thetas=thetas, support_vals=h, boundary_pts=pts, radius=radius,
                       dense_solves=sweep.dense_solves, radius_evals=evals)

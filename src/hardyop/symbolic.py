@@ -373,8 +373,11 @@ def circle_values(s: Symbol, K: int, shift: float = 0.0) -> np.ndarray:
     return values if s.is_polynomial else values / folded_ifft(s.den)
 
 
-def boundary_moduli(s: Symbol, K: int) -> np.ndarray:
-    """|phi| on the unshifted K-point grid, read-only; stored on the symbol per K."""
+def boundary_moduli(s: Symbol, K: int, shift: float = 0.0) -> np.ndarray:
+    """|phi| at e^{i(shift + 2 pi k/K)}, k = 0..K-1.  Only the unshifted grid
+    is stored on the symbol, per K and read-only."""
+    if shift != 0.0:
+        return np.abs(circle_values(s, K, shift))
     if K not in s._moduli:
         s._moduli[K] = _writeprotect(np.abs(circle_values(s, K)))
     return s._moduli[K]
@@ -496,9 +499,8 @@ def validate_selfmap(s: Symbol) -> SelfmapDiagnostics:
     R, h = SUP_OVERSAMPLE, 2.0 * np.pi / (K * SUP_OVERSAMPLE)
     w = np.empty(K * R + 2)  # w[m + 1] = |phi(e^{i h m})|, wrapped at both ends
     v = w[1:-1].reshape(K, R)
-    v[:, 0] = boundary_moduli(s, K)
-    for k in range(1, R):
-        v[:, k] = np.abs(circle_values(s, K, shift=h * k))
+    for k in range(R):
+        v[:, k] = boundary_moduli(s, K, h * k)
     w[0], w[-1] = w[-2], w[1]
     m = np.flatnonzero((w[1:-1] >= w[:-2]) & (w[1:-1] >= w[2:]))
     l, c, r = w[m], w[m + 1], w[m + 2]

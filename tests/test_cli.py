@@ -118,6 +118,18 @@ def test_every_package_error_has_its_exit_code(monkeypatch, capsys, cls):
     assert err.startswith("solver error:" if err_code == 3 else "input error:")
 
 
+def test_a_key_error_inside_a_command_is_not_reported_as_bad_input(monkeypatch, capsys):
+    # a missing dict key in a command is a bug, not an input error: it
+    # propagates instead of exiting 2 with "input error: 'missing'"
+    def buggy(args):
+        return {}["missing"]
+
+    monkeypatch.setattr(cli, "cmd_norm", buggy)
+    with pytest.raises(KeyError, match="missing"):
+        main(["norm", "z", "-N", "4,8"])
+    assert "input error" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("args", [["norm", "z^2"], ["distance", "z^2", "const(0.5)"]],
                          ids=" ".join)
 @pytest.mark.parametrize("values, message", [

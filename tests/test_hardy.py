@@ -23,7 +23,7 @@ from hardyop import (
     taylor,
     validate_selfmap,
 )
-from hardyop import hardy
+from hardyop import hardy, symbolic
 from hardyop.hardy import pullback_h2
 from hardyop.symbolic import identity, poly_product, powers, sym_mul
 
@@ -221,13 +221,13 @@ def test_p_norm_past_block_samples_only_the_shifted_block(monkeypatch):
     # stored; the values are bitwise those of sampling every block
     s, sampled = parse_symbol("0.5*z + 0.4*z^4096"), parse_symbol("0.5*z + 0.4*z^4096")
     validate_selfmap(s)
-    shifts, sample = [], hardy.circle_values
+    shifts, sample = [], symbolic.circle_values
 
     def recorded(s, K, shift=0.0):
         shifts.append(shift)
         return sample(s, K, shift)
 
-    monkeypatch.setattr(hardy, "circle_values", recorded)
+    monkeypatch.setattr(symbolic, "circle_values", recorded)
     values = {p: p_norm(s, p) for p in (2, 3, 4, 8)}
     assert all(r.grid_size > hardy.BLOCK for r in values.values())
     assert shifts and 0.0 not in shifts

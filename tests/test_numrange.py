@@ -309,7 +309,7 @@ def test_opposite_pair_is_the_top_pair_of_the_negated_pencil():
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="counts minor page faults as Linux getrusage reports them")
 def test_first_boundary_of_a_process_takes_few_page_faults():
-    # the sweep forms aS + bT only where a certificate or a dense eigh reads
+    # the sweep forms H(w) only where a certificate or a dense eigh reads
     # it; one H(theta) per angle shared by two negated copies took about
     # 205,000 minor faults on this boundary, against about 8,000 now
     code = ("import resource\n"
@@ -327,10 +327,11 @@ def test_first_boundary_of_a_process_takes_few_page_faults():
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads the peak resident set (VmHWM) from /proc/self/status")
 def test_large_boundary_peak_memory():
-    # the dense step holds S, T, the (2, N, N) shifted stack and one LAPACK
-    # copy; a full eigh with its eigenvector matrix and workspace read a rise
-    # of 8.1 x 16N^2, the shifted solves 5.6.  VmHWM, not ru_maxrss, which
-    # carries over across exec
+    # the dense step holds M^H (a real copy, 8N^2 bytes), the (2, N, N)
+    # shifted stack and one LAPACK copy; a full eigh with its eigenvector
+    # matrix and workspace read a rise of 8.1 x 16N^2, the shifted solves
+    # beside the Hermitian parts S and T 5.6, beside M^H alone 4.7.  VmHWM,
+    # not ru_maxrss, which carries over across exec
     code = ("from hardyop import alpha, boundary, comp_matrix\n"
             "def hwm():\n"
             "    for line in open('/proc/self/status'):\n"
@@ -343,7 +344,21 @@ def test_large_boundary_peak_memory():
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, cwd=src).stdout
-    assert float(out) <= 6.5
+    assert float(out) <= 5.2
+
+
+@pytest.mark.parametrize("make", [
+    lambda: comp_matrix(alpha(0.5), 64).matrix,  # a real build, Fortran-ordered
+    lambda: np.ascontiguousarray(nonnormal_complex(64)),
+], ids=["real-F", "complex-C"])
+def test_sweep_holds_the_compression_and_its_adjoint_in_one_layout(make):
+    # M^H as a transposed view of M mixes layouts in every certificate and
+    # slowed a 720-angle N=256 boundary by about 30%
+    M = make()
+    sweep = _SupportSweep(M)
+    assert sweep.M.flags.f_contiguous and sweep.Mh.flags.f_contiguous
+    assert sweep.M.dtype == sweep.Mh.dtype == M.dtype
+    assert np.array_equal(sweep.M, M) and np.array_equal(sweep.Mh, M.conj().T)
 
 
 RADIUS_CASES = {
