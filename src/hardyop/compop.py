@@ -116,7 +116,7 @@ def _build(s: Symbol, N: int):
     of psi^k, and phases is (mu^d, lam^k) over the degrees d, k < N; else
     phases is ()."""
     if N < 2:
-        raise PreconditionError("compression dimension must be >= 2")
+        raise PreconditionError(f"compression dimension must be >= 2, got {N}")
     require_selfmap(s)
     rot = rotation_real(s)  # psi is a selfmap too: |psi(w)| = |s(conj(mu) w)|
     phases = ()

@@ -4,9 +4,12 @@ closed-form distance between reproducing kernels with its open-disk check.
 
 All boundary integrals use the normalized measure dm = dtheta / 2pi, so the
 uniform trapezoid rule on a periodic grid reduces to the grid mean.  Every
-grid starts at the symbol's grid_size.  p_norm reads its blocks of at most
-BLOCK points from symbolic.boundary_moduli, which stores only the unshifted
-ones; the shifted blocks of larger grids are sampled afresh.
+ladder starts at the symbol's grid_size, and its grids nest: each rung samples
+only the previous grid turned by half a step.  p_norm reads its blocks of at
+most BLOCK points from symbolic.boundary_moduli, whose one stored grid per
+symbol (at most BLOCK floats, 256 KB) holds validate_selfmap's scan and every
+rung up to BLOCK points, so no point is sampled twice below that; larger rungs
+are sampled afresh.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .symbolic import (
+    BLOCK,
     COEFF_TOL,
     CoeffVec,
     Symbol,
@@ -33,7 +37,6 @@ from .symbolic import (
 )
 
 MAX_GRID = 1 << 20          # largest quadrature grid
-BLOCK = 1 << 15             # largest grid sampled at once
 
 
 @dataclass(frozen=True)
@@ -91,24 +94,25 @@ def kernel_distance(p1: complex, p2: complex) -> float:
 # p-norms
 
 
-def _grid_mean(integrand, K: int) -> float:
-    """Mean of an integrand over the K-point grid, in interleaved blocks of at
-    most BLOCK points; integrand(B, shift) gives its values on the B-point grid
-    turned by shift, the unshifted block first."""
+def _grid_sum(integrand, K: int, shift: float) -> float:
+    """Sum of an integrand over the K-point grid turned by shift, in interleaved
+    blocks of at most BLOCK points; integrand(B, shift) gives its values on the
+    B-point grid turned by shift."""
     B = min(K, BLOCK)
-    total = 0.0
-    for j in range(K // B):
-        total += float(np.sum(integrand(B, 2.0 * np.pi * j / K)))
-    return total / K
+    return sum(float(np.sum(integrand(B, shift + 2.0 * np.pi * j / K))) for j in range(K // B))
 
 
-def _grid_ladder(value_at, K: int, tol: float) -> PNormResult:
-    """value_at(K) on grids doubling from K until two successive values agree
-    within tol, or the last one at MAX_GRID with its refinement delta."""
-    value, delta = value_at(K), math.inf
+def _grid_ladder(integrand, K: int, tol: float, finish=lambda mean: mean) -> PNormResult:
+    """finish(mean of the integrand) on grids doubling from K until two successive
+    values agree within tol, or the last one at MAX_GRID with its refinement
+    delta.  The grids nest: rung 2K's sum is rung K's plus the sum over the
+    K-point grid turned by half a step, pi/K."""
+    total = _grid_sum(integrand, K, 0.0)
+    value, delta = finish(total / K), math.inf
     while K < MAX_GRID and delta > tol:
+        total += _grid_sum(integrand, K, np.pi / K)
         K *= 2
-        prev, value = value, value_at(K)
+        prev, value = value, finish(total / K)
         delta = abs(value - prev)
     return PNormResult(value=value, grid_size=K, est_error=delta)
 
@@ -118,8 +122,8 @@ def p_norm(s: Symbol, p: float, tol: float = 1e-10) -> PNormResult:
 
     p = inf reads the refined sup cached by validate_selfmap (est_error: its
     gap to the largest grid sample).  Finite p: sup * (mean (|phi|/sup)^p)^(1/p),
-    which cannot underflow, by trapezoid quadrature on the grid ladder from the
-    symbol's grid_size; every block reads boundary_moduli.
+    which cannot underflow, by trapezoid quadrature on the nested grid ladder
+    from the symbol's grid_size; every block reads boundary_moduli.
     """
     if not p >= 2:  # NaN too
         raise PreconditionError(f"p must be >= 2 (or inf), got {p}")
@@ -130,19 +134,16 @@ def p_norm(s: Symbol, p: float, tol: float = 1e-10) -> PNormResult:
     if sup == 0.0:
         return PNormResult(value=0.0, grid_size=K, est_error=0.0)
 
-    def integrand(B: int, shift: float) -> np.ndarray:
-        return (boundary_moduli(s, B, shift) / sup) ** p
-
-    return _grid_ladder(lambda K: sup * _grid_mean(integrand, K) ** (1.0 / p), K, tol)
+    return _grid_ladder(lambda B, shift: (boundary_moduli(s, B, shift) / sup) ** p, K, tol,
+                        lambda mean: sup * mean ** (1.0 / p))
 
 
 def pullback_h2(s: Symbol, f: CoeffVec, tol: float = 1e-10) -> PNormResult:
-    """Mean of |f o phi|^2 on the circle for a polynomial f, on the grid ladder
-    from phi's grid_size.  f is applied to phi's boundary values, so no composite
-    symbol meets the degree cap or the pole check of den^deg(f)."""
-    return _grid_ladder(lambda K: _grid_mean(
-        lambda B, shift: np.abs(poly_eval(f, circle_values(s, B, shift))) ** 2, K),
-        validate_selfmap(s).grid_size, tol)
+    """Mean of |f o phi|^2 on the circle for a polynomial f, on the nested grid
+    ladder from phi's grid_size.  f is applied to phi's boundary values, so no
+    composite symbol meets the degree cap or the pole check of den^deg(f)."""
+    return _grid_ladder(lambda B, shift: np.abs(poly_eval(f, circle_values(s, B, shift))) ** 2,
+                        validate_selfmap(s).grid_size, tol)
 
 
 # ---------------------------------------------------------------------------

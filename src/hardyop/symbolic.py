@@ -42,6 +42,7 @@ FIXED_POINT_TOL = 1e-12     # fixed_point: |phi(z) - z| (Newton) or orbit step
 COEFF_TOL = 1e-10           # coefficient identities: max residual (ratio: times max(1, |c|))
 ORIGIN_TOL = 1e-12          # |phi(0)| <= ORIGIN_TOL counts as fixing the origin
 TAYLOR_BLOCK = 64           # taylor: coefficients per block of the series division
+BLOCK = 1 << 15             # largest circle grid sampled at once, and the stored grid's cap
 
 
 def trim(c) -> CoeffVec:
@@ -101,7 +102,7 @@ class Symbol:
         object.__setattr__(self, "den", _writeprotect(den))
         object.__setattr__(self, "_diag", None)
         object.__setattr__(self, "_modulus_products", None)
-        object.__setattr__(self, "_moduli", {})
+        object.__setattr__(self, "_moduli", _writeprotect(np.empty(0)))
 
     # -- structure ---------------------------------------------------------
 
@@ -357,8 +358,9 @@ def taylor(s: Symbol, N: int) -> CoeffVec:
 def circle_values(s: Symbol, K: int, shift: float = 0.0) -> np.ndarray:
     """Values of the symbol at e^{i(shift + 2 pi k/K)}, k = 0..K-1.
 
-    z^K is constant on these points, so num and den each fold modulo K into
-    one unnormalized inverse FFT.  A polynomial's denominator is 1 and takes
+    z^K is constant on these points, so num and den, turned by shift, each take
+    one unnormalized inverse FFT, which zero-pads them to K; only one longer
+    than K is first folded modulo K.  A polynomial's denominator is 1 and takes
     none, which halves the cost of sampling it.  On power-of-two grids the
     values equal the ratio of the 1/K-normalized transforms bitwise.
     """
@@ -366,21 +368,36 @@ def circle_values(s: Symbol, K: int, shift: float = 0.0) -> np.ndarray:
         raise ValueError("circle grid must have at least one point")
 
     def folded_ifft(c: CoeffVec) -> np.ndarray:
-        c = c * np.exp(1j * shift * np.arange(c.size))
-        return np.fft.ifft(np.pad(c, (0, -c.size % K)).reshape(-1, K).sum(axis=0), norm="forward")
+        if shift != 0.0:
+            c = c * np.exp(1j * shift * np.arange(c.size))
+        if c.size > K:
+            c = np.pad(c, (0, -c.size % K)).reshape(-1, K).sum(axis=0)
+        return np.fft.ifft(c, n=K, norm="forward")
 
     values = folded_ifft(s.num)
     return values if s.is_polynomial else values / folded_ifft(s.den)
 
 
 def boundary_moduli(s: Symbol, K: int, shift: float = 0.0) -> np.ndarray:
-    """|phi| at e^{i(shift + 2 pi k/K)}, k = 0..K-1.  Only the unshifted grid
-    is stored on the symbol, per K and read-only."""
-    if shift != 0.0:
-        return np.abs(circle_values(s, K, shift))
-    if K not in s._moduli:
-        s._moduli[K] = _writeprotect(np.abs(circle_values(s, K)))
-    return s._moduli[K]
+    """|phi| at e^{i(shift + 2 pi k/K)}, k = 0..K-1, read-only.
+
+    The symbol stores one unshifted grid of M <= BLOCK points, the finest
+    dyadic one sampled so far; validate_selfmap's scan starts it.  A grid whose
+    points it holds (K divides M, shift a multiple of 2 pi/M) is a strided view
+    of it.  The M-point grid turned by half a step, pi/M, is sampled and, while
+    2M <= BLOCK, merged with it into the stored 2M-point grid; any other grid is
+    sampled afresh.
+    """
+    g = s._moduli
+    M = g.size
+    j = shift * M / (2.0 * np.pi)  # the turn in steps of the stored grid
+    if K <= M and M % K == 0 and j.is_integer() and 0 <= j < M // K:
+        return g[int(j)::M // K]
+    v = np.abs(circle_values(s, K, shift))
+    if K == M and j == 0.5 and 2 * M <= BLOCK:
+        object.__setattr__(s, "_moduli", _writeprotect(np.stack((g, v), axis=1).ravel()))
+        return s._moduli[1::2]
+    return _writeprotect(v)
 
 
 def compose(f: Symbol, g: Symbol) -> Symbol:
@@ -486,12 +503,14 @@ def validate_selfmap(s: Symbol) -> SelfmapDiagnostics:
 
     The boundary grid has the smallest power of two of at least
     max(MIN_GRID, 4 (degree + 1)) points, so no z^k with k <= degree aliases.
-    The sup scan takes SUP_OVERSAMPLE shifted copies of it; nested grids through
-    Symbol.__call__ refine the SUP_PEAKS local maxima with the highest parabolic
-    estimates, since the raw samples misrank the ~4096 near-equal maxima of a
-    degree-4096 symbol.  Poles on or near the closed disk are rejected at
-    construction, so a refined sup within 1 + 1e-9 is a selfmap; a constant,
-    whose sup |phi(0)| cannot tell |phi(0)| = 1 apart, is one when |phi(0)| < 1.
+    The sup scan takes SUP_OVERSAMPLE shifted copies of it, which make up the
+    finer grid that starts boundary_moduli's store (or its finest sub-grid of
+    at most BLOCK points).  Nested grids through Symbol.__call__ refine the
+    SUP_PEAKS local maxima with the highest parabolic estimates, since the raw
+    samples misrank the ~4096 near-equal maxima of a degree-4096 symbol.
+    Poles on or near the closed disk are rejected at construction, so a refined
+    sup within 1 + 1e-9 is a selfmap; a constant, whose sup |phi(0)| cannot tell
+    |phi(0)| = 1 apart, is one when |phi(0)| < 1.
     """
     if s._diag is not None:
         return s._diag
@@ -500,8 +519,9 @@ def validate_selfmap(s: Symbol) -> SelfmapDiagnostics:
     w = np.empty(K * R + 2)  # w[m + 1] = |phi(e^{i h m})|, wrapped at both ends
     v = w[1:-1].reshape(K, R)
     for k in range(R):
-        v[:, k] = boundary_moduli(s, K, h * k)
+        v[:, k] = np.abs(circle_values(s, K, h * k))
     w[0], w[-1] = w[-2], w[1]
+    object.__setattr__(s, "_moduli", _writeprotect(w[1:-1:max(1, K * R // BLOCK)].copy()))
     m = np.flatnonzero((w[1:-1] >= w[:-2]) & (w[1:-1] >= w[2:]))
     l, c, r = w[m], w[m + 1], w[m + 2]
     est = c + (l - r) ** 2 / (8.0 * np.maximum(2.0 * c - l - r, np.finfo(float).tiny))
@@ -525,13 +545,15 @@ def validate_selfmap(s: Symbol) -> SelfmapDiagnostics:
 # on the circle iff the modulus products are proportional with ratio c^2
 
 
-def _same_length(p: CoeffVec, q: CoeffVec) -> tuple[CoeffVec, CoeffVec]:
-    n = max(p.size, q.size)
-    return np.pad(p, (0, n - p.size)), np.pad(q, (0, n - q.size))
+def _same_length(p: CoeffVec, q: CoeffVec) -> np.ndarray:
+    """p and q zero-padded to one length, as the two rows of one array."""
+    pq = np.zeros((2, max(p.size, q.size)), dtype=complex)
+    pq[0, :p.size], pq[1, :q.size] = p, q
+    return pq
 
 
-def cross_products(f: Symbol, g: Symbol) -> tuple[CoeffVec, CoeffVec]:
-    """f.num g.den and g.num f.den, zero-padded to one length."""
+def cross_products(f: Symbol, g: Symbol) -> np.ndarray:
+    """f.num g.den and g.num f.den, zero-padded to one length (two rows)."""
     return _same_length(poly_product(f.num, g.den), poly_product(g.num, f.den))
 
 

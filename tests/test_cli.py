@@ -574,8 +574,8 @@ def test_finite_doubles_round_trip_bitwise(x):
     assert struct.pack("<d", float(list(csv.reader(text.splitlines()))[1][0])) == bits
 
 
-def test_verify_all_assertion_results_are_json_booleans(tmp_path):
-    code, doc = run_json(["verify", "all"], tmp_path)
+def test_verify_all_assertion_results_are_json_booleans(verify_all_report):
+    code, doc = verify_all_report
     assert code == 0
     oks = [a["ok"] for check in doc["checks"] for a in check["assertions"]]
     assert len(oks) > 80 and all(ok is True for ok in oks)

@@ -4,7 +4,8 @@ Each row is one `hardyop` command line and a predicate on the JSON report it
 writes; every row must exit 0.  A new console-script guard is a row here, not
 a CI step: `test_ci_runs_the_console_script_once` keeps the workflow at one
 installed entry-point smoke.  Commands whose expected outcome is an input
-error sit beside their siblings in test_cli.py.
+error sit beside their siblings in test_cli.py, apart from the pair below that
+must print one message for one fault.
 """
 
 import math
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from hardyop.cli import main
 from test_cli import run_json
 
 
@@ -65,6 +67,15 @@ def test_console_command(tmp_path, argv, check):
     code, doc = run_json(argv, tmp_path)
     assert code == 0 and doc["command"] == argv[0]
     assert check(doc), doc
+
+
+@pytest.mark.parametrize("argv", [["norm", "alpha(0.5)", "-N", "1"],
+                                  ["norm", "(z+z^2)/2", "--restricted", "-N", "1"]],
+                         ids=["norm", "restricted"])
+def test_dimension_one_names_its_value(capsys, argv):
+    # the plain build and the restricted block reject N = 1 with one message
+    assert main(argv) == 2
+    assert "compression dimension must be >= 2, got 1" in capsys.readouterr().err
 
 
 def test_ci_runs_the_console_script_once():

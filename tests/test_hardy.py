@@ -188,19 +188,17 @@ def test_p_norm_degree_4095_symbol(p):
 
 
 def _sampled_p_norm(s, p):
-    """p_norm's ladder with every grid sampled by circle_values, nothing stored."""
+    """p_norm's nested ladder with every grid sampled by circle_values, nothing stored."""
     d = validate_selfmap(s)
     sup = d.boundary_sup
-    return hardy._grid_ladder(
-        lambda K: sup * hardy._grid_mean(
-            lambda B, shift: (np.abs(circle_values(s, B, shift)) / sup) ** p, K) ** (1 / p),
-        d.grid_size, 1e-10).value
+    return hardy._grid_ladder(lambda B, shift: (np.abs(circle_values(s, B, shift)) / sup) ** p,
+                              d.grid_size, 1e-10, lambda mean: sup * mean ** (1 / p)).value
 
 
 @pytest.mark.parametrize("text", ["0.5 + 0.2*z^3 + 0.2*z^4096", "(z+z^2)/2"])
 def test_stored_moduli_leave_every_value_unchanged(text):
     # descending p fills the store with the longest ladder first; a fresh
-    # symbol takes ascending p, and the sampled path stores nothing
+    # symbol takes ascending p, and the sampled path reads nothing stored
     s, fresh, sampled = (parse_symbol(text) for _ in range(3))
     f = [0.5, -1.0, 0.25j]
     pullback = pullback_h2(fresh, f).value
@@ -213,7 +211,7 @@ def test_stored_moduli_leave_every_value_unchanged(text):
 def test_p_norm_ladder_past_block_stores_no_larger_grid():
     s = parse_symbol("0.5 + 0.2*z^3 + 0.2*z^4096")
     assert p_norm(s, 8).grid_size > hardy.BLOCK
-    assert sorted(s._moduli) == [hardy.BLOCK]
+    assert s._moduli.size == hardy.BLOCK and not s._moduli.flags.writeable
 
 
 def test_p_norm_past_block_samples_only_the_shifted_block(monkeypatch):
@@ -231,10 +229,47 @@ def test_p_norm_past_block_samples_only_the_shifted_block(monkeypatch):
     values = {p: p_norm(s, p) for p in (2, 3, 4, 8)}
     assert all(r.grid_size > hardy.BLOCK for r in values.values())
     assert shifts and 0.0 not in shifts
-    assert sorted(s._moduli) == [hardy.BLOCK]
+    assert s._moduli.size == hardy.BLOCK
     monkeypatch.undo()
     assert {p: r.value for p, r in values.items()} == {
         p: _sampled_p_norm(sampled, p) for p in (2, 3, 4, 8)}
+
+
+def _sampled_points(monkeypatch, s):
+    """The circle points, as indices on the MAX_GRID-point grid, that each of
+    validate_selfmap and p_norm at p = 2, 3, 4, 8 samples through circle_values."""
+    L, sample, calls = hardy.MAX_GRID, symbolic.circle_values, []
+
+    def recorded(s, K, shift=0.0):
+        r = shift * L / (2 * np.pi)
+        assert L % K == 0 and abs(r - round(r)) < 1e-6
+        calls[-1].append((round(r) + np.arange(K) * (L // K)) % L)
+        return sample(s, K, shift)
+
+    monkeypatch.setattr(symbolic, "circle_values", recorded)
+    for run in [validate_selfmap] + [lambda s, p=p: p_norm(s, p) for p in (2, 3, 4, 8)]:
+        calls.append([])
+        run(s)
+    monkeypatch.undo()
+    return [np.concatenate(c or [np.empty(0, dtype=int)]) for c in calls]
+
+
+def _distinct(points) -> bool:
+    return np.unique(points).size == points.size
+
+
+@pytest.mark.parametrize("text, past_block", [("(z+z^2)/2", False), ("0.004*z/(1-0.995*z)", False),
+                                              ("0.5 + 0.2*z^3 + 0.2*z^4096", True)])
+def test_each_circle_point_sampled_once(monkeypatch, text, past_block):
+    # up to BLOCK the selfmap scan and every rung share the one stored grid, so
+    # no point is sampled twice across the calls; past BLOCK each call samples
+    # its rungs afresh, but its nested ladder samples none of them twice
+    s = parse_symbol(text)
+    calls = _sampled_points(monkeypatch, s)
+    assert (max(p_norm(s, p).grid_size for p in (2, 3, 4, 8)) > hardy.BLOCK) == past_block
+    assert all(map(_distinct, calls if past_block else [np.concatenate(calls)]))
+    assert isinstance(s._moduli, np.ndarray) and not s._moduli.flags.writeable
+    assert s._moduli.size <= hardy.BLOCK
 
 
 def test_p_norm_rejects_small_p():

@@ -33,6 +33,7 @@ from hardyop import (
     validate_selfmap,
 )
 from hardyop.symbolic import (
+    BLOCK,
     TAYLOR_BLOCK,
     boundary_moduli,
     modulus_products,
@@ -639,12 +640,17 @@ def test_diagnostics_cached():
     assert validate_selfmap(s) is validate_selfmap(s)
 
 
-@pytest.mark.parametrize("stored", [modulus_products, lambda s: (boundary_moduli(s, 64),)],
+def _stored_moduli(s):
+    validate_selfmap(s)  # the scan stores the grid the 64-point one is a view of
+    return (boundary_moduli(s, 64),)
+
+
+@pytest.mark.parametrize("stored", [modulus_products, _stored_moduli],
                          ids=["modulus_products", "boundary_moduli"])
 def test_boundary_facts_stored_read_only(stored):
     s = parse_symbol("(z+z^2)/2")
     first = stored(s)
-    assert all(a is b for a, b in zip(first, stored(s)))
+    assert all(np.shares_memory(a, b) for a, b in zip(first, stored(s)))
     for a in first:
         with pytest.raises(ValueError):
             a[0] = 0.0
@@ -655,7 +661,22 @@ def test_selfmap_scan_shares_the_stored_unshifted_grid():
     d = validate_selfmap(s)
     a = boundary_moduli(s, d.grid_size)
     assert np.array_equal(a, np.abs(circle_values(s, d.grid_size)))
-    assert d.grid_sup == a.max()
+    assert np.shares_memory(a, s._moduli) and d.grid_sup == a.max()
+
+
+@pytest.mark.parametrize("text", ["(z+z^2)/2", "0.5 + 0.2*z^3 + 0.2*z^2048",
+                                  "0.5 + 0.2*z^3 + 0.2*z^4096"])
+def test_stored_grid_equals_the_sampled_scan(text):
+    # the stored grid is the scan's 4K points, or their finest sub-grid of at
+    # most BLOCK points, bitwise as circle_values samples them
+    s = parse_symbol(text)
+    K = validate_selfmap(s).grid_size
+    h, M = 2.0 * np.pi / (4 * K), s._moduli.size
+    assert M == min(4 * K, BLOCK) and not s._moduli.flags.writeable
+    for j in range(M // K):
+        view = boundary_moduli(s, K, 2.0 * np.pi * j / M)
+        assert np.shares_memory(view, s._moduli)
+        assert np.array_equal(view, np.abs(circle_values(s, K, h * j * (4 * K // M))))
 
 
 # ---------------------------------------------------------------------------
